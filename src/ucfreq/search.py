@@ -31,6 +31,7 @@ from .setfam import (
     format_mask,
     incidence,
     is_antichain,
+    is_minimal_two_good,
     is_two_good,
     is_union_closed,
     kth_frequency,
@@ -250,12 +251,6 @@ def verify_cover_theorem(
 # lemma spot checks on concrete families
 # ---------------------------------------------------------------------------
 
-def _is_minimal_two_good(fam: SetFamily, s: int) -> bool:
-    if not is_two_good(fam, s):
-        return False
-    return all(not is_two_good(fam, s & ~(1 << (y - 1))) for y in elements_of(s))
-
-
 def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
     """Recount every counting bound for each flexible pair of (fam, s).
 
@@ -277,7 +272,7 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
     """
     if not is_union_closed(fam):
         raise ValueError("family must be union-closed")
-    if not _is_minimal_two_good(fam, s):
+    if not is_minimal_two_good(fam, s):
         raise ValueError(f"base set {format_mask(s)} is not minimal 2-good")
     report = VerificationReport(families_checked=1)
     size = s.bit_count()
@@ -382,8 +377,11 @@ def run_lemma_corpus(
 
     An instance is a pair (family, S) with S a minimal 2-good set of size
     at least 2 admitting a flexible pair; random union-closed families are
-    drawn (fixed seed) until `instances` of them have been checked.
+    drawn (fixed seed) until `instances` of them have been checked.  Such
+    an S and an x outside S + {1} need n >= 4, so `n_high` must be at least 4.
     """
+    if n_high < 4 or n_low > n_high:
+        raise ValueError(f"need n_low <= n_high and n_high >= 4, got n = {n_low}..{n_high}")
     rng = random.Random(seed)
     report = VerificationReport()
     while report.families_checked < instances:

@@ -22,8 +22,8 @@ def mask_of(elements: Iterable[int]) -> Mask:
     """Bitmask of a collection of elements (1-based)."""
     m = 0
     for e in elements:
-        if e < 1:
-            raise ValueError(f"element ids start at 1, got {e}")
+        if not 1 <= e <= MAX_GROUND:
+            raise ValueError(f"element ids must be in 1..{MAX_GROUND}, got {e}")
         m |= 1 << (e - 1)
     return m
 
@@ -38,11 +38,6 @@ def elements_of(mask: Mask) -> tuple[int, ...]:
         mask >>= 1
         e += 1
     return tuple(out)
-
-
-def set_key(mask: Mask) -> tuple[int, ...]:
-    """Canonical sort key for sets: the ascending element tuple."""
-    return elements_of(mask)
 
 
 def format_mask(mask: Mask) -> str:
@@ -83,7 +78,7 @@ class SetFamily:
         return len(self.sets)
 
     def __contains__(self, mask: Mask) -> bool:
-        return mask in set(self.sets)
+        return mask in self.sets
 
     @property
     def ground(self) -> Mask:
@@ -94,7 +89,7 @@ class SetFamily:
 
     def sorted(self) -> "SetFamily":
         """The same family with members in canonical order."""
-        return SetFamily(self.n, tuple(sorted(self.sets, key=set_key)))
+        return SetFamily(self.n, tuple(sorted(self.sets, key=elements_of)))
 
     def __repr__(self) -> str:
         body = ", ".join(format_mask(s) for s in self.sets)
@@ -140,7 +135,7 @@ def union_closure(generators: SetFamily) -> SetFamily:
                     closed.add(u)
                     nxt.append(u)
         frontier = nxt
-    return SetFamily(generators.n, tuple(sorted(closed, key=set_key)))
+    return SetFamily(generators.n, tuple(sorted(closed, key=elements_of)))
 
 
 def element_frequencies(fam: SetFamily) -> dict[int, int]:
@@ -192,6 +187,99 @@ def normalize(fam: SetFamily) -> SetFamily:
 
 
 # ---------------------------------------------------------------------------
+# minimal transversals
+# ---------------------------------------------------------------------------
+
+def is_minimal_transversal(s: Mask, targets: Iterable[Mask]) -> bool:
+    """True iff `s` meets every target and each element of `s` has a private
+    target, one that `s` meets in that element alone.
+
+    A transversal is inclusion-minimal exactly when this holds: dropping an
+    element leaves its private target unmet, and an element without one can
+    be dropped.
+    """
+    private = 0
+    for t in targets:
+        hit = t & s
+        if not hit:
+            return False
+        if hit & (hit - 1) == 0:
+            private |= hit
+    return private == s
+
+
+def minimal_transversals(targets: Iterable[Mask], allowed: Mask) -> tuple[Mask, ...]:
+    """The inclusion-minimal subsets of `allowed` that meet every target, in
+    canonical order.
+
+    No targets give `(0,)` (the empty set meets them all); a target with no
+    element in `allowed` gives `()`.  The search branches on an unmet
+    target with the fewest candidates left, adding each of them in turn,
+    and keeps a branch only while every chosen element has a private target
+    (Murakami & Uno 2014, "Efficient algorithms for dualizing large-scale
+    hypergraphs", the MMCS algorithm).  Once tried, a candidate is released
+    to the later branches, so a set holding several candidates of the target
+    is reached only in the branch of the last of them.  Each minimal
+    transversal is reached once and the work grows with the output, not
+    with 2^|allowed|.
+    """
+    # Only the inclusion-minimal targets matter: meeting one meets its supersets.
+    ranked = sorted({t & allowed for t in targets}, key=int.bit_count)
+    if not ranked:
+        return (0,)
+    if not ranked[0]:
+        return ()
+    edges: list[Mask] = []
+    for t in ranked:
+        for e in edges:
+            if t & e == e:
+                break
+        else:
+            edges.append(t)
+    # hits[e]: the targets that contain element bit e, as a set of index bits
+    hits: dict[Mask, int] = {}
+    bit = 1
+    for t in edges:
+        while t:
+            e = t & -t
+            hits[e] = hits.get(e, 0) | bit
+            t ^= e
+        bit <<= 1
+    out: list[Mask] = []
+    # a branch: (chosen, private, cand, unmet), where private[j] holds the
+    # targets met only by the j-th chosen element
+    stack = [(0, [], allowed, bit - 1)]
+    while stack:
+        chosen, private, cand, unmet = stack.pop()
+        pick, fewest = 0, cand.bit_count() + 1
+        rest = unmet
+        while rest:
+            low = rest & -rest
+            c = edges[low.bit_length() - 1] & cand
+            k = c.bit_count()
+            if k < fewest:
+                pick, fewest = c, k
+                if k <= 1:
+                    break
+            rest ^= low
+        cand &= ~pick
+        while pick:
+            e = pick & -pick
+            pick ^= e
+            hit = hits[e]
+            kept = [p & ~hit for p in private]
+            if 0 not in kept:
+                left = unmet & ~hit
+                if left:
+                    kept.append(unmet & hit)
+                    stack.append((chosen | e, kept, cand, left))
+                else:
+                    out.append(chosen | e)
+            cand |= e
+    return tuple(sorted(out, key=elements_of))
+
+
+# ---------------------------------------------------------------------------
 # 2-good sets, traces, incidence
 # ---------------------------------------------------------------------------
 
@@ -209,25 +297,27 @@ def is_two_good(fam: SetFamily, s: Mask, distinguished: int = 1) -> bool:
     return True
 
 
+def _two_good_problem(fam: SetFamily, distinguished: int) -> tuple[list[Mask], Mask]:
+    """The 2-good sets as transversals: targets {A - {distinguished}} over the
+    members A outside {empty, {distinguished}}, candidates all but that element."""
+    dbit = 1 << (distinguished - 1)
+    return [t for a in fam.sets if (t := a & ~dbit)], fam.ground & ~dbit
+
+
 def minimal_two_good_sets(fam: SetFamily, distinguished: int = 1) -> tuple[Mask, ...]:
     """All inclusion-minimal 2-good sets, in canonical order.
 
-    Equivalent to the minimal transversals of {A - {distinguished}} over the
-    members A outside {empty, {distinguished}}; computed that way so the
-    scan is over candidate sets, not over all pairs of 2-good sets.  The
-    empty set is returned when it is (vacuously) 2-good.
+    These are the minimal transversals of {A - {distinguished}} over the
+    members A outside {empty, {distinguished}}.  The empty set is returned
+    when it is (vacuously) 2-good.
     """
-    dbit = 1 << (distinguished - 1)
-    targets = [a & ~dbit for a in fam.sets if a != 0 and a != dbit]
-    if not targets:
-        return (0,)
-    allowed = fam.ground & ~dbit
-    out = []
-    for s in submasks(allowed):
-        if all(s & a for a in targets):
-            if all(not all((s & ~(1 << (e - 1))) & a for a in targets) for e in elements_of(s)):
-                out.append(s)
-    return tuple(sorted(out, key=set_key))
+    return minimal_transversals(*_two_good_problem(fam, distinguished))
+
+
+def is_minimal_two_good(fam: SetFamily, s: Mask, distinguished: int = 1) -> bool:
+    """True iff `s` is 2-good and no proper subset of it is."""
+    targets, allowed = _two_good_problem(fam, distinguished)
+    return s & ~allowed == 0 and is_minimal_transversal(s, targets)
 
 
 def incidence(fam: SetFamily, s: Mask) -> int:
@@ -315,7 +405,7 @@ def flexible_pairs(fam: SetFamily, s: Mask) -> tuple[FlexibleWitness, ...]:
             with_x = [f for f in fam.sets if f & sx == abit | xbit]
             if plain and with_x:
                 out.append(
-                    FlexibleWitness(a, x, min(plain, key=set_key), min(with_x, key=set_key))
+                    FlexibleWitness(a, x, min(plain, key=elements_of), min(with_x, key=elements_of))
                 )
     return tuple(out)
 
@@ -330,15 +420,9 @@ def minimal_covers(fam: SetFamily) -> SetFamily:
     Raises if the empty set is a member (nothing can meet it).  The result
     is an antichain, in canonical order.
     """
-    if 0 in fam.member_set():
+    if 0 in fam:
         raise ValueError("family contains the empty set and has no covers")
-    sets = fam.sets
-    out = []
-    for s in submasks(fam.ground):
-        if all(s & a for a in sets):
-            if all(not all((s & ~(1 << (e - 1))) & a for a in sets) for e in elements_of(s)):
-                out.append(s)
-    return SetFamily(fam.n, tuple(sorted(out, key=set_key)))
+    return SetFamily(fam.n, minimal_transversals(fam.sets, fam.ground))
 
 
 def minimal_elements(fam: SetFamily) -> SetFamily:
@@ -349,7 +433,7 @@ def minimal_elements(fam: SetFamily) -> SetFamily:
         for s in fam.sets
         if not any(t != s and t & ~s == 0 for t in members)
     ]
-    return SetFamily(fam.n, tuple(sorted(out, key=set_key)))
+    return SetFamily(fam.n, tuple(sorted(out, key=elements_of)))
 
 
 def is_antichain(fam: SetFamily) -> bool:
@@ -374,14 +458,19 @@ def family_to_json(fam: SetFamily) -> str:
 def family_from_json(text: str) -> SetFamily:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
         raise ValueError('family JSON must be an object with "n" and "sets"')
-    n = obj["n"]
-    if not isinstance(n, int):
+    n, sets = obj["n"], obj["sets"]
+    # `type(...) is int` turns away JSON true and false, which Python reads as 1 and 0
+    if type(n) is not int:
         raise ValueError('"n" must be an integer')
-    return SetFamily(n, tuple(mask_of(s) for s in obj["sets"]))
+    if not isinstance(sets, list) or not all(
+        isinstance(s, list) and all(type(e) is int for e in s) for s in sets
+    ):
+        raise ValueError('"sets" must be a list of lists of integers')
+    return SetFamily(n, tuple(mask_of(s) for s in sets))
 
 
 def family_to_text(fam: SetFamily) -> str:

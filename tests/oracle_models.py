@@ -1,4 +1,5 @@
-"""Shared test oracles: symmetry-reduced LP models and random program generators.
+"""Shared test oracles: symmetry-reduced LP models, random program generators,
+and the subset scan for minimal transversals.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -15,6 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from ucfreq.ratlp import LinearProgram
+from ucfreq.setfam import elements_of, submasks
 
 F = Fraction
 
@@ -73,3 +75,18 @@ def random_box_program(rng: random.Random) -> LinearProgram:
         rel = rng.choice(("<=", ">=", "<=", ">=", "=="))
         lp.add(coeffs, rel, F(rng.randint(-8, 8), rng.choice((1, 2))))
     return lp
+
+
+def scan_minimal_transversals(targets, allowed: int) -> tuple[int, ...]:
+    """Minimal transversals by scanning all 2^|allowed| subsets of `allowed`,
+    each tested against every target with one element dropped at a time.
+
+    This is the scan `minimal_covers` and `minimal_two_good_sets` ran before
+    `setfam.minimal_transversals` replaced it; it stays as the reference.
+    """
+    out = []
+    for s in submasks(allowed):
+        if all(s & a for a in targets):
+            if all(not all((s & ~(1 << (e - 1))) & a for a in targets) for e in elements_of(s)):
+                out.append(s)
+    return tuple(sorted(out, key=elements_of))

@@ -45,6 +45,7 @@ from ucfreq.search import (
     verify_cover_theorem,
     verify_nagel_k2,
 )
+from ucfreq.setfam import SetFamily, is_antichain, minimal_covers
 
 F = Fraction
 
@@ -156,6 +157,34 @@ def test_criterion_6_cover_theorem_suite():
         # exhaustive layers: every nonempty family of nonempty sets, n = 1..4
         assert report.families_checked == (1 + 7 + 127 + 32767) + 2 * 100_000
         assert report.violations == []
+
+
+def nonempty_antichains(n: int):
+    """Every nonempty antichain of nonempty subsets of {1..n}, by depth-first
+    search over the subsets in increasing numeric order."""
+    chosen: list[int] = []
+
+    def walk(start: int):
+        for s in range(start, 1 << n):
+            if all(s & ~t and t & ~s for t in chosen):
+                chosen.append(s)
+                yield SetFamily(n, tuple(chosen))
+                yield from walk(s + 1)
+                chosen.pop()
+
+    return walk(1)
+
+
+def test_criterion_6_exhaustive_antichain_involution_n5():
+    with criterion(6, "MC(MC(F)) = F on all 7579 nonempty antichains of nonempty subsets of {1..5}"):
+        checked = 0
+        for fam in nonempty_antichains(5):
+            mc = minimal_covers(fam)
+            assert is_antichain(mc), fam
+            assert minimal_covers(mc) == fam.sorted(), fam
+            checked += 1
+        # Dedekind number M(5) = 7581, less the empty antichain and the one of the empty set
+        assert checked == 7581 - 2
 
 
 def test_criterion_7_second_frequency_desk_check():

@@ -134,6 +134,30 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/f.json"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "sets": [1]}',
+        '{"n": 3, "sets": [[1.5]]}',
+        '{"n": 3, "sets": "12"}',
+        '{"n": true, "sets": [[1]]}',
+        '{"n": 3, "sets": [[true]]}',
+        '{"n": 3, "sets": [[1, 99999999999999999999]]}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["int-member", "float-element", "string-sets", "bool-n", "bool-element",
+            "huge-element", "deep-nesting"])
+    def test_malformed_json_is_bad_family(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ucfreq: ") and err.count("\n") == 1
+
+    def test_wide_chain_finishes(self, tmp_path, capsys):
+        path = tmp_path / "chain24.json"
+        path.write_text('{"n": 24, "sets": [[1], [24], [1, 24]]}')
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("minimal 2-good sets:\n  {24} incidence=2\n")
+
 
 class TestCovers:
     def test_two_edges(self, tmp_path, capsys):
@@ -156,6 +180,18 @@ class TestCovers:
         out = capsys.readouterr().out
         assert "input is antichain: no" in out
         assert "minimal elements" in out
+
+    def test_four_blocks_of_five(self, tmp_path, capsys):
+        blocks = [list(range(first, first + 5)) for first in (1, 6, 11, 16)]
+        path = tmp_path / "blocks.json"
+        path.write_text(family_to_json(family(20, blocks)))
+        assert main(["covers", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "minimal covers:"
+        covers = lines[1:-2]
+        assert len(covers) == len(set(covers)) == 5**4
+        assert covers[0] == "  {1,6,11,16}" and covers[-1] == "  {5,10,15,20}"
+        assert lines[-2:] == ["input is antichain: yes", "MC(MC(F)) == F: yes"]
 
     def test_empty_member_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"

@@ -201,6 +201,15 @@ class TestLemmaCorpus:
         b = run_lemma_corpus(instances=30, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("n_low, n_high", [(2, 2), (2, 3), (5, 4)])
+    def test_sizes_without_instances_rejected(self, n_low, n_high):
+        # an instance needs |S| >= 2 and x outside S + {1}, so n >= 4
+        with pytest.raises(ValueError, match="n_high"):
+            run_lemma_corpus(instances=1, n_low=n_low, n_high=n_high)
+
+    def test_smallest_admissible_size(self):
+        assert run_lemma_corpus(instances=20, seed=3, n_low=4, n_high=4).passed
+
 
 class TestReport:
     def test_default_report_passes(self):

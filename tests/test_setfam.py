@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from oracle_models import scan_minimal_transversals
 
 from ucfreq.setfam import (
     FlexibleWitness,
@@ -27,15 +28,17 @@ from ucfreq.setfam import (
     format_mask,
     incidence,
     is_antichain,
+    is_minimal_transversal,
+    is_minimal_two_good,
     is_two_good,
     is_union_closed,
     kth_frequency,
     mask_of,
     minimal_covers,
     minimal_elements,
+    minimal_transversals,
     minimal_two_good_sets,
     normalize,
-    set_key,
     submasks,
     trace_counts,
     union_closure,
@@ -69,7 +72,7 @@ def oracle_minimal_two_good(sets, n: int) -> list[int]:
     good = {s for s in range(1 << n) if s & ~allowed == 0 and oracle_two_good(sets, s)}
     return sorted(
         (s for s in good if not any(t != s and t & ~s == 0 for t in good)),
-        key=set_key,
+        key=elements_of,
     )
 
 
@@ -78,7 +81,7 @@ def oracle_minimal_covers(sets, n: int) -> list[int]:
     cset = set(covers)
     return sorted(
         (s for s in covers if not any(t != s and t & ~s == 0 for t in cset)),
-        key=set_key,
+        key=elements_of,
     )
 
 
@@ -94,6 +97,17 @@ def raw_families(max_n: int = 5, max_sets: int = 8):
 
 def closed_families(max_n: int = 5, max_gens: int = 5):
     return raw_families(max_n, max_gens).map(union_closure)
+
+
+def transversal_problems(max_n: int = 6, max_targets: int = 8):
+    """(targets, allowed) over {1..n}: targets may repeat or be empty, there
+    may be none, and `allowed` may leave out part of the ground set."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, (1 << n) - 1), max_size=max_targets),
+            st.integers(0, (1 << n) - 1),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +131,18 @@ class TestSetFamily:
         assert elements_of(mask_of([3, 1])) == (1, 3)
         assert format_mask(0) == "{}"
         assert format_mask(mask_of([2, 3])) == "{2,3}"
+
+    def test_mask_of_rejects_elements_off_the_widest_ground(self):
+        for bad in (0, 64, 10**12):
+            with pytest.raises(ValueError, match="1..63"):
+                mask_of([1, bad])
+        with pytest.raises(ValueError, match="1..63"):
+            family_from_text("1 1000000000000\n")
+
+    def test_contains(self):
+        f = family(2, [[], [1, 2]])
+        assert 0 in f and mask_of([1, 2]) in f
+        assert mask_of([1]) not in f
 
     def test_submasks_order(self):
         assert list(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
@@ -264,6 +290,37 @@ class TestMinimalTwoGood:
         got = list(minimal_two_good_sets(f))
         assert got == oracle_minimal_two_good(f.sets, f.n)
         assert is_antichain(SetFamily(f.n, tuple(got)))
+
+    @given(closed_families())
+    def test_membership_test_matches_oracle(self, f):
+        expect = set(oracle_minimal_two_good(f.sets, f.n))
+        for s in submasks(f.ground):
+            assert is_minimal_two_good(f, s) == (s in expect)
+
+    def test_wide_chain_is_output_sensitive(self):
+        # 2^62 candidate sets, one minimal 2-good set
+        assert minimal_two_good_sets(family(63, [[1], [63], [1, 63]])) == (mask_of([63]),)
+
+
+class TestMinimalTransversals:
+    @given(transversal_problems())
+    @example(([0b011, 0b011, 0b110], 0b111))  # duplicate targets
+    @example(([0b011, 0], 0b111))  # an empty target
+    @example(([0b0011, 0b1100], 0b0101))  # allowed smaller than the ground set
+    @example(([0b0011, 0b1000], 0b0111))  # a target with no allowed element
+    @example(([], 0b11))  # no targets
+    def test_matches_scan(self, problem):
+        targets, allowed = problem
+        got = minimal_transversals(targets, allowed)
+        assert got == scan_minimal_transversals(targets, allowed)
+        for s in submasks(allowed):
+            assert is_minimal_transversal(s, targets) == (s in got)
+
+    def test_edge_cases(self):
+        assert minimal_transversals([], 0b111) == (0,)
+        assert minimal_transversals([0b01, 0], 0b11) == ()
+        assert minimal_transversals([0b10], 0b01) == ()
+        assert minimal_transversals([0b011, 0b110], 0b111) == (0b101, 0b010)
 
 
 class TestIncidenceAndTraces:
