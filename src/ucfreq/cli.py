@@ -1,13 +1,15 @@
 """Command-line front end. Batch commands, exact rational output.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input family,
-3 internal consistency failure (a certificate that does not re-verify,
-or a verification suite reporting violations - both always bugs).
+Exit codes: 0 success, 1 usage error, 2 invalid input family (or a
+refused flag combination), 3 internal consistency failure (a certificate
+that does not re-verify, or a verification suite reporting violations -
+both always bugs).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -27,10 +29,6 @@ class _Parser(argparse.ArgumentParser):
 
 class FamilyInputError(Exception):
     pass
-
-
-def _render(value: Fraction, approx: bool) -> str:
-    return repr(float(value)) if approx else str(value)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,6 +54,16 @@ def _load_family(path: str, fmt: str | None, add_empty: bool) -> setfam.SetFamil
     if add_empty and 0 not in fam.member_set():
         fam = setfam.SetFamily(fam.n, (0,) + fam.sets)
     return fam
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low` (a usage error otherwise)."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def _parse_base(text: str, n: int) -> int:
@@ -93,6 +101,8 @@ def _parse_objective(text: str, s: int) -> dict[str, Fraction]:
 def _cmd_table(args) -> int:
     if args.certificates and args.format != "json":
         raise FamilyInputError("--certificates needs --format json")
+    if args.approx and args.format == "json":
+        raise FamilyInputError("--approx needs --format csv")
     if args.jobs > 1:
         results = _solve_cells_parallel(args.jobs)
     else:
@@ -101,19 +111,8 @@ def _cmd_table(args) -> int:
         if not lpmodel.recheck(res):
             raise CertificateError(f"certificate for {res.spec} failed re-verification")
     if args.format == "csv":
-        if args.approx:
-            lines = ["s," + ",".join(f"|C|={k}" for k in lpmodel.COLUMN_KEYS)]
-            by_cell = {(r.spec.s, r.spec.scenario): r for r in results}
-            for s in (4, 5):
-                cells = [
-                    "infeasible" if
-                    by_cell[(s, sc)].bound is None else repr(float(by_cell[(s, sc)].bound))
-                    for sc in lpmodel.GRID
-                ]
-                lines.append(f"{s}," + ",".join(cells))
-            _emit("\n".join(lines) + "\n", args.out)
-        else:
-            _emit(lpmodel.table_to_csv(results), args.out)
+        render = functools.partial(lpmodel.render_bound, approx=args.approx)
+        _emit(lpmodel.table_to_csv(results, render=render), args.out)
     else:
         doc = lpmodel.table_to_json(results, certificates=args.certificates)
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -127,7 +126,8 @@ def _solve_cells_parallel(jobs: int):
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
             return tuple(pool.map(lpmodel.solve_case, specs))
-    except (OSError, PermissionError):  # restricted environments: fall back
+    except OSError as exc:  # restricted environments: fall back, and say so
+        print(f"ucfreq: no process pool ({exc}); solving the cells serially", file=sys.stderr)
         return tuple(lpmodel.solve_case(spec) for spec in specs)
 
 
@@ -143,6 +143,8 @@ _SCENARIOS = {
 def _cmd_solve_case(args) -> int:
     if args.c == "aux" and args.s != 5:
         raise FamilyInputError("--c aux exists only for --s 5")
+    if args.approx and args.dump_lp:
+        raise FamilyInputError("--approx does not apply to --dump-lp")
     spec = lpmodel.CaseSpec(args.s, _SCENARIOS[args.c])
     res = lpmodel.solve_case(spec)
     if not lpmodel.recheck(res):
@@ -151,8 +153,7 @@ def _cmd_solve_case(args) -> int:
         lp = lpmodel.case_program(spec)
         _emit(format_lp(lp) + "\n" + format_certificate(lp, res.outcome), args.out)
     else:
-        text = res.bound_text if res.bound is None or not args.approx else repr(float(res.bound))
-        _emit(text + "\n", args.out)
+        _emit(lpmodel.render_bound(res.bound, args.approx) + "\n", args.out)
     return OK
 
 
@@ -160,7 +161,7 @@ def _cmd_solve_base(args) -> int:
     res = lpmodel.solve_case(lpmodel.CaseSpec(args.s, lpmodel.Scenario.BASE))
     if not lpmodel.recheck(res):
         raise CertificateError("base certificate failed re-verification")
-    _emit(_render(res.bound, args.approx) + "\n", args.out)
+    _emit(lpmodel.render_bound(res.bound, args.approx) + "\n", args.out)
     return OK
 
 
@@ -169,7 +170,7 @@ def _cmd_min_objective(args) -> int:
     outcome = lpmodel.min_objective(args.s, objective)
     if not isinstance(outcome, Optimal):
         raise CertificateError("objective minimization did not reach an optimum")
-    _emit(_render(outcome.value, args.approx) + "\n", args.out)
+    _emit(lpmodel.render_bound(outcome.value, args.approx) + "\n", args.out)
     return OK
 
 
@@ -185,7 +186,7 @@ def _cmd_analyze(args) -> int:
     for k in (1, 2):
         if k <= fam.n:
             _, _, ratio = setfam.kth_frequency(fam, k)
-            lines.append(f"f_{k} = " + _render(ratio, args.approx))
+            lines.append(f"f_{k} = " + lpmodel.render_bound(ratio, args.approx))
     lines.append("minimal 2-good sets:")
     for s in setfam.minimal_two_good_sets(fam):
         lines.append(f"  {setfam.format_mask(s)} incidence={setfam.incidence(fam, s)}")
@@ -268,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="solve all eight case cells")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--certificates", action="store_true", help="embed certificates (JSON only)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the cells")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="worker processes for the cells (1 solves them serially)")
     p.add_argument("--approx", action="store_true")
     common(p)
     p.set_defaults(handler=_cmd_table)
@@ -309,10 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_covers)
 
     p = sub.add_parser("search-nagel", help="exhaustive second-frequency check")
-    p.add_argument("--n", type=int, required=True, help="ground-set size (2..4 exhaustive)")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"ground-set size (2..{search.ENUMERATION_LIMIT} exhaustive)")
     p.add_argument("--require-empty", action="store_true")
-    p.add_argument("--max-family-size", type=int)
-    p.add_argument("--max-witnesses", type=int, default=16)
+    p.add_argument("--max-family-size", type=_int_at_least(1))
+    p.add_argument("--max-witnesses", type=_int_at_least(0), default=16)
     p.add_argument("--quiet", action="store_true", help="suppress stderr progress")
     common(p)
     p.set_defaults(handler=_cmd_search_nagel)

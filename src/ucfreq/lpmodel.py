@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .ratlp import (
     LinearConstraint,
@@ -235,7 +235,7 @@ class CaseResult:
 
     @property
     def bound_text(self) -> str:
-        return "infeasible" if self.bound is None else str(self.bound)
+        return render_bound(self.bound)
 
 
 def case_program(spec: CaseSpec) -> LinearProgram:
@@ -295,13 +295,24 @@ def min_objective(s: int, objective: Mapping[str, Fraction]) -> LpOutcome:
 COLUMN_KEYS = ("0", "1", "2", "3+")
 
 
-def table_to_csv(results: Iterable[CaseResult]) -> str:
+def render_bound(value: Fraction | None, approx: bool = False) -> str:
+    """A bound as text: exact, `repr` of its float under `approx`, and
+    ``infeasible`` for None."""
+    if value is None:
+        return "infeasible"
+    return repr(float(value)) if approx else str(value)
+
+
+def table_to_csv(
+    results: Iterable[CaseResult],
+    render: Callable[[Fraction | None], str] = render_bound,
+) -> str:
     cells: dict[tuple[int, Scenario], CaseResult] = {
         (r.spec.s, r.spec.scenario): r for r in results
     }
     lines = ["s," + ",".join(f"|C|={k}" for k in COLUMN_KEYS)]
     for s in (4, 5):
-        row = [cells[(s, sc)].bound_text for sc in GRID]
+        row = [render(cells[(s, sc)].bound) for sc in GRID]
         lines.append(f"{s}," + ",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -122,6 +122,7 @@ def materialized_rows(lp: LinearProgram) -> list[Row]:
     Certificate maps (dual, farkas) are keyed by positions in this list:
     the declared constraints first, then for each variable in declaration
     order its lower-bound row and then its upper-bound row, when declared.
+    Every other view of the rows (labels, `format_lp`) derives from it.
     """
     index = {name: j for j, name in enumerate(lp.variables)}
     rows: list[Row] = []
@@ -590,54 +591,41 @@ def _format_terms(coeffs: Mapping[str, Fraction], order: Iterable[str]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def row_label(lp: LinearProgram, i: int) -> str:
-    """Stable human-readable name of materialized row i."""
-    if i < len(lp.constraints):
-        return lp.constraints[i].label or f"r{i}"
-    k = len(lp.constraints)
-    for name in lp.variables:
-        if name in lp.lower:
-            if k == i:
-                return f"lb({name})"
-            k += 1
-        if name in lp.upper:
-            if k == i:
-                return f"ub({name})"
-            k += 1
-    raise IndexError(i)
+def row_labels(lp: LinearProgram) -> list[str]:
+    """Stable names of the materialized rows, in order: a constraint's label
+    (``r<i>`` when it has none), then ``lb(x)`` or ``ub(x)`` for a bound row."""
+    labels = [con.label or f"r{i}" for i, con in enumerate(lp.constraints)]
+    for coeffs, relation, _ in materialized_rows(lp)[len(labels):]:
+        (j,) = coeffs  # a bound row has the one variable it bounds
+        labels.append(f"{'lb' if relation == '>=' else 'ub'}({lp.variables[j]})")
+    return labels
 
 
 def format_lp(lp: LinearProgram) -> str:
-    """One line per constraint, exact rationals, deterministic order."""
+    """One line per materialized row, exact rationals, deterministic order."""
     rel_text = {"<=": "<=", ">=": ">=", "==": "="}
     lines = [f"{lp.sense}: {_format_terms(lp.objective, lp.variables)}"]
-    for i, con in enumerate(lp.constraints):
-        lines.append(
-            f"{row_label(lp, i)}: {_format_terms(con.coeffs, lp.variables)}"
-            f" {rel_text[con.relation]} {con.rhs}"
-        )
-    for name in lp.variables:
-        if name in lp.lower:
-            lines.append(f"lb({name}): {name} >= {lp.lower[name]}")
-        if name in lp.upper:
-            lines.append(f"ub({name}): {name} <= {lp.upper[name]}")
+    for label, (coeffs, relation, rhs) in zip(row_labels(lp), materialized_rows(lp)):
+        terms = _format_terms({lp.variables[j]: c for j, c in coeffs.items()}, lp.variables)
+        lines.append(f"{label}: {terms} {rel_text[relation]} {rhs}")
     return "\n".join(lines) + "\n"
 
 
 def format_certificate(lp: LinearProgram, outcome: LpOutcome) -> str:
     """Audit text for an outcome; pairs with `format_lp` for replay elsewhere."""
     lines: list[str] = []
+    labels = row_labels(lp)
     if isinstance(outcome, Optimal):
         lines.append("status: optimal")
         lines.append(f"value: {outcome.value}")
         for name in lp.variables:
             lines.append(f"{name} = {outcome.assignment[name]}")
         for i in sorted(outcome.dual):
-            lines.append(f"dual {row_label(lp, i)} = {outcome.dual[i]}")
+            lines.append(f"dual {labels[i]} = {outcome.dual[i]}")
     elif isinstance(outcome, Infeasible):
         lines.append("status: infeasible")
         for i in sorted(outcome.farkas):
-            lines.append(f"farkas {row_label(lp, i)} = {outcome.farkas[i]}")
+            lines.append(f"farkas {labels[i]} = {outcome.farkas[i]}")
     else:
         lines.append("status: unbounded")
         for name in lp.variables:

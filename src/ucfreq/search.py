@@ -61,6 +61,8 @@ class EnumerationSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ground-set size must be at least 1")
+        if self.max_family_size is not None and self.max_family_size < 1:
+            raise ValueError("max_family_size must be at least 1 (or None for no cap)")
 
 
 @dataclass
@@ -93,31 +95,18 @@ class VerificationReport:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_union_closed(
-    spec: EnumerationSpec, largest: int | None = None
-) -> Iterator[SetFamily]:
+def enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
     """Every nonempty union-closed family matching the spec, exactly once.
 
     Candidate sets are examined in descending bitmask order, so any union
     of an accepted set with earlier members already had its fate decided;
     a branch survives only if those unions were all accepted, which keeps
-    every interior state union-closed and prunes early.  With `largest`
-    the stream is restricted to families whose numerically largest member
-    equals it; the streams over all `largest` values partition the full
-    enumeration.
+    every interior state union-closed and prunes early.
     """
     n = spec.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"full enumeration is limited to n <= {ENUMERATION_LIMIT}")
     ground = (1 << n) - 1
-    if largest is None:
-        cands = list(range(ground, -1, -1))
-        forced_first = False
-    else:
-        if not 0 <= largest <= ground:
-            raise ValueError("largest must be a subset of the ground set")
-        cands = [largest] + list(range(largest - 1, -1, -1))
-        forced_first = True
 
     chosen: list[int] = []
     members: set[int] = set()
@@ -133,24 +122,21 @@ def enumerate_union_closed(
                 return False
         return True
 
-    def walk(idx: int) -> Iterator[SetFamily]:
-        if idx == len(cands):
+    def walk(s: int) -> Iterator[SetFamily]:
+        if s < 0:
             if chosen and admissible():
                 yield SetFamily(n, tuple(sorted(chosen)))
             return
-        s = cands[idx]
-        force = forced_first and idx == 0
-        if not force:
-            yield from walk(idx + 1)
+        yield from walk(s - 1)
         room = spec.max_family_size is None or len(chosen) < spec.max_family_size
         if room and all(s | t in members for t in chosen):
             chosen.append(s)
             members.add(s)
-            yield from walk(idx + 1)
+            yield from walk(s - 1)
             chosen.pop()
             members.remove(s)
 
-    yield from walk(0)
+    yield from walk(ground)
 
 
 # ---------------------------------------------------------------------------

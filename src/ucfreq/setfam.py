@@ -208,6 +208,23 @@ def is_minimal_transversal(s: Mask, targets: Iterable[Mask]) -> bool:
     return private == s
 
 
+def _minimal_masks(masks: Iterable[Mask]) -> list[Mask]:
+    """The inclusion-minimal masks among `masks`, without repeats, fewest
+    elements first.
+
+    In that order a mask can contain only masks that come before it, so one
+    pass against the masks kept so far decides each.
+    """
+    kept: list[Mask] = []
+    for t in sorted(set(masks), key=int.bit_count):
+        for e in kept:
+            if t & e == e:
+                break
+        else:
+            kept.append(t)
+    return kept
+
+
 def minimal_transversals(targets: Iterable[Mask], allowed: Mask) -> tuple[Mask, ...]:
     """The inclusion-minimal subsets of `allowed` that meet every target, in
     canonical order.
@@ -224,18 +241,11 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask) -> tuple[Mask, 
     with 2^|allowed|.
     """
     # Only the inclusion-minimal targets matter: meeting one meets its supersets.
-    ranked = sorted({t & allowed for t in targets}, key=int.bit_count)
-    if not ranked:
+    edges = _minimal_masks(t & allowed for t in targets)
+    if not edges:
         return (0,)
-    if not ranked[0]:
+    if not edges[0]:
         return ()
-    edges: list[Mask] = []
-    for t in ranked:
-        for e in edges:
-            if t & e == e:
-                break
-        else:
-            edges.append(t)
     # hits[e]: the targets that contain element bit e, as a set of index bits
     hits: dict[Mask, int] = {}
     bit = 1
@@ -427,13 +437,7 @@ def minimal_covers(fam: SetFamily) -> SetFamily:
 
 def minimal_elements(fam: SetFamily) -> SetFamily:
     """Members with no proper subset in the family, in canonical order."""
-    members = fam.member_set()
-    out = [
-        s
-        for s in fam.sets
-        if not any(t != s and t & ~s == 0 for t in members)
-    ]
-    return SetFamily(fam.n, tuple(sorted(out, key=elements_of)))
+    return SetFamily(fam.n, tuple(sorted(_minimal_masks(fam.sets), key=elements_of)))
 
 
 def is_antichain(fam: SetFamily) -> bool:

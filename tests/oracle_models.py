@@ -1,5 +1,6 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
-and the subset scan for minimal transversals.
+the subset scan for minimal transversals and the pairwise scan for minimal
+elements.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -89,4 +90,20 @@ def scan_minimal_transversals(targets, allowed: int) -> tuple[int, ...]:
         if all(s & a for a in targets):
             if all(not all((s & ~(1 << (e - 1))) & a for a in targets) for e in elements_of(s)):
                 out.append(s)
+    return tuple(sorted(out, key=elements_of))
+
+
+def scan_minimal_elements(masks) -> tuple[int, ...]:
+    """The masks with no proper subset among `masks`, each tested against
+    every other, in canonical order.
+
+    This is the body `setfam.minimal_elements` had before it shared the
+    reduction of `setfam.minimal_transversals`; it stays as the reference.
+    """
+    members = set(masks)
+    out = [
+        s
+        for s in members
+        if not any(t != s and t & ~s == 0 for t in members)
+    ]
     return tuple(sorted(out, key=elements_of))

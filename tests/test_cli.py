@@ -27,15 +27,23 @@ def flex_family_text(tmp_path):
     return str(path)
 
 
+TABLE_CSV = (
+    "s,|C|=0,|C|=1,|C|=2,|C|=3+\n"
+    "4,81,81,114,infeasible\n"
+    "5,237/2,231/2,122,114\n"
+)
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("ucfreq: ") and err.count("\n") == 1
+
+
 class TestTable:
     def test_csv_matches_expected(self, capsys):
         assert main(["table"]) == 0
         out = capsys.readouterr().out
-        assert out == (
-            "s,|C|=0,|C|=1,|C|=2,|C|=3+\n"
-            "4,81,81,114,infeasible\n"
-            "5,237/2,231/2,122,114\n"
-        )
+        assert out == TABLE_CSV
 
     def test_deterministic(self, capsys):
         main(["table"])
@@ -50,8 +58,42 @@ class TestTable:
         assert len(doc["cells"]) == 8
         assert all("certificate" in cell for cell in doc["cells"])
 
+    def test_approx_csv(self, capsys):
+        assert main(["table", "--approx"]) == 0
+        assert capsys.readouterr().out == (
+            "s,|C|=0,|C|=1,|C|=2,|C|=3+\n"
+            "4,81.0,81.0,114.0,infeasible\n"
+            "5,118.5,115.5,122.0,114.0\n"
+        )
+
     def test_certificates_need_json(self, capsys):
         assert main(["table", "--certificates"]) == 2
+
+    def test_approx_needs_csv(self, capsys):
+        assert main(["table", "--format", "json", "--approx"]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        assert main(["table", "--jobs", jobs]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_jobs_prints_the_serial_table(self, capsys):
+        assert main(["table", "--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == TABLE_CSV
+        assert captured.err == ""
+
+    def test_pool_fallback_is_reported(self, capsys, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise PermissionError("process creation is not allowed")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
+        assert main(["table", "--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == TABLE_CSV
+        assert "serially" in captured.err and captured.err.count("\n") == 1
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
@@ -75,6 +117,12 @@ class TestSolveCommands:
         assert main(["solve-case", "--s", "5", "--c", "1"]) == 0
         assert capsys.readouterr().out == "231/2\n"
 
+    def test_solve_case_approx(self, capsys):
+        assert main(["solve-case", "--s", "4", "--c", "3", "--approx"]) == 0
+        assert capsys.readouterr().out == "infeasible\n"
+        assert main(["solve-case", "--s", "5", "--c", "0", "--approx"]) == 0
+        assert capsys.readouterr().out == "118.5\n"
+
     def test_solve_case_aux(self, capsys):
         assert main(["solve-case", "--s", "5", "--c", "aux"]) == 0
         assert capsys.readouterr().out == "129\n"
@@ -91,6 +139,10 @@ class TestSolveCommands:
         assert "status: optimal" in out
         assert "value: 81" in out
 
+    def test_dump_lp_refuses_approx(self, capsys):
+        assert main(["solve-case", "--s", "4", "--c", "0", "--dump-lp", "--approx"]) == 2
+        assert_one_line_error(capsys)
+
     def test_min_objective_tokens(self, capsys):
         assert main(["min-objective", "--s", "4", "--objective", "q_singleton"]) == 0
         assert capsys.readouterr().out == "8\n"
@@ -98,6 +150,10 @@ class TestSolveCommands:
         assert capsys.readouterr().out == "85/2\n"
         assert main(["min-objective", "--s", "4", "--objective", "q_a+q_b"]) == 0
         assert capsys.readouterr().out == "16\n"
+
+    def test_min_objective_approx(self, capsys):
+        assert main(["min-objective", "--s", "5", "--objective", "sum_singletons", "--approx"]) == 0
+        assert capsys.readouterr().out == "42.5\n"
 
     def test_min_objective_bad_term(self, capsys):
         assert main(["min-objective", "--s", "4", "--objective", "q_abcde"]) == 2
@@ -112,6 +168,11 @@ class TestAnalyze:
         assert "f_1 = 2/3\n" in out
         assert "f_2 = 1/3\n" in out
         assert "  {2} incidence=1" in out
+
+    def test_approx_frequencies(self, chain_family_json, capsys):
+        assert main(["analyze", chain_family_json, "--approx"]) == 0
+        out = capsys.readouterr().out
+        assert "f_1 = 0.6666666666666666\nf_2 = 0.3333333333333333\n" in out
 
     def test_trace_block(self, chain_family_json, capsys):
         assert main(["analyze", chain_family_json, "--base", "2"]) == 0
@@ -209,6 +270,25 @@ class TestSearchNagel:
 
     def test_usage_error_on_n1(self, capsys):
         assert main(["search-nagel", "--n", "1", "--quiet"]) == 2
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_max_family_size_below_one_is_usage_error(self, capsys, size):
+        # a cap below one would check no family and report a pass
+        assert main(["search-nagel", "--n", "3", "--quiet", "--max-family-size", size]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_negative_max_witnesses_is_usage_error(self, capsys):
+        assert main(["search-nagel", "--n", "3", "--quiet", "--max-witnesses", "-1"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_max_witnesses_caps_the_list(self, capsys):
+        assert main(["search-nagel", "--n", "3", "--quiet", "--max-witnesses", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["witnesses"]) == 2 and doc["witnesses_total"] == 3
+
+    def test_help_names_the_enumeration_limit(self, capsys):
+        assert main(["search-nagel", "--help"]) == 0
+        assert "(2..5 exhaustive)" in capsys.readouterr().out
 
 
 class TestCheckLemmas:

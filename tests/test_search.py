@@ -73,17 +73,6 @@ class TestEnumeration:
         assert len(fams) == len({f.sets for f in fams})
         assert all(is_union_closed(f) for f in fams)
 
-    def test_partition_by_largest_member(self):
-        spec = EnumerationSpec(3)
-        whole = {f.sets for f in enumerate_union_closed(spec)}
-        pieces: set[tuple[int, ...]] = set()
-        for largest in range((1 << 3)):
-            part = {f.sets for f in enumerate_union_closed(spec, largest=largest)}
-            assert part.isdisjoint(pieces)
-            assert all(max(sets) == largest for sets in part)
-            pieces |= part
-        assert pieces == whole
-
     def test_max_family_size(self):
         fams = list(enumerate_union_closed(EnumerationSpec(3, max_family_size=2)))
         assert all(len(f) <= 2 for f in fams)
@@ -107,6 +96,8 @@ class TestEnumeration:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             EnumerationSpec(0)
+        with pytest.raises(ValueError, match="max_family_size"):
+            EnumerationSpec(3, max_family_size=0)
 
 
 class TestNagelK2:

@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
-from oracle_models import scan_minimal_transversals
+from oracle_models import scan_minimal_elements, scan_minimal_transversals
 
 from ucfreq.setfam import (
     FlexibleWitness,
     SetFamily,
+    _minimal_masks,
     covered_set,
     element_frequencies,
     elements_of,
@@ -480,6 +481,19 @@ class TestMinimalElements:
     def test_antichain_fixed_point(self, f):
         anti = minimal_elements(f)
         assert minimal_elements(anti) == anti
+
+    @given(st.lists(st.integers(0, 63), max_size=12))
+    @example([0b011, 0b011, 0b001])  # a repeat and a proper subset
+    @example([0b101, 0b011, 0b110])  # an antichain
+    @example([0, 0b1])  # the empty set is below everything
+    def test_shared_reduction_matches_scan(self, masks):
+        kept = _minimal_masks(masks)
+        assert [m.bit_count() for m in kept] == sorted(m.bit_count() for m in kept)
+        assert tuple(sorted(kept, key=elements_of)) == scan_minimal_elements(masks)
+
+    @given(raw_families())
+    def test_matches_scan(self, f):
+        assert minimal_elements(f).sets == scan_minimal_elements(f.sets)
 
 
 class TestShattering:
