@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .setfam import (
+    Mask,
     SetFamily,
     covered_set,
     element_frequencies,
@@ -95,48 +96,81 @@ class VerificationReport:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
-    """Every nonempty union-closed family matching the spec, exactly once.
+def _walk_union_closed(spec: EnumerationSpec) -> Iterator[tuple[list[Mask], list[int]]]:
+    """The one DFS behind `enumerate_union_closed` and `verify_nagel_k2`.
 
-    Candidate sets are examined in descending bitmask order, so any union
-    of an accepted set with earlier members already had its fate decided;
-    a branch survives only if those unions were all accepted, which keeps
-    every interior state union-closed and prunes early.
+    A node is a union-closed family, its children add one set below its
+    smallest member, and each family is reached exactly once: dropping the
+    smallest member of a union-closed family leaves one.  A node keeps the
+    nonempty sets that may still join it (in ascending order), so a child's
+    candidates are its parent's that lie below the new set and whose union
+    with it is a member.  The empty set joins every family; as the least
+    set it is a node's first child and a leaf, and the walk adds it inline.
+    Nodes come in pre-order with children ascending, which is ascending
+    order of the sum of 2^s over the members s.
+
+    Yields `(chosen, counts)` for every family matching the spec: the
+    members in descending order and, for each element e, the number of
+    members containing it at index e - 1.  Both lists are updated in place
+    on each push and pop, so a caller that keeps them must copy them.
     """
     n = spec.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"full enumeration is limited to n <= {ENUMERATION_LIMIT}")
     ground = (1 << n) - 1
-
-    chosen: list[int] = []
-    members: set[int] = set()
-
-    def admissible() -> bool:
-        if spec.require_empty and 0 not in members:
-            return False
-        if spec.require_ground_coverage:
-            union = 0
-            for s in chosen:
-                union |= s
-            if union != ground:
-                return False
-        return True
-
-    def walk(s: int) -> Iterator[SetFamily]:
-        if s < 0:
-            if chosen and admissible():
-                yield SetFamily(n, tuple(sorted(chosen)))
-            return
-        yield from walk(s - 1)
-        room = spec.max_family_size is None or len(chosen) < spec.max_family_size
-        if room and all(s | t in members for t in chosen):
-            chosen.append(s)
-            members.add(s)
-            yield from walk(s - 1)
+    cap = spec.max_family_size or ground + 1
+    every = not spec.require_empty  # else only the families with the empty set
+    bits = [[e - 1 for e in elements_of(s)] for s in range(ground + 1)]
+    member = [False] * (ground + 1)
+    chosen: list[Mask] = []
+    counts = [0] * n
+    # A union-closed family's union is its largest member, so the families
+    # that cover the ground set are exactly those whose first set is `ground`.
+    if spec.require_ground_coverage:
+        frames = [[list(range(1, ground + 1)), ground - 1]]  # [candidates, index of the next one]
+    else:
+        frames = [[list(range(1, ground + 1)), 0]]
+        chosen.append(0)
+        yield chosen, counts  # the family {}: the root's first child
+        chosen.pop()
+    while frames:
+        frame = frames[-1]
+        candidates, i = frame
+        if i == len(candidates):
+            frames.pop()
+            if frames:
+                s = chosen.pop()
+                member[s] = False
+                for e in bits[s]:
+                    counts[e] -= 1
+            continue
+        frame[1] = i + 1
+        s = candidates[i]
+        chosen.append(s)
+        member[s] = True
+        for e in bits[s]:
+            counts[e] += 1
+        if every:
+            yield chosen, counts
+        if len(chosen) < cap:
+            chosen.append(0)
+            yield chosen, counts
             chosen.pop()
-            members.remove(s)
+            frames.append([[t for t in candidates[:i] if member[t | s]], 0])
+        else:
+            frames.append([(), 0])
 
-    yield from walk(ground)
+
+def enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
+    """Every nonempty union-closed family matching the spec, exactly once,
+    with members in ascending bitmask order.
+
+    The order is that of including-or-not each set from the ground set down
+    to the empty set, leaving it out first: ascending order of the sum of
+    2^s over the members s.
+    """
+    for chosen, _ in _walk_union_closed(spec):
+        yield SetFamily(spec.n, tuple(reversed(chosen)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +187,40 @@ def verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) -> Verific
     really has two elements to rank.  Violations would contradict a
     proved statement at these sizes, so any entry in `violations` means
     an implementation bug.
+
+    f_2 is the second largest element count over the family size, taken
+    from the walk's incremental counts and compared in integers; each final
+    witness is re-checked with `kth_frequency`.
     """
     if spec.n < 2 or not spec.require_ground_coverage:
         raise ValueError("the k=2 check needs require_ground_coverage and n >= 2")
+    n = spec.n
     report = VerificationReport()
-    for fam in enumerate_union_closed(spec):
-        report.families_checked += 1
-        if progress and report.families_checked % PROGRESS_STRIDE == 0:
-            progress(report.families_checked)
+    checked = 0
+    low, low_size = 0, 0  # the least f_2 so far is low / low_size
+    floor, floor_size = F2_FLOOR.numerator, F2_FLOOR.denominator
+    witnesses: list[tuple[Mask, ...]] = []
+    for chosen, counts in _walk_union_closed(spec):
+        checked += 1
+        if progress and checked % PROGRESS_STRIDE == 0:
+            progress(checked)
+        size = len(chosen)
+        c2 = sorted(counts)[-2]
+        if not witnesses or c2 * low_size < low * size:
+            low, low_size, witnesses = c2, size, []
+        if c2 * low_size == low * size:
+            witnesses.append(tuple(reversed(chosen)))
+        if c2 * floor_size < floor * size:
+            fam = SetFamily(n, tuple(reversed(chosen)))
+            report.violations.append(f"f_2 = {Fraction(c2, size)} < 1/3 for {fam!r}")
+    report.families_checked = checked
+    if witnesses:
+        report.min_f2 = Fraction(low, low_size)
+        report.witnesses = [SetFamily(n, sets) for sets in witnesses]
+    for fam in report.witnesses:
         value = kth_frequency(fam, 2)[2]
-        if report.min_f2 is None or value < report.min_f2:
-            report.min_f2 = value
-            report.witnesses = [fam]
-        elif value == report.min_f2:
-            report.witnesses.append(fam)
-        if value < F2_FLOOR:
-            report.violations.append(f"f_2 = {value} < 1/3 for {fam!r}")
+        if value != report.min_f2:
+            report.violations.append(f"f_2 = {value} for witness {fam!r}, not {report.min_f2}")
     return report
 
 

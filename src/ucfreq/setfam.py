@@ -474,6 +474,8 @@ def family_from_json(text: str) -> SetFamily:
         isinstance(s, list) and all(type(e) is int for e in s) for s in sets
     ):
         raise ValueError('"sets" must be a list of lists of integers')
+    if not sets:
+        raise ValueError("no sets in family input")
     return SetFamily(n, tuple(mask_of(s) for s in sets))
 
 

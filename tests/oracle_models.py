@@ -1,6 +1,6 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
-the subset scan for minimal transversals and the pairwise scan for minimal
-elements.
+the subset scan for minimal transversals, the pairwise scan for minimal
+elements, and the recursive union-closed enumerator with its f_2 check.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -15,9 +15,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from ucfreq.ratlp import LinearProgram
-from ucfreq.setfam import elements_of, submasks
+from ucfreq.search import (
+    ENUMERATION_LIMIT,
+    F2_FLOOR,
+    PROGRESS_STRIDE,
+    EnumerationSpec,
+    Progress,
+    VerificationReport,
+)
+from ucfreq.setfam import SetFamily, elements_of, kth_frequency, submasks
 
 F = Fraction
 
@@ -107,3 +116,77 @@ def scan_minimal_elements(masks) -> tuple[int, ...]:
         if not any(t != s and t & ~s == 0 for t in members)
     ]
     return tuple(sorted(out, key=elements_of))
+
+
+# The enumerator and the f_2 check as they were before `search` walked the
+# families with one explicit-stack DFS and incremental element counts; they
+# stay as the reference for its families, their order and its reports.
+
+def recursive_enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
+    """Every nonempty union-closed family matching the spec, exactly once.
+
+    Candidate sets are examined in descending bitmask order, so any union
+    of an accepted set with earlier members already had its fate decided;
+    a branch survives only if those unions were all accepted, which keeps
+    every interior state union-closed and prunes early.
+    """
+    n = spec.n
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(f"full enumeration is limited to n <= {ENUMERATION_LIMIT}")
+    ground = (1 << n) - 1
+
+    chosen: list[int] = []
+    members: set[int] = set()
+
+    def admissible() -> bool:
+        if spec.require_empty and 0 not in members:
+            return False
+        if spec.require_ground_coverage:
+            union = 0
+            for s in chosen:
+                union |= s
+            if union != ground:
+                return False
+        return True
+
+    def walk(s: int) -> Iterator[SetFamily]:
+        if s < 0:
+            if chosen and admissible():
+                yield SetFamily(n, tuple(sorted(chosen)))
+            return
+        yield from walk(s - 1)
+        room = spec.max_family_size is None or len(chosen) < spec.max_family_size
+        if room and all(s | t in members for t in chosen):
+            chosen.append(s)
+            members.add(s)
+            yield from walk(s - 1)
+            chosen.pop()
+            members.remove(s)
+
+    yield from walk(ground)
+
+
+def recursive_verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) -> VerificationReport:
+    """Check f_2 >= 1/3 over every enumerated family.
+
+    Requires ground coverage and n >= 2, so each family's ground set
+    really has two elements to rank.  Violations would contradict a
+    proved statement at these sizes, so any entry in `violations` means
+    an implementation bug.
+    """
+    if spec.n < 2 or not spec.require_ground_coverage:
+        raise ValueError("the k=2 check needs require_ground_coverage and n >= 2")
+    report = VerificationReport()
+    for fam in recursive_enumerate_union_closed(spec):
+        report.families_checked += 1
+        if progress and report.families_checked % PROGRESS_STRIDE == 0:
+            progress(report.families_checked)
+        value = kth_frequency(fam, 2)[2]
+        if report.min_f2 is None or value < report.min_f2:
+            report.min_f2 = value
+            report.witnesses = [fam]
+        elif value == report.min_f2:
+            report.witnesses.append(fam)
+        if value < F2_FLOOR:
+            report.violations.append(f"f_2 = {value} < 1/3 for {fam!r}")
+    return report

@@ -188,12 +188,19 @@ def test_criterion_6_exhaustive_antichain_involution_n5():
 
 
 def test_criterion_7_second_frequency_desk_check():
-    with criterion(7, "exhaustive n = 2, 3, 4: min f_2 = 1/3 and zero families below"):
+    with criterion(7, "exhaustive n = 2, 3, 4, 5: min f_2 = 1/3 and zero families below"):
+        # union-closed families covering {1..n}: with the empty set or without
+        # it, twice the 4, 45, 2271 and 1373701 that contain both {} and {1..n}
+        expected = {2: 8, 3: 90, 4: 4542}
         for n in (2, 3, 4):
             report = verify_nagel_k2(EnumerationSpec(n, require_ground_coverage=True))
             assert report.min_f2 == F(1, 3), f"n={n}"
             assert report.violations == [], f"n={n}"
-            assert report.families_checked > 0
+            assert report.families_checked == expected[n], f"n={n}"
+        report = verify_nagel_k2(EnumerationSpec(5, require_ground_coverage=True))
+        assert report.families_checked == 2_747_402
+        assert report.min_f2 == F(1, 3)
+        assert report.violations == []
 
 
 def test_criterion_8_lemma_counting_corpus():

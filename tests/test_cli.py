@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ucfreq.cli import main
 from ucfreq.setfam import family, family_to_json, family_to_text
@@ -258,6 +261,61 @@ class TestCovers:
         path = tmp_path / "empty.txt"
         path.write_text("-\n1\n")
         assert main(["covers", str(path)]) == 2
+
+
+# Any JSON value, and family-shaped objects over n <= 8 with at most 12 sets
+# (elements may fall outside 1..n, n may be any JSON value).
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+family_objects = st.fixed_dictionaries({
+    "n": st.integers(-1, 8) | json_values,
+    "sets": st.lists(st.lists(st.integers(-1, 9), max_size=8), max_size=12) | json_values,
+})
+
+
+class TestFamilyFileInput:
+    """Whatever a family file holds, `analyze` and `covers` answer or refuse
+    it in one line: exit code 0 or 2, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "covers"])
+    def test_empty_sets_is_bad_family(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 3, "sets": []}')
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"ucfreq: {path}: no sets in family input\n"
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    def check(self, command, path):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)])
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert code == 2 and not out.getvalue()
+            assert err.getvalue().startswith("ucfreq: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "covers"])
+    @given(value=json_values | family_objects)
+    def test_any_json(self, folder, command, value):
+        path = folder / "family.json"
+        path.write_text(json.dumps(value))
+        self.check(command, path)
+
+    @pytest.mark.parametrize("command", ["analyze", "covers"])
+    @given(text=st.text(max_size=40) | st.lists(
+        st.lists(st.integers(-1, 9).map(str), max_size=8).map(" ".join), max_size=12
+    ).map("\n".join))
+    def test_any_text(self, folder, command, text):
+        path = folder / "family.txt"
+        path.write_text(text)
+        self.check(command, path)
 
 
 class TestSearchNagel:

@@ -7,10 +7,13 @@ miniature here; the full-scale runs live in the acceptance module.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from oracle_models import recursive_enumerate_union_closed, recursive_verify_nagel_k2
 
+from ucfreq import search
 from ucfreq.search import (
     EnumerationSpec,
     VerificationReport,
@@ -127,6 +130,46 @@ class TestNagelK2:
         assert doc["passed"] is True
         assert len(doc["witnesses"]) == 1
         assert doc["witnesses_total"] == len(rep.witnesses)
+
+    def test_witnesses_are_rechecked(self, monkeypatch):
+        # the incremental f_2 of each final witness is checked against kth_frequency
+        monkeypatch.setattr(search, "kth_frequency", lambda fam, k: (1, 1, Fraction(1, 2)))
+        rep = verify_nagel_k2(EnumerationSpec(2, require_ground_coverage=True))
+        assert rep.min_f2 == Fraction(1, 3)
+        assert len(rep.violations) == len(rep.witnesses) == 2
+        assert rep.violations[0].startswith("f_2 = 1/2 for witness SetFamily(n=2")
+        assert not rep.passed
+
+
+def all_specs(n: int):
+    for require_empty, coverage, cap in itertools.product(
+        (False, True), (False, True), (None, 1, 2, 3, 5, 8)
+    ):
+        yield EnumerationSpec(n, require_empty, coverage, cap)
+
+
+def assert_same_census(spec: EnumerationSpec) -> None:
+    got_progress, want_progress = [], []
+    got = verify_nagel_k2(spec, progress=got_progress.append)
+    want = recursive_verify_nagel_k2(spec, progress=want_progress.append)
+    assert got.to_json_dict() == want.to_json_dict(), spec
+    assert got.witnesses == want.witnesses, spec
+    assert got_progress == want_progress, spec
+
+
+class TestMatchesRecursiveOracle:
+    """The DFS against the recursive enumerator and f_2 check it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_spec(self, n):
+        for spec in all_specs(n):
+            assert list(enumerate_union_closed(spec)) == list(recursive_enumerate_union_closed(spec)), spec
+            if n >= 2 and spec.require_ground_coverage:
+                assert_same_census(spec)
+
+    def test_n5_capped_census(self):
+        # 101 654 families and 24 progress calls
+        assert_same_census(EnumerationSpec(5, require_ground_coverage=True, max_family_size=8))
 
 
 class TestCoverTheorem:
