@@ -103,10 +103,7 @@ def _cmd_table(args) -> int:
         raise FamilyInputError("--certificates needs --format json")
     if args.approx and args.format == "json":
         raise FamilyInputError("--approx needs --format csv")
-    if args.jobs > 1:
-        results = _solve_cells_parallel(args.jobs)
-    else:
-        results = lpmodel.bounds_table()
+    results = lpmodel.bounds_table()
     for res in results:
         if not lpmodel.recheck(res):
             raise CertificateError(f"certificate for {res.spec} failed re-verification")
@@ -117,18 +114,6 @@ def _cmd_table(args) -> int:
         doc = lpmodel.table_to_json(results, certificates=args.certificates)
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return OK
-
-
-def _solve_cells_parallel(jobs: int):
-    import concurrent.futures
-
-    specs = [lpmodel.CaseSpec(s, sc) for s in (4, 5) for sc in lpmodel.GRID]
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            return tuple(pool.map(lpmodel.solve_case, specs))
-    except OSError as exc:  # restricted environments: fall back, and say so
-        print(f"ucfreq: no process pool ({exc}); solving the cells serially", file=sys.stderr)
-        return tuple(lpmodel.solve_case(spec) for spec in specs)
 
 
 _SCENARIOS = {
@@ -269,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="solve all eight case cells")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--certificates", action="store_true", help="embed certificates (JSON only)")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="worker processes for the cells (1 solves them serially)")
     p.add_argument("--approx", action="store_true")
     common(p)
     p.set_defaults(handler=_cmd_table)

@@ -4,12 +4,25 @@ Everything is `fractions.Fraction` arithmetic: solving, certificate
 checking, and re-solving after row permutations give identical optimal
 values, so half-integer optima like 141/2 are exact, not approximate.
 
-The solver is a two-phase primal simplex on a dense tableau with Bland's
-anti-cycling pivot rule.  Free variables are split internally; declared
-per-variable bounds are materialized as ordinary rows, appended after the
-declared constraints (for each variable in declaration order: lower bound
-row, then upper bound row).  `materialized_rows` exposes that row list;
-certificate maps are keyed by indices into it.
+Declared per-variable bounds are materialized as ordinary rows, appended
+after the declared constraints (for each variable in declaration order:
+lower bound row, then upper bound row).  `materialized_rows` exposes that
+row list; certificate maps are keyed by indices into it.
+
+The solver presolves that list, then runs a two-phase primal simplex on a
+dense tableau with Bland's anti-cycling pivot rule.  Presolve reads every
+one-variable row (declared or a bound, with either coefficient sign and any
+relation) as a bound on its variable and keeps the tightest; a lower bound
+above an upper bound is refuted by those two rows alone.  It then shifts
+instead of splitting: x = l + x' with x' >= 0 where x has a lower bound l,
+x = u - x' where it has only an upper bound u, and x = x'+ - x'- only where
+it is free; an upper bound left over becomes the row x' <= u - l, which
+needs no artificial.  The tableau holds those rows and the rows over two or
+more variables, nothing else.  Each absorbed row gets its weight back from
+the final reduced costs (the phase-1 ones for a Farkas certificate), so
+certificates are stated over `materialized_rows` exactly as without the
+presolve.  Every outcome carries a `SolveStats` record of the work, left
+out of outcome equality and of the text and JSON formats.
 
 Certificate conventions
 -----------------------
@@ -30,16 +43,18 @@ sides to a negative number: 0 <= negative, a contradiction.
 
 `verify_optimality` and `verify_infeasibility` check exactly these
 conditions and are independent of the solver internals; `solve` re-checks
-every certificate it emits and raises `CertificateError` if its own output
-fails (which would be a bug, never a property of the input).
+every certificate it emits against the program as given, every
+materialized row included, and raises `CertificateError` if its own
+output fails (which would be a bug, never a property of the input).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Rat = Fraction
 ZERO = Fraction(0)
@@ -140,24 +155,49 @@ def materialized_rows(lp: LinearProgram) -> list[Row]:
 # outcomes
 # ---------------------------------------------------------------------------
 
+class SolveStats(NamedTuple):
+    """The work behind one `solve` call, as an immutable record.
+
+    `rows`, `columns` and `artificials` give the shape of the tableau after
+    presolve (all 0 when presolve alone decides the program), and
+    `max_bits` the largest numerator or denominator bit-length in its
+    final matrix and right-hand side.  `wall_ms` includes re-verification.
+    """
+
+    rows: int
+    columns: int
+    artificials: int
+    phase1_pivots: int
+    phase2_pivots: int
+    wall_ms: float
+    max_bits: int
+
+
+# `stats` is left out of equality and repr: two solves of one program are
+# equal outcomes, and the certificate text and JSON never carry it.
 @dataclass(frozen=True)
 class Optimal:
     value: Fraction
     assignment: dict[str, Fraction]
     dual: dict[int, Fraction]
+    stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Infeasible:
     farkas: dict[int, Fraction]
+    stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Unbounded:
     ray: dict[str, Fraction]
+    stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
-LpOutcome = Union[Optimal, Infeasible, Unbounded]
+# A `types.UnionType`, not `typing.Union`: typing caches its aliases, and a
+# cached alias would keep every re-imported copy of this module alive.
+LpOutcome = Optimal | Infeasible | Unbounded
 
 
 # ---------------------------------------------------------------------------
@@ -280,38 +320,142 @@ def verify_ray(lp: LinearProgram, ray: Mapping[str, Fraction]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# presolve: one-variable rows become bounds, bounded variables are shifted
+# ---------------------------------------------------------------------------
+
+class _Bound(NamedTuple):
+    """A one-variable row read as a bound on its variable."""
+
+    value: Fraction
+    row: int  # index into `materialized_rows`
+    coeff: Fraction  # the row's coefficient on the variable
+
+
+def _presolve_bounds(nvars: int, rows: list[Row]):
+    """The tightest lower and upper bound of each variable, read off the
+    one-variable rows; the first of equally tight rows wins."""
+    lower: list[_Bound | None] = [None] * nvars
+    upper: list[_Bound | None] = [None] * nvars
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        if len(coeffs) > 1:
+            continue
+        ((j, a),) = coeffs.items()
+        bound = _Bound(rhs / a, i, a)
+        if rel != ("<=" if a > 0 else ">="):  # x_j >= rhs / a
+            if lower[j] is None or bound.value > lower[j].value:
+                lower[j] = bound
+        if rel != (">=" if a > 0 else "<="):  # x_j <= rhs / a
+            if upper[j] is None or bound.value < upper[j].value:
+                upper[j] = bound
+    return lower, upper
+
+
+class _Presolved:
+    """The program over columns x' >= 0, with the bounds folded in.
+
+    A variable with a lower bound l is x = l + x' (an upper bound u as well
+    adds the row x' <= u - l, whose slack needs no artificial); one with
+    only an upper bound is x = u - x'; a free one is x = x'+ - x'-.  The
+    tableau gets the rows with two or more variables and those upper rows.
+
+    Every tableau row and every bounded column keeps the materialized row
+    it stands for and the factor that turns its dual (for a column: its
+    reduced cost, the dual of x' >= 0) into that row's weight, so the
+    certificates come back keyed to `materialized_rows`.
+    """
+
+    def __init__(self, lp: LinearProgram, rows: list[Row], lower, upper):
+        sign = ONE if lp.sense == "min" else -ONE
+        self.nmaterialized = len(rows)
+        self.columns: list[tuple[tuple[int, int], ...]] = []  # per variable: (column, sign)
+        self.offset: list[Fraction] = []
+        self.column_origin: list[tuple[int, Fraction] | None] = []
+        self.cost: list[Fraction] = []
+        for j, name in enumerate(lp.variables):
+            lo, hi = lower[j], upper[j]
+            c = len(self.cost)
+            if lo is not None:
+                cols, offset, origins = ((c, 1),), lo.value, [(lo.row, ONE / lo.coeff)]
+            elif hi is not None:
+                cols, offset, origins = ((c, -1),), hi.value, [(hi.row, -ONE / hi.coeff)]
+            else:
+                cols, offset, origins = ((c, 1), (c + 1, -1)), ZERO, [None, None]
+            self.columns.append(cols)
+            self.offset.append(offset)
+            self.column_origin += origins
+            self.cost += [sign * lp.objective.get(name, ZERO) * s for _, s in cols]
+
+        boxed = {
+            hi.row: j for j, (lo, hi) in enumerate(zip(lower, upper))
+            if lo is not None and hi is not None
+        }
+        self.rows: list[Row] = []  # in materialized order
+        self.row_origin: list[tuple[int, Fraction]] = []
+        for i, (coeffs, rel, rhs) in enumerate(rows):
+            if i in boxed:
+                j = boxed[i]
+                col = self.columns[j][0][0]
+                self.rows.append(({col: ONE}, "<=", upper[j].value - lower[j].value))
+                self.row_origin.append((i, ONE / upper[j].coeff))
+            elif len(coeffs) > 1:
+                shifted: dict[int, Fraction] = {}
+                for j, a in coeffs.items():
+                    rhs -= a * self.offset[j]
+                    for c, sg in self.columns[j]:
+                        shifted[c] = a * sg
+                self.rows.append((shifted, rel, rhs))
+                self.row_origin.append((i, ONE))
+
+    def point(self, values: Mapping[int, Fraction], shifted: bool = True) -> list[Fraction]:
+        """x from the column values x' (absent columns are 0); with
+        `shifted` False, the direction of x along a direction of x'."""
+        return [
+            (offset if shifted else ZERO) + sum((s * values.get(c, ZERO) for c, s in cols), ZERO)
+            for offset, cols in zip(self.offset, self.columns)
+        ]
+
+    def weights(self, t: _Tableau, cost: list[Fraction], costrow: list[Fraction]) -> list[Fraction]:
+        """Min-form dual weights on the materialized rows from a tableau priced by `cost`."""
+        y = [ZERO] * self.nmaterialized
+        for r, (i, factor) in enumerate(self.row_origin):
+            col = t.initial_identity_column(r)
+            y[i] += t.sigma[r] * (cost[col] - costrow[col]) * factor
+        for c, origin in enumerate(self.column_origin):
+            if origin is not None and costrow[c] != 0:
+                i, factor = origin
+                y[i] += costrow[c] * factor
+        return y
+
+
+def _farkas(rows: list[Row], y: list[Fraction]) -> dict[int, Fraction]:
+    """Min-form weights that prove 0 < 0, oriented as `verify_infeasibility`
+    reads them: every inequality as ``<=``."""
+    return {i: w if rows[i][1] == ">=" else -w for i, w in enumerate(y) if w != 0}
+
+
+# ---------------------------------------------------------------------------
 # the simplex solver
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """Dense equality-form tableau. Columns: variable splits u/v, slacks, artificials."""
+    """Dense equality-form tableau. Columns: the presolved x', slacks, artificials."""
 
-    def __init__(self, lp: LinearProgram):
-        rows = materialized_rows(lp)
-        self.nvars = len(lp.variables)
+    def __init__(self, rows: list[Row], cost: list[Fraction]):
         self.nrows = len(rows)
-        self.minimize = lp.sense == "min"
-        sign = ONE if self.minimize else -ONE
-        self.cost_orig = [lp.objective.get(name, ZERO) for name in lp.variables]
-        cost_internal = [sign * c for c in self.cost_orig]
-
-        self.sigma: list[int] = []
+        self.sigma: list[int] = [1 if rhs >= 0 else -1 for _, _, rhs in rows]
         self.slack_col: list[int | None] = []
         self.art_col: list[int | None] = []
-        self.relations = [rel for _, rel, _ in rows]
 
-        ncols = 2 * self.nvars
-        for coeffs, rel, rhs in rows:
-            self.sigma.append(1 if rhs >= 0 else -1)
+        ncols = len(cost)
+        for _, rel, _ in rows:
             if rel == "==":
                 self.slack_col.append(None)
             else:
                 self.slack_col.append(ncols)
                 ncols += 1
-        for i, (coeffs, rel, rhs) in enumerate(rows):
+        for i, (_, rel, _) in enumerate(rows):
             slack_sign = 1 if rel == "<=" else -1
-            identity = self.slack_col[i] is not None and self.sigma[i] * slack_sign == 1
-            if identity:
+            if self.slack_col[i] is not None and self.sigma[i] * slack_sign == 1:
                 self.art_col.append(None)
             else:
                 self.art_col.append(ncols)
@@ -325,22 +469,17 @@ class _Tableau:
             sg = self.sigma[i]
             for j, c in coeffs.items():
                 self.A[i][j] = sg * c
-                self.A[i][self.nvars + j] = -sg * c
             if self.slack_col[i] is not None:
                 self.A[i][self.slack_col[i]] = sg * (ONE if rel == "<=" else -ONE)
             if self.art_col[i] is not None:
                 self.A[i][self.art_col[i]] = ONE
-                self.basis[i] = self.art_col[i]
-            else:
-                self.basis[i] = self.slack_col[i]
+            self.basis[i] = self.initial_identity_column(i)
             self.b[i] = sg * rhs
 
         self.artificials = {c for c in self.art_col if c is not None}
-        # internal (min-form) phase-2 costs per column
-        self.cost2 = [ZERO] * ncols
-        for j in range(self.nvars):
-            self.cost2[j] = cost_internal[j]
-            self.cost2[self.nvars + j] = -cost_internal[j]
+        self.cost2 = list(cost) + [ZERO] * (ncols - len(cost))  # phase-2 costs, min form
+        self.phase = 0  # index into `pivots`: 0 for phase 1, 1 for phase 2
+        self.pivots = [0, 0]
 
     def price(self, cost: list[Fraction]) -> list[Fraction]:
         costrow = list(cost)
@@ -357,6 +496,7 @@ class _Tableau:
         return sum((cost[self.basis[i]] * self.b[i] for i in range(self.nrows)), ZERO)
 
     def pivot(self, r: int, e: int, costrow: list[Fraction]) -> None:
+        self.pivots[self.phase] += 1
         row = self.A[r]
         piv = row[e]
         if piv != 1:
@@ -409,47 +549,67 @@ class _Tableau:
         col = self.art_col[i]
         return col if col is not None else self.slack_col[i]
 
+    def max_bits(self) -> int:
+        # the bit-length of |p| | q is the larger of those of p and q
+        return max(
+            (abs(v.numerator) | v.denominator for row in self.A + [self.b] for v in row),
+            default=0,
+        ).bit_length()
+
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum with certificate, Farkas infeasibility proof, or a ray.
 
-    Deterministic for a fixed program (Bland's rule over a fixed column
-    order).  Every certificate is re-verified before being returned.
+    Deterministic for a fixed program (presolve, then Bland's rule over a
+    fixed column order).  Every certificate is re-verified against `lp`
+    before being returned, and every outcome carries its `SolveStats`.
     Under degeneracy the assignment is whichever optimal basic point
     Bland's ordering reaches first: the value is the contract, the
     particular optimal assignment is incidental.
     """
+    started = time.perf_counter()
     lp.validate()
-    t = _Tableau(lp)
+    rows = materialized_rows(lp)
+    lower, upper = _presolve_bounds(len(lp.variables), rows)
+    for lo, hi in zip(lower, upper):
+        if lo is not None and hi is not None and lo.value > hi.value:
+            # x >= l and x <= u add up to 0 <= u - l < 0
+            y = [ZERO] * len(rows)
+            y[lo.row] += ONE / lo.coeff
+            y[hi.row] -= ONE / hi.coeff
+            return _certified(lp, Infeasible(_farkas(rows, y)), None, started)
+    pre = _Presolved(lp, rows, lower, upper)
+    t = _Tableau(pre.rows, pre.cost)
+    return _certified(lp, _simplex(lp, rows, pre, t), t, started)
 
+
+def _simplex(lp: LinearProgram, rows: list[Row], pre: _Presolved, t: _Tableau) -> LpOutcome:
+    """Two phases on the presolved tableau; outcomes are stated over `lp`."""
     if t.artificials:
         cost1 = [ONE if j in t.artificials else ZERO for j in range(t.ncols)]
         costrow = t.price(cost1)
-        enter = t.run(costrow, banned=frozenset())
-        if enter is not None:
+        if t.run(costrow, banned=frozenset()) is not None:
             raise CertificateError("phase 1 cannot be unbounded")
         if t.objective_value(cost1) > 0:
-            farkas = _extract_farkas(lp, t, cost1, costrow)
-            if not verify_infeasibility(lp, farkas):
-                raise CertificateError("produced farkas certificate failed verification")
-            return Infeasible(farkas)
+            return Infeasible(_farkas(rows, pre.weights(t, cost1, costrow)))
         _drive_out_artificials(t)
+    t.phase = 1
 
     costrow = t.price(t.cost2)
     enter = t.run(costrow, banned=frozenset(t.artificials))
     if enter is not None:
-        ray = _extract_ray(lp, t, enter)
-        if not verify_ray(lp, ray):
-            raise CertificateError("produced ray failed verification")
-        return Unbounded(ray)
+        step = {enter: ONE}
+        for i in range(t.nrows):
+            if t.A[i][enter] != 0:
+                step[t.basis[i]] = -t.A[i][enter]
+        direction = pre.point(step, shifted=False)
+        return Unbounded({name: d for name, d in zip(lp.variables, direction) if d != 0})
 
-    assignment = _extract_assignment(lp, t)
-    dual = _extract_dual(lp, t, costrow)
-    internal = t.objective_value(t.cost2)
-    value = internal if t.minimize else -internal
-    if not verify_optimality(lp, assignment, dual):
-        raise CertificateError("produced optimality certificate failed verification")
-    return Optimal(value, assignment, dual)
+    x = pre.point({t.basis[i]: t.b[i] for i in range(t.nrows)})
+    sign = ONE if lp.sense == "min" else -ONE
+    dual = {i: sign * w for i, w in enumerate(pre.weights(t, t.cost2, costrow)) if w != 0}
+    value = sum((lp.objective.get(name, ZERO) * v for name, v in zip(lp.variables, x)), ZERO)
+    return Optimal(value, dict(zip(lp.variables, x)), dual)
 
 
 def _drive_out_artificials(t: _Tableau) -> None:
@@ -467,59 +627,22 @@ def _drive_out_artificials(t: _Tableau) -> None:
             # else: redundant row; the artificial stays basic at value 0
 
 
-def _extract_assignment(lp: LinearProgram, t: _Tableau) -> dict[str, Fraction]:
-    value = {t.basis[i]: t.b[i] for i in range(t.nrows)}
-    return {
-        name: value.get(j, ZERO) - value.get(t.nvars + j, ZERO)
-        for j, name in enumerate(lp.variables)
-    }
-
-
-def _restricted_duals(t: _Tableau, cost: list[Fraction], costrow: list[Fraction]) -> list[Fraction]:
-    """Equality-form duals y_i = c[identity col of row i] - reduced cost of it."""
-    out = []
-    for i in range(t.nrows):
-        col = t.initial_identity_column(i)
-        out.append(cost[col] - costrow[col])
-    return out
-
-
-def _extract_dual(lp: LinearProgram, t: _Tableau, costrow: list[Fraction]) -> dict[int, Fraction]:
-    y = _restricted_duals(t, t.cost2, costrow)
-    dual = {}
-    for i in range(t.nrows):
-        z = t.sigma[i] * y[i]
-        if not t.minimize:
-            z = -z
-        if z != 0:
-            dual[i] = z
-    return dual
-
-
-def _extract_farkas(
-    lp: LinearProgram, t: _Tableau, cost1: list[Fraction], costrow: list[Fraction]
-) -> dict[int, Fraction]:
-    y = _restricted_duals(t, cost1, costrow)
-    farkas = {}
-    for i in range(t.nrows):
-        z = t.sigma[i] * y[i]
-        w = z if t.relations[i] == ">=" else -z
-        if w != 0:
-            farkas[i] = w
-    return farkas
-
-
-def _extract_ray(lp: LinearProgram, t: _Tableau, enter: int) -> dict[str, Fraction]:
-    delta = {enter: ONE}
-    for i in range(t.nrows):
-        step = t.A[i][enter]
-        if step != 0:
-            delta[t.basis[i]] = -step
-    return {
-        name: delta.get(j, ZERO) - delta.get(t.nvars + j, ZERO)
-        for j, name in enumerate(lp.variables)
-        if delta.get(j, ZERO) != delta.get(t.nvars + j, ZERO)
-    }
+def _certified(lp: LinearProgram, outcome: LpOutcome, t: _Tableau | None, started: float) -> LpOutcome:
+    """`outcome` with its stats attached, once its certificate verifies against `lp`."""
+    if isinstance(outcome, Optimal):
+        ok, what = verify_optimality(lp, outcome.assignment, outcome.dual), "optimality certificate"
+    elif isinstance(outcome, Infeasible):
+        ok, what = verify_infeasibility(lp, outcome.farkas), "farkas certificate"
+    else:
+        ok, what = verify_ray(lp, outcome.ray), "ray"
+    if not ok:
+        raise CertificateError(f"produced {what} failed verification")
+    wall_ms = (time.perf_counter() - started) * 1000
+    if t is None:  # presolve alone decided the program
+        stats = SolveStats(0, 0, 0, 0, 0, wall_ms, 0)
+    else:
+        stats = SolveStats(t.nrows, t.ncols, len(t.artificials), *t.pivots, wall_ms, t.max_bits())
+    return replace(outcome, stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
-the subset scan for minimal transversals, the pairwise scan for minimal
-elements, and the recursive union-closed enumerator with its f_2 check.
+the split-tableau simplex, the subset scan for minimal transversals, the
+pairwise scan for minimal elements, and the recursive union-closed
+enumerator with its f_2 check.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -17,7 +18,20 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from ucfreq.ratlp import LinearProgram
+from ucfreq.ratlp import (
+    ONE,
+    ZERO,
+    CertificateError,
+    Infeasible,
+    LinearProgram,
+    LpOutcome,
+    Optimal,
+    Unbounded,
+    materialized_rows,
+    verify_infeasibility,
+    verify_optimality,
+    verify_ray,
+)
 from ucfreq.search import (
     ENUMERATION_LIMIT,
     F2_FLOOR,
@@ -84,6 +98,277 @@ def random_box_program(rng: random.Random) -> LinearProgram:
             coeffs[names[0]] = F(1)
         rel = rng.choice(("<=", ">=", "<=", ">=", "=="))
         lp.add(coeffs, rel, F(rng.randint(-8, 8), rng.choice((1, 2))))
+    return lp
+
+
+# The exact simplex as it was before `ratlp.solve` folded one-variable rows
+# into bounds: every variable split into u - v, every bound a full row.  It
+# stays as the reference for the presolved solver's statuses and values.
+
+class _Tableau:
+    """Dense equality-form tableau. Columns: variable splits u/v, slacks, artificials."""
+
+    def __init__(self, lp: LinearProgram):
+        rows = materialized_rows(lp)
+        self.nvars = len(lp.variables)
+        self.nrows = len(rows)
+        self.minimize = lp.sense == "min"
+        sign = ONE if self.minimize else -ONE
+        self.cost_orig = [lp.objective.get(name, ZERO) for name in lp.variables]
+        cost_internal = [sign * c for c in self.cost_orig]
+
+        self.sigma: list[int] = []
+        self.slack_col: list[int | None] = []
+        self.art_col: list[int | None] = []
+        self.relations = [rel for _, rel, _ in rows]
+
+        ncols = 2 * self.nvars
+        for coeffs, rel, rhs in rows:
+            self.sigma.append(1 if rhs >= 0 else -1)
+            if rel == "==":
+                self.slack_col.append(None)
+            else:
+                self.slack_col.append(ncols)
+                ncols += 1
+        for i, (coeffs, rel, rhs) in enumerate(rows):
+            slack_sign = 1 if rel == "<=" else -1
+            identity = self.slack_col[i] is not None and self.sigma[i] * slack_sign == 1
+            if identity:
+                self.art_col.append(None)
+            else:
+                self.art_col.append(ncols)
+                ncols += 1
+        self.ncols = ncols
+
+        self.A = [[ZERO] * ncols for _ in range(self.nrows)]
+        self.b = [ZERO] * self.nrows
+        self.basis = [0] * self.nrows
+        for i, (coeffs, rel, rhs) in enumerate(rows):
+            sg = self.sigma[i]
+            for j, c in coeffs.items():
+                self.A[i][j] = sg * c
+                self.A[i][self.nvars + j] = -sg * c
+            if self.slack_col[i] is not None:
+                self.A[i][self.slack_col[i]] = sg * (ONE if rel == "<=" else -ONE)
+            if self.art_col[i] is not None:
+                self.A[i][self.art_col[i]] = ONE
+                self.basis[i] = self.art_col[i]
+            else:
+                self.basis[i] = self.slack_col[i]
+            self.b[i] = sg * rhs
+
+        self.artificials = {c for c in self.art_col if c is not None}
+        # internal (min-form) phase-2 costs per column
+        self.cost2 = [ZERO] * ncols
+        for j in range(self.nvars):
+            self.cost2[j] = cost_internal[j]
+            self.cost2[self.nvars + j] = -cost_internal[j]
+
+    def price(self, cost: list[Fraction]) -> list[Fraction]:
+        costrow = list(cost)
+        for i in range(self.nrows):
+            cb = cost[self.basis[i]]
+            if cb != 0:
+                row = self.A[i]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        costrow[j] -= cb * row[j]
+        return costrow
+
+    def objective_value(self, cost: list[Fraction]) -> Fraction:
+        return sum((cost[self.basis[i]] * self.b[i] for i in range(self.nrows)), ZERO)
+
+    def pivot(self, r: int, e: int, costrow: list[Fraction]) -> None:
+        row = self.A[r]
+        piv = row[e]
+        if piv != 1:
+            inv = ONE / piv
+            self.A[r] = row = [v * inv for v in row]
+            self.b[r] *= inv
+        nz = [j for j, v in enumerate(row) if v != 0]
+        br = self.b[r]
+        for i in range(self.nrows):
+            if i == r:
+                continue
+            f = self.A[i][e]
+            if f != 0:
+                target = self.A[i]
+                for j in nz:
+                    target[j] -= f * row[j]
+                self.b[i] -= f * br
+        f = costrow[e]
+        if f != 0:
+            for j in nz:
+                costrow[j] -= f * row[j]
+        self.basis[r] = e
+
+    def run(self, costrow: list[Fraction], banned: frozenset[int]) -> int | None:
+        """Bland pivoting to optimality; returns an entering column on unboundedness."""
+        # Bland's rule terminates; the cap only turns a would-be bug into a
+        # loud failure instead of a hang
+        budget = 1000 * (self.nrows + self.ncols) + 10_000
+        for _ in range(budget):
+            enter = None
+            for j in range(self.ncols):
+                if j not in banned and costrow[j] < 0:
+                    enter = j
+                    break
+            if enter is None:
+                return None
+            best = None
+            for i in range(self.nrows):
+                aij = self.A[i][enter]
+                if aij > 0:
+                    key = (self.b[i] / aij, self.basis[i])
+                    if best is None or key < best[0]:
+                        best = (key, i)
+            if best is None:
+                return enter
+            self.pivot(best[1], enter, costrow)
+        raise CertificateError("pivot budget exceeded; anti-cycling rule violated")
+
+    def initial_identity_column(self, i: int) -> int:
+        col = self.art_col[i]
+        return col if col is not None else self.slack_col[i]
+
+
+def split_tableau_solve(lp: LinearProgram) -> LpOutcome:
+    """Exact optimum with certificate, Farkas infeasibility proof, or a ray.
+
+    Deterministic for a fixed program (Bland's rule over a fixed column
+    order).  Every certificate is re-verified before being returned.
+    Under degeneracy the assignment is whichever optimal basic point
+    Bland's ordering reaches first: the value is the contract, the
+    particular optimal assignment is incidental.
+    """
+    lp.validate()
+    t = _Tableau(lp)
+
+    if t.artificials:
+        cost1 = [ONE if j in t.artificials else ZERO for j in range(t.ncols)]
+        costrow = t.price(cost1)
+        enter = t.run(costrow, banned=frozenset())
+        if enter is not None:
+            raise CertificateError("phase 1 cannot be unbounded")
+        if t.objective_value(cost1) > 0:
+            farkas = _extract_farkas(lp, t, cost1, costrow)
+            if not verify_infeasibility(lp, farkas):
+                raise CertificateError("produced farkas certificate failed verification")
+            return Infeasible(farkas)
+        _drive_out_artificials(t)
+
+    costrow = t.price(t.cost2)
+    enter = t.run(costrow, banned=frozenset(t.artificials))
+    if enter is not None:
+        ray = _extract_ray(lp, t, enter)
+        if not verify_ray(lp, ray):
+            raise CertificateError("produced ray failed verification")
+        return Unbounded(ray)
+
+    assignment = _extract_assignment(lp, t)
+    dual = _extract_dual(lp, t, costrow)
+    internal = t.objective_value(t.cost2)
+    value = internal if t.minimize else -internal
+    if not verify_optimality(lp, assignment, dual):
+        raise CertificateError("produced optimality certificate failed verification")
+    return Optimal(value, assignment, dual)
+
+
+def _drive_out_artificials(t: _Tableau) -> None:
+    for i in range(t.nrows):
+        if t.basis[i] in t.artificials:
+            # at phase-1 optimum zero, so any nonzero real entry pivots at ratio 0
+            row = t.A[i]
+            enter = next(
+                (j for j in range(t.ncols) if j not in t.artificials and row[j] != 0),
+                None,
+            )
+            if enter is not None:
+                dummy = [ZERO] * t.ncols
+                t.pivot(i, enter, dummy)
+            # else: redundant row; the artificial stays basic at value 0
+
+
+def _extract_assignment(lp: LinearProgram, t: _Tableau) -> dict[str, Fraction]:
+    value = {t.basis[i]: t.b[i] for i in range(t.nrows)}
+    return {
+        name: value.get(j, ZERO) - value.get(t.nvars + j, ZERO)
+        for j, name in enumerate(lp.variables)
+    }
+
+
+def _restricted_duals(t: _Tableau, cost: list[Fraction], costrow: list[Fraction]) -> list[Fraction]:
+    """Equality-form duals y_i = c[identity col of row i] - reduced cost of it."""
+    out = []
+    for i in range(t.nrows):
+        col = t.initial_identity_column(i)
+        out.append(cost[col] - costrow[col])
+    return out
+
+
+def _extract_dual(lp: LinearProgram, t: _Tableau, costrow: list[Fraction]) -> dict[int, Fraction]:
+    y = _restricted_duals(t, t.cost2, costrow)
+    dual = {}
+    for i in range(t.nrows):
+        z = t.sigma[i] * y[i]
+        if not t.minimize:
+            z = -z
+        if z != 0:
+            dual[i] = z
+    return dual
+
+
+def _extract_farkas(
+    lp: LinearProgram, t: _Tableau, cost1: list[Fraction], costrow: list[Fraction]
+) -> dict[int, Fraction]:
+    y = _restricted_duals(t, cost1, costrow)
+    farkas = {}
+    for i in range(t.nrows):
+        z = t.sigma[i] * y[i]
+        w = z if t.relations[i] == ">=" else -z
+        if w != 0:
+            farkas[i] = w
+    return farkas
+
+
+def _extract_ray(lp: LinearProgram, t: _Tableau, enter: int) -> dict[str, Fraction]:
+    delta = {enter: ONE}
+    for i in range(t.nrows):
+        step = t.A[i][enter]
+        if step != 0:
+            delta[t.basis[i]] = -step
+    return {
+        name: delta.get(j, ZERO) - delta.get(t.nvars + j, ZERO)
+        for j, name in enumerate(lp.variables)
+        if delta.get(j, ZERO) != delta.get(t.nvars + j, ZERO)
+    }
+
+
+def random_bounded_program(rng: random.Random) -> LinearProgram:
+    """Program whose variables end up free, lower-bounded, upper-bounded,
+    boxed or fixed: declared bounds plus zero to three one-variable rows per
+    variable, with coefficients of either sign and any relation, then a few
+    rows over several variables.  Optimal, infeasible (often through two
+    crossing bounds) and unbounded outcomes all occur."""
+    n = rng.randint(1, 4)
+    names = tuple(f"x{j}" for j in range(n))
+    lp = LinearProgram(names, rng.choice(("min", "max")))
+    lp.objective = {name: F(rng.randint(-3, 3)) for name in names}
+    relations = ("<=", ">=", "<=", ">=", "==")
+    for name in names:
+        if rng.random() < 0.3:
+            lp.lower[name] = F(rng.randint(-4, 4), rng.choice((1, 2)))
+        if rng.random() < 0.3:
+            lp.upper[name] = F(rng.randint(-2, 8), rng.choice((1, 2)))
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            coeff = F(rng.choice((-3, -2, -1, 1, 2, 3)))
+            relation = rng.choice(("<=", ">=") * 4 + ("==",))
+            lp.add({name: coeff}, relation, F(rng.randint(-8, 8), rng.choice((1, 2))))
+    for _ in range(rng.randint(0, 3)):
+        coeffs = {name: F(rng.randint(-3, 3)) for name in names}
+        if all(c == 0 for c in coeffs.values()):
+            coeffs[names[0]] = F(1)
+        lp.add(coeffs, rng.choice(relations), F(rng.randint(-8, 8), rng.choice((1, 2))))
     return lp
 
 

@@ -76,27 +76,12 @@ class TestTable:
         assert main(["table", "--format", "json", "--approx"]) == 2
         assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
-        assert main(["table", "--jobs", jobs]) == 1
-        assert capsys.readouterr().out == ""
-
-    def test_jobs_prints_the_serial_table(self, capsys):
-        assert main(["table", "--jobs", "2"]) == 0
+    def test_jobs_is_a_usage_error(self, capsys):
+        # the cells are solved serially; there is no worker pool to size
+        assert main(["table", "--jobs", "2"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == TABLE_CSV
-        assert captured.err == ""
-
-    def test_pool_fallback_is_reported(self, capsys, monkeypatch):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise PermissionError("process creation is not allowed")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
-        assert main(["table", "--jobs", "2"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == TABLE_CSV
-        assert "serially" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"

@@ -246,6 +246,13 @@ class TestCases:
     def test_base_scenario(self):
         assert solve_case(CaseSpec(4, Scenario.BASE)).bound == 45
 
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda sc: sc.value)
+    def test_presolve_shrinks_the_s5_tableau(self, scenario):
+        # the split tableau of these programs was 38-41 rows x 134-140
+        # columns with 32-35 artificials: one row per trace floor
+        stats = solve_case(CaseSpec(5, scenario)).outcome.stats
+        assert stats.rows <= 10 and stats.columns <= 50 and stats.artificials <= 8
+
 
 class TestMinObjective:
     def test_single_trace_s4(self):

@@ -2,22 +2,31 @@
 
 The randomized suites compare simplex output against `brute_force_optimum`
 (exhaustive basic-point enumeration over Gaussian-solved row subsets), an
-algorithm with no code in common with the simplex path.
+algorithm with no code in common with the simplex path, and against the
+split-tableau simplex that ran before the presolve, which keeps every bound
+as a row.
 """
 
 from __future__ import annotations
 
+import gc
+import importlib
 import random
+import sys
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracle_models import random_box_program
+from oracle_models import random_bounded_program, random_box_program, split_tableau_solve
 
+import ucfreq
 from ucfreq.ratlp import (
     Infeasible,
     LinearConstraint,
     LinearProgram,
     Optimal,
+    SolveStats,
     Unbounded,
     brute_force_optimum,
     check_feasible,
@@ -286,3 +295,180 @@ class TestTextFormats:
         text = format_certificate(lp, out)
         assert text.startswith("status: infeasible\n")
         assert "farkas" in text
+
+
+# ---------------------------------------------------------------------------
+# presolve: one-variable rows as bounds, certificates still over every row
+# ---------------------------------------------------------------------------
+
+def assert_certified(lp: LinearProgram, out) -> None:
+    if isinstance(out, Optimal):
+        assert verify_optimality(lp, out.assignment, out.dual)
+    elif isinstance(out, Infeasible):
+        assert verify_infeasibility(lp, out.farkas)
+    else:
+        assert verify_ray(lp, out.ray)
+
+
+def lp_redundant_floors() -> LinearProgram:
+    """Three lower bounds on x; only the tightest, -2x <= -6, binds."""
+    lp = LinearProgram(("x",), "min", {"x": F(1)}, lower={"x": F(0)})
+    lp.add({"x": 1}, ">=", 1)
+    lp.add({"x": -2}, "<=", -6)
+    lp.add({"x": 1}, "<=", 10)
+    return lp
+
+
+def lp_fixed_by_equality() -> LinearProgram:
+    """-3x == -6 fixes x = 2; y is free."""
+    lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(2)})
+    lp.add({"x": -3}, "==", -6)
+    lp.add({"x": 1, "y": 1}, "<=", 5)
+    return lp
+
+
+def lp_crossing_declared_bound() -> LinearProgram:
+    """-x <= -5 asks x >= 5 against the declared x <= 2."""
+    lp = LinearProgram(("x", "y"), "min", {"x": F(1)}, upper={"x": F(2)})
+    lp.add({"x": 1, "y": 1}, ">=", 0)
+    lp.add({"x": -1}, "<=", -5)
+    return lp
+
+
+def lp_upper_only_unbounded() -> LinearProgram:
+    lp = LinearProgram(("x", "y"), "min", {"x": F(1), "y": F(-1)})
+    lp.add({"x": 2}, "<=", 3)
+    lp.add({"y": -1}, ">=", -4)
+    return lp
+
+
+def lp_free_unbounded() -> LinearProgram:
+    lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(1)})
+    lp.add({"x": 1, "y": -1}, "<=", 1)
+    return lp
+
+
+def lp_boxed_with_a_shared_row() -> LinearProgram:
+    lp = LinearProgram(
+        ("x", "y"), "max", {"x": F(3), "y": F(2)},
+        lower={"x": F(-1), "y": F(1)}, upper={"x": F(4), "y": F(7, 2)},
+    )
+    lp.add({"x": 1, "y": 1}, "<=", 5)
+    lp.add({"y": 3}, ">=", 2)
+    return lp
+
+
+HAND_PROGRAMS = {
+    "redundant_floors": lp_redundant_floors,
+    "fixed_by_equality": lp_fixed_by_equality,
+    "crossing_declared_bound": lp_crossing_declared_bound,
+    "upper_only_unbounded": lp_upper_only_unbounded,
+    "free_unbounded": lp_free_unbounded,
+    "boxed_with_a_shared_row": lp_boxed_with_a_shared_row,
+    "min_x_ge_1": lp_min_x_ge_1,
+    "conflicting": lp_conflicting,
+}
+
+
+class TestPresolve:
+    def test_redundant_bound_rows_get_weight_zero(self):
+        out = solve(lp_redundant_floors())
+        assert isinstance(out, Optimal)
+        assert out.value == 3
+        assert out.dual == {1: F(-1, 2)}  # -2x <= -6 carries it; rows 0, 2 and lb(x) do not
+
+    def test_equality_row_fixes_its_variable(self):
+        lp = lp_fixed_by_equality()
+        out = solve(lp)
+        assert isinstance(out, Optimal)
+        assert out.value == 8 and out.assignment == {"x": F(2), "y": F(3)}
+        assert verify_optimality(lp, out.assignment, out.dual)
+
+    def test_crossing_bounds_give_a_two_row_farkas_without_a_tableau(self):
+        lp = lp_crossing_declared_bound()
+        out = solve(lp)
+        assert isinstance(out, Infeasible)
+        assert set(out.farkas) == {1, 2}  # the row x >= 5 and ub(x)
+        assert verify_infeasibility(lp, out.farkas)
+        assert (out.stats.rows, out.stats.columns, out.stats.phase1_pivots) == (0, 0, 0)
+
+    @pytest.mark.parametrize("make", [lp_upper_only_unbounded, lp_free_unbounded])
+    def test_unbounded_ray_verifies(self, make):
+        lp = make()
+        out = solve(lp)
+        assert isinstance(out, Unbounded)
+        assert verify_ray(lp, out.ray)
+
+    def test_bound_rows_leave_the_tableau(self):
+        # x and y are boxed: one slack row each, no artificial for either;
+        # 3y >= 4 is a lower bound looser than lb(y), so it is absorbed
+        out = solve(lp_boxed_with_a_shared_row())
+        assert isinstance(out, Optimal)
+        assert out.value == 14
+        assert (out.stats.rows, out.stats.columns, out.stats.artificials) == (3, 5, 0)
+
+    @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
+    def test_hand_programs_match_the_split_tableau(self, name):
+        lp = HAND_PROGRAMS[name]()
+        new, old = solve(lp), split_tableau_solve(lp)
+        assert type(new) is type(old)
+        if isinstance(new, Optimal):
+            assert new.value == old.value
+        assert_certified(lp, new)
+
+    def test_random_programs_match_the_split_tableau(self):
+        rng = random.Random(5150)
+        kinds = Counter()
+        for _ in range(400):
+            lp = random_bounded_program(rng)
+            new, old = solve(lp), split_tableau_solve(lp)
+            assert type(new) is type(old)
+            if isinstance(new, Optimal):
+                assert new.value == old.value
+            assert_certified(lp, new)
+            kinds[type(new)] += 1
+        # every status must actually occur for the comparison to mean anything
+        assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 40
+
+    def test_box_programs_match_the_split_tableau(self):
+        rng = random.Random(8080)
+        for _ in range(200):
+            lp = random_box_program(rng)
+            new, old = solve(lp), split_tableau_solve(lp)
+            assert type(new) is type(old)
+            if isinstance(new, Optimal):
+                assert new.value == old.value
+
+
+class TestSolveStats:
+    @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
+    def test_every_outcome_carries_stats(self, name):
+        stats = solve(HAND_PROGRAMS[name]()).stats
+        assert isinstance(stats, SolveStats)
+        assert stats.wall_ms >= 0 and stats.max_bits >= 0
+        assert stats.artificials <= stats.rows <= stats.columns
+
+    def test_stats_stay_out_of_equality_repr_and_text(self):
+        lp = lp_min_x_ge_1()
+        out = solve(lp)
+        assert out.stats is not None
+        bare = Optimal(out.value, out.assignment, out.dual)
+        assert out == bare
+        assert repr(out) == repr(bare) and "stats" not in repr(out)
+        assert format_certificate(lp, out) == format_certificate(lp, bare)
+
+
+def test_reimport_releases_the_previous_module(monkeypatch):
+    """`LpOutcome` must not pin the classes of an earlier import of
+    `ratlp`, as a cached `typing.Union` alias would."""
+    monkeypatch.setattr(ucfreq, "ratlp", sys.modules["ucfreq.ratlp"])
+    monkeypatch.setitem(sys.modules, "ucfreq.ratlp", sys.modules["ucfreq.ratlp"])
+    first = None
+    for _ in range(3):
+        del sys.modules["ucfreq.ratlp"]
+        module = importlib.import_module("ucfreq.ratlp")
+        if first is None:
+            first = weakref.ref(module.Optimal)
+    del module
+    gc.collect()
+    assert first() is None
