@@ -1,9 +1,9 @@
 """Command-line front end. Batch commands, exact rational output.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input family (or a
-refused flag combination), 3 internal consistency failure (a certificate
-that does not re-verify, or a verification suite reporting violations -
-both always bugs).
+refused flag combination, or over MAX_OUTPUT sets to list), 3 internal
+consistency failure (a certificate that does not re-verify, or a
+verification suite reporting violations - both always bugs).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,9 @@ from . import lpmodel, search, setfam
 from .ratlp import CertificateError, Optimal, format_certificate, format_lp
 
 OK, USAGE_ERROR, BAD_FAMILY, INTERNAL_ERROR = 0, 1, 2, 3
+
+MAX_OUTPUT = 100_000  # minimal covers or 2-good sets listed at most; there can be 3^(n/3)
+PROGRESS_INTERVAL_S = 0.5  # `search-nagel` prints at most one progress line this often
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,8 +176,11 @@ def _cmd_analyze(args) -> int:
         if k <= fam.n:
             _, _, ratio = setfam.kth_frequency(fam, k)
             lines.append(f"f_{k} = " + lpmodel.render_bound(ratio, args.approx))
+    good = setfam.minimal_two_good_sets(fam, limit=MAX_OUTPUT)
+    if len(good) > MAX_OUTPUT:
+        raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal 2-good sets")
     lines.append("minimal 2-good sets:")
-    for s in setfam.minimal_two_good_sets(fam):
+    for s in good:
         lines.append(f"  {setfam.format_mask(s)} incidence={setfam.incidence(fam, s)}")
     if args.base is not None:
         base = _parse_base(args.base, fam.n)
@@ -188,9 +195,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_covers(args) -> int:
     fam = _load_family(args.family, args.format, add_empty=False)
     try:
-        mc = setfam.minimal_covers(fam)
+        mc = setfam.minimal_covers(fam, limit=MAX_OUTPUT)
     except ValueError as exc:
         raise FamilyInputError(f"{args.family}: {exc}") from exc
+    if len(mc) > MAX_OUTPUT:
+        raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal covers")
     lines = ["minimal covers:"]
     lines.extend(f"  {setfam.format_mask(s)}" for s in mc.sets)
     if setfam.is_antichain(fam):
@@ -210,6 +219,20 @@ def _cmd_covers(args) -> int:
     return OK
 
 
+def _progress_lines(clock=time.monotonic) -> search.Progress:
+    """Print "checked N families" to stderr at most once per PROGRESS_INTERVAL_S of `clock`."""
+    last = clock()
+
+    def progress(checked: int) -> None:
+        nonlocal last
+        now = clock()
+        if now - last >= PROGRESS_INTERVAL_S:
+            last = now
+            print(f"checked {checked} families", file=sys.stderr)
+
+    return progress
+
+
 def _cmd_search_nagel(args) -> int:
     spec = search.EnumerationSpec(
         args.n,
@@ -217,7 +240,7 @@ def _cmd_search_nagel(args) -> int:
         require_ground_coverage=True,
         max_family_size=args.max_family_size,
     )
-    progress = (lambda k: print(f"checked {k} families", file=sys.stderr)) if not args.quiet else None
+    progress = None if args.quiet else _progress_lines()
     try:
         report = search.verify_nagel_k2(spec, progress=progress)
     except ValueError as exc:

@@ -25,6 +25,7 @@ from typing import Callable, Iterator
 from .setfam import (
     Mask,
     SetFamily,
+    _minimal_masks,
     covered_set,
     element_frequencies,
     elements_of,
@@ -37,7 +38,7 @@ from .setfam import (
     is_union_closed,
     kth_frequency,
     minimal_covers,
-    minimal_elements,
+    minimal_transversals,
     minimal_two_good_sets,
     submasks,
     trace_counts,
@@ -228,29 +229,60 @@ def verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) -> Verific
 # minimal-cover theorem
 # ---------------------------------------------------------------------------
 
-def _nonempty_subfamilies(n: int) -> Iterator[SetFamily]:
-    masks = list(range(1, 1 << n))
-    for bits in range(1, 1 << len(masks)):
-        yield SetFamily(n, tuple(masks[i] for i in range(len(masks)) if bits >> i & 1))
+def _subtuples(masks: range) -> list[tuple[Mask, ...]]:
+    """Every subfamily of `masks`; the i-th holds masks[j] when bit j of i is set."""
+    out: list[tuple[Mask, ...]] = [()]
+    for m in masks:
+        out += [t + (m,) for t in out]
+    return out
 
 
-def _random_nonempty_family(rng: random.Random, n: int) -> SetFamily:
+def _nonempty_subfamilies(n: int) -> Iterator[tuple[Mask, ...]]:
+    """Every nonempty family of nonempty subsets of {1..n}, members ascending, in
+    order of the bitmask over 1..2^n - 1 that picks it, made of a low and a high half."""
+    half = 1 << (n - 1)
+    low = _subtuples(range(1, half))
+    for high in _subtuples(range(half, 1 << n)):
+        for sets in low:
+            if sets or high:
+                yield sets + high
+
+
+def _random_nonempty_family(rng: random.Random, n: int) -> tuple[Mask, ...]:
     ground = (1 << n) - 1
     count = rng.randint(1, min(12, ground))
-    picks = rng.sample(range(1, ground + 1), count)
-    return SetFamily(n, tuple(picks))
+    return tuple(rng.sample(range(1, ground + 1), count))
 
 
-def _check_cover_laws(fam: SetFamily, report: VerificationReport) -> None:
+def _check_cover_laws(n: int, sets: tuple[Mask, ...], memo: dict, report: VerificationReport) -> tuple[Mask, ...]:
+    """Check the cover laws on a family of distinct nonempty subsets of {1..n}
+    and return its minimal members A in canonical order.
+
+    MC(F) is computed afresh.  `memo` holds, under (n, A ascending), what is
+    worked out once per A through `minimal_covers`: (A, MC(A), MC(A) is an
+    antichain, MC(MC(A)) == A); it stands for MC(F) only where MC(F) == MC(A).
+    """
     report.families_checked += 1
-    mc = minimal_covers(fam)
-    if not is_antichain(mc):
-        report.violations.append(f"MC not an antichain for {fam!r}")
-    if minimal_covers(minimal_elements(fam)) != mc:
-        report.violations.append(f"MC differs from MC of minimal elements for {fam!r}")
-    if is_antichain(fam):
-        if minimal_covers(mc) != fam.sorted():
-            report.violations.append(f"MC(MC(F)) != F for antichain {fam!r}")
+    mc = minimal_transversals(sets, (1 << n) - 1)
+    low = _minimal_masks(sets)
+    key = (n, tuple(sorted(low)))
+    if key not in memo:
+        anti = SetFamily(n, tuple(sorted(low, key=elements_of)))
+        mc_anti = minimal_covers(anti)
+        memo[key] = (anti.sets, mc_anti.sets, is_antichain(mc_anti), minimal_covers(mc_anti) == anti)
+    canon, mc_anti, antichain, involution = memo[key]
+    same = mc == mc_anti
+    if not same:
+        mc_fam = SetFamily(n, mc)
+        antichain = is_antichain(mc_fam)
+    if not antichain:
+        report.violations.append(f"MC not an antichain for {SetFamily(n, sets)!r}")
+    if not same:
+        report.violations.append(f"MC differs from MC of minimal elements for {SetFamily(n, sets)!r}")
+    if len(low) == len(sets):  # F is an antichain
+        if not (involution if same else minimal_covers(mc_fam).sets == canon):
+            report.violations.append(f"MC(MC(F)) != F for antichain {SetFamily(n, sets)!r}")
+    return canon
 
 
 def verify_cover_theorem(
@@ -269,17 +301,17 @@ def verify_cover_theorem(
     if not 1 <= n_max <= 4:
         raise ValueError("exhaustive cover checking is limited to n_max <= 4")
     report = VerificationReport()
+    memo: dict = {}
     for n in range(1, n_max + 1):
-        for fam in _nonempty_subfamilies(n):
-            _check_cover_laws(fam, report)
+        for sets in _nonempty_subfamilies(n):
+            _check_cover_laws(n, sets, memo, report)
             if progress and report.families_checked % PROGRESS_STRIDE == 0:
                 progress(report.families_checked)
     rng = random.Random(seed)
     for _ in range(n5_samples):
-        fam = _random_nonempty_family(rng, 5)
+        anti = _check_cover_laws(5, _random_nonempty_family(rng, 5), memo, report)
         # exercise the involution on the derived antichain as well
-        _check_cover_laws(fam, report)
-        _check_cover_laws(minimal_elements(fam), report)
+        _check_cover_laws(5, anti, memo, report)
         if progress and report.families_checked % PROGRESS_STRIDE == 0:
             progress(report.families_checked)
     return report

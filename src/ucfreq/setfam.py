@@ -225,9 +225,10 @@ def _minimal_masks(masks: Iterable[Mask]) -> list[Mask]:
     return kept
 
 
-def minimal_transversals(targets: Iterable[Mask], allowed: Mask) -> tuple[Mask, ...]:
+def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | None = None) -> tuple[Mask, ...]:
     """The inclusion-minimal subsets of `allowed` that meet every target, in
-    canonical order.
+    canonical order.  With a `limit` it stops at the `limit + 1`-th and returns
+    those found, unsorted, so `len(result) > limit` means there are more.
 
     No targets give `(0,)` (the empty set meets them all); a target with no
     element in `allowed` gives `()`.  The search branches on an unmet
@@ -256,6 +257,7 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask) -> tuple[Mask, 
             t ^= e
         bit <<= 1
     out: list[Mask] = []
+    stop = -1 if limit is None else limit + 1
     # a branch: (chosen, private, cand, unmet), where private[j] holds the
     # targets met only by the j-th chosen element
     stack = [(0, [], allowed, bit - 1)]
@@ -285,6 +287,8 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask) -> tuple[Mask, 
                     stack.append((chosen | e, kept, cand, left))
                 else:
                     out.append(chosen | e)
+                    if len(out) == stop:
+                        return tuple(out)
             cand |= e
     return tuple(sorted(out, key=elements_of))
 
@@ -314,14 +318,15 @@ def _two_good_problem(fam: SetFamily, distinguished: int) -> tuple[list[Mask], M
     return [t for a in fam.sets if (t := a & ~dbit)], fam.ground & ~dbit
 
 
-def minimal_two_good_sets(fam: SetFamily, distinguished: int = 1) -> tuple[Mask, ...]:
-    """All inclusion-minimal 2-good sets, in canonical order.
+def minimal_two_good_sets(fam: SetFamily, distinguished: int = 1, limit: int | None = None) -> tuple[Mask, ...]:
+    """All inclusion-minimal 2-good sets, in canonical order (`limit` as in
+    `minimal_transversals`).
 
     These are the minimal transversals of {A - {distinguished}} over the
     members A outside {empty, {distinguished}}.  The empty set is returned
     when it is (vacuously) 2-good.
     """
-    return minimal_transversals(*_two_good_problem(fam, distinguished))
+    return minimal_transversals(*_two_good_problem(fam, distinguished), limit)
 
 
 def is_minimal_two_good(fam: SetFamily, s: Mask, distinguished: int = 1) -> bool:
@@ -424,15 +429,15 @@ def flexible_pairs(fam: SetFamily, s: Mask) -> tuple[FlexibleWitness, ...]:
 # covers
 # ---------------------------------------------------------------------------
 
-def minimal_covers(fam: SetFamily) -> SetFamily:
+def minimal_covers(fam: SetFamily, limit: int | None = None) -> SetFamily:
     """The family of all inclusion-minimal sets meeting every member.
 
     Raises if the empty set is a member (nothing can meet it).  The result
-    is an antichain, in canonical order.
+    is an antichain, in canonical order (`limit` as in `minimal_transversals`).
     """
     if 0 in fam:
         raise ValueError("family contains the empty set and has no covers")
-    return SetFamily(fam.n, minimal_transversals(fam.sets, fam.ground))
+    return SetFamily(fam.n, minimal_transversals(fam.sets, fam.ground, limit))
 
 
 def minimal_elements(fam: SetFamily) -> SetFamily:

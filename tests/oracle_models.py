@@ -1,7 +1,8 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
 the split-tableau simplex, the subset scan for minimal transversals, the
-pairwise scan for minimal elements, and the recursive union-closed
-enumerator with its f_2 check.
+pairwise scan for minimal elements, the recursive union-closed
+enumerator with its f_2 check, and the cover-law suite on `SetFamily`
+values.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -40,7 +41,15 @@ from ucfreq.search import (
     Progress,
     VerificationReport,
 )
-from ucfreq.setfam import SetFamily, elements_of, kth_frequency, submasks
+from ucfreq.setfam import (
+    SetFamily,
+    elements_of,
+    is_antichain,
+    kth_frequency,
+    minimal_covers,
+    minimal_elements,
+    submasks,
+)
 
 F = Fraction
 
@@ -474,4 +483,50 @@ def recursive_verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) 
             report.witnesses.append(fam)
         if value < F2_FLOOR:
             report.violations.append(f"f_2 = {value} < 1/3 for {fam!r}")
+    return report
+
+
+# The cover-law suite as it was before `search` checked it on mask tuples
+# with one memoised answer per antichain: every law recomputed from scratch
+# on `SetFamily` values for every family.  It stays as the reference for the
+# suite's counts and violations.
+
+def setfamily_nonempty_subfamilies(n: int) -> Iterator[SetFamily]:
+    masks = list(range(1, 1 << n))
+    for bits in range(1, 1 << len(masks)):
+        yield SetFamily(n, tuple(masks[i] for i in range(len(masks)) if bits >> i & 1))
+
+
+def setfamily_random_nonempty_family(rng: random.Random, n: int) -> SetFamily:
+    ground = (1 << n) - 1
+    count = rng.randint(1, min(12, ground))
+    picks = rng.sample(range(1, ground + 1), count)
+    return SetFamily(n, tuple(picks))
+
+
+def setfamily_check_cover_laws(fam: SetFamily, report: VerificationReport) -> None:
+    report.families_checked += 1
+    mc = minimal_covers(fam)
+    if not is_antichain(mc):
+        report.violations.append(f"MC not an antichain for {fam!r}")
+    if minimal_covers(minimal_elements(fam)) != mc:
+        report.violations.append(f"MC differs from MC of minimal elements for {fam!r}")
+    if is_antichain(fam):
+        if minimal_covers(mc) != fam.sorted():
+            report.violations.append(f"MC(MC(F)) != F for antichain {fam!r}")
+
+
+def setfamily_verify_cover_theorem(n_max: int, n5_samples: int, seed: int) -> VerificationReport:
+    """`search.verify_cover_theorem` without progress: exhaustive on
+    n <= n_max, then `n5_samples` seeded families at n = 5, each checked
+    with its minimal elements."""
+    report = VerificationReport()
+    for n in range(1, n_max + 1):
+        for fam in setfamily_nonempty_subfamilies(n):
+            setfamily_check_cover_laws(fam, report)
+    rng = random.Random(seed)
+    for _ in range(n5_samples):
+        fam = setfamily_random_nonempty_family(rng, 5)
+        setfamily_check_cover_laws(fam, report)
+        setfamily_check_cover_laws(minimal_elements(fam), report)
     return report

@@ -187,6 +187,23 @@ def test_criterion_6_exhaustive_antichain_involution_n5():
         assert checked == 7581 - 2
 
 
+def test_criterion_6_sandwich_n5():
+    """MC(F) = MC(min F) for all 2^31 - 1 nonempty families on {1..5}.
+
+    A family F with minimal members A satisfies A <= F <= up(A), the nonempty
+    supersets of members of A.  Transversals are antitone (property-tested in
+    test_setfam), so Tr(up A) <= Tr(F) <= Tr(A); once MC(up A) = MC(A), the
+    two ends have the same transversals, and so has F.
+    """
+    with criterion(6, "MC(up A) = MC(A) on all 7579 nonempty antichains of nonempty subsets of {1..5}"):
+        checked = 0
+        for anti in nonempty_antichains(5):
+            up = tuple(s for s in range(1, 1 << 5) if any(s & a == a for a in anti.sets))
+            assert minimal_covers(SetFamily(5, up)) == minimal_covers(anti), anti
+            checked += 1
+        assert checked == 7581 - 2
+
+
 def test_criterion_7_second_frequency_desk_check():
     with criterion(7, "exhaustive n = 2, 3, 4, 5: min f_2 = 1/3 and zero families below"):
         # union-closed families covering {1..n}: with the empty set or without

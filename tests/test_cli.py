@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ucfreq.cli import main
-from ucfreq.setfam import family, family_to_json, family_to_text
+from ucfreq import cli, setfam
+from ucfreq.cli import MAX_OUTPUT, main
+from ucfreq.setfam import family, family_to_json, family_to_text, union_closure
 
 
 @pytest.fixture
@@ -207,6 +210,16 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert out.endswith("minimal 2-good sets:\n  {24} incidence=2\n")
 
+    def test_output_cap(self, tmp_path, capsys):
+        # the unions of nine disjoint 4-blocks have 3 * 4^8 minimal 2-good sets
+        path = tmp_path / "blocks36.json"
+        blocks = [range(first, first + 4) for first in range(1, 37, 4)]
+        path.write_text(family_to_json(union_closure(family(36, blocks))))
+        start = time.perf_counter()
+        assert main(["analyze", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"ucfreq: {path}: more than {MAX_OUTPUT} minimal 2-good sets\n")
+
 
 class TestCovers:
     def test_two_edges(self, tmp_path, capsys):
@@ -246,6 +259,19 @@ class TestCovers:
         path = tmp_path / "empty.txt"
         path.write_text("-\n1\n")
         assert main(["covers", str(path)]) == 2
+
+    def test_output_cap_refuses_before_the_involution_check(self, tmp_path, capsys, monkeypatch):
+        # 21 disjoint 3-blocks on n = 63 have 3^21 (about 10^10) minimal covers
+        path = tmp_path / "blocks63.json"
+        path.write_text(family_to_json(family(63, [range(first, first + 3) for first in range(1, 64, 3)])))
+        calls = []
+        real = setfam.minimal_covers
+        monkeypatch.setattr(setfam, "minimal_covers", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        start = time.perf_counter()
+        assert main(["covers", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert len(calls) == 1
+        assert capsys.readouterr() == ("", f"ucfreq: {path}: more than {MAX_OUTPUT} minimal covers\n")
 
 
 # Any JSON value, and family-shaped objects over n <= 8 with at most 12 sets
@@ -328,6 +354,23 @@ class TestSearchNagel:
         assert main(["search-nagel", "--n", "3", "--quiet", "--max-witnesses", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["witnesses"]) == 2 and doc["witnesses_total"] == 3
+
+    def test_progress_at_most_one_line_per_interval(self, capsys):
+        ticks = iter([0.0, 0.1, 0.4, 0.5, 0.6, 0.99, 1.0, 5.0])
+        progress = cli._progress_lines(clock=lambda: next(ticks))
+        for k in range(1, 8):
+            progress(4096 * k)
+        assert capsys.readouterr().err.splitlines() == [
+            "checked 12288 families", "checked 24576 families", "checked 28672 families",
+        ]
+
+    def test_progress_reaches_stderr(self, capsys, monkeypatch):
+        real = cli._progress_lines
+        seconds = itertools.count()  # a clock that moves one second per reading
+        monkeypatch.setattr(cli, "_progress_lines", lambda: real(clock=lambda: next(seconds)))
+        assert main(["search-nagel", "--n", "4"]) == 0
+        # 4542 families, polled once at 4096
+        assert capsys.readouterr().err == "checked 4096 families\n"
 
     def test_help_names_the_enumeration_limit(self, capsys):
         assert main(["search-nagel", "--help"]) == 0

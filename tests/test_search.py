@@ -8,12 +8,17 @@ miniature here; the full-scale runs live in the acceptance module.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
-from oracle_models import recursive_enumerate_union_closed, recursive_verify_nagel_k2
+from oracle_models import (
+    recursive_enumerate_union_closed,
+    recursive_verify_nagel_k2,
+    setfamily_verify_cover_theorem,
+)
 
-from ucfreq import search
+from ucfreq import search, setfam
 from ucfreq.search import (
     EnumerationSpec,
     VerificationReport,
@@ -192,6 +197,62 @@ class TestCoverTheorem:
     def test_guard(self):
         with pytest.raises(ValueError):
             verify_cover_theorem(n_max=5, n5_samples=0)
+
+    @pytest.mark.parametrize("seed", [1, 2024])
+    def test_matches_setfamily_oracle(self, seed):
+        got = verify_cover_theorem(n_max=3, n5_samples=400, seed=seed)
+        assert got == setfamily_verify_cover_theorem(3, 400, seed)
+        assert got.families_checked == 1 + 7 + 127 + 800 and got.passed
+
+
+# Kernel faults for the cover laws, each a deterministic function of its input,
+# installed wherever the suite and its oracle reach the kernel.
+
+def superset_added(real):
+    """Law 1: every answer gains `allowed` itself, a superset of its other members."""
+    def kernel(targets, allowed, limit=None):
+        out = real(targets, allowed, limit)
+        return out if allowed in out else out + (allowed,)
+    return kernel
+
+
+def short_on_nested_targets(real):
+    """Law 2: the answer loses its last member when one target contains another."""
+    def kernel(targets, allowed, limit=None):
+        targets = tuple(targets)
+        out = real(targets, allowed, limit)
+        nested = any(a != b and a & b == a for a in targets for b in targets)
+        return out[:-1] if nested and len(out) > 1 else out
+    return kernel
+
+
+def short(real):
+    """Law 3: every answer of two or more members loses its last one."""
+    def kernel(targets, allowed, limit=None):
+        out = real(targets, allowed, limit)
+        return out[:-1] if len(out) > 1 else out
+    return kernel
+
+
+class TestCoverFaults:
+    """A faulty kernel is reported family by family, worded with the family's
+    `SetFamily` repr, exactly as by the oracle that recomputes every law for
+    every family: the per-antichain memo hides no check."""
+
+    @pytest.mark.parametrize("fault, law", [
+        (superset_added, "MC not an antichain for "),
+        (short_on_nested_targets, "MC differs from MC of minimal elements for "),
+        (short, "MC(MC(F)) != F for antichain "),
+    ])
+    def test_fault_reported_like_the_oracle(self, monkeypatch, fault, law):
+        kernel = fault(setfam.minimal_transversals)
+        monkeypatch.setattr(setfam, "minimal_transversals", kernel)
+        monkeypatch.setattr(search, "minimal_transversals", kernel)
+        got = verify_cover_theorem(n_max=3, n5_samples=300, seed=5)
+        assert got == setfamily_verify_cover_theorem(3, 300, 5)
+        hits = [v for v in got.violations if v.startswith(law)]
+        assert hits
+        assert all(re.fullmatch(re.escape(law) + r"SetFamily\(n=\d, \{.*\}\)", v) for v in hits)
 
 
 FLEX_FIXTURE = union_closure(family(5, [[2], [2, 4], [3], [1]]))

@@ -317,6 +317,16 @@ class TestMinimalTransversals:
         for s in submasks(allowed):
             assert is_minimal_transversal(s, targets) == (s in got)
 
+    @given(transversal_problems(), st.integers(0, 6))
+    def test_limit_stops_one_past(self, problem, limit):
+        targets, allowed = problem
+        full = minimal_transversals(targets, allowed)
+        got = minimal_transversals(targets, allowed, limit)
+        if len(full) <= limit:
+            assert got == full
+        else:
+            assert len(got) == limit + 1 and set(got) <= set(full)
+
     def test_edge_cases(self):
         assert minimal_transversals([], 0b111) == (0,)
         assert minimal_transversals([0b01, 0], 0b11) == ()
@@ -470,6 +480,15 @@ class TestCovers:
     def test_covers_ignore_non_minimal_members(self, f):
         nonempty = SetFamily(f.n, tuple(s for s in f.sets if s) or (f.ground,))
         assert minimal_covers(nonempty) == minimal_covers(minimal_elements(nonempty))
+
+    @given(raw_families(max_n=6), st.data())
+    def test_antitone(self, g, data):
+        # F <= G: a transversal of G is one of F, so it holds a minimal one
+        nonempty = tuple(s for s in g.sets if s) or (g.ground,)
+        sub = data.draw(st.lists(st.sampled_from(nonempty), min_size=1, unique=True))
+        mc_f = minimal_covers(SetFamily(g.n, tuple(sub))).sets
+        for t in minimal_covers(SetFamily(g.n, nonempty)).sets:
+            assert any(f & t == f for f in mc_f)
 
 
 class TestMinimalElements:

@@ -40,3 +40,17 @@ def test_install_and_remove_restore_every_wrapped_attribute():
     for mod, attr, original, _ in inst.saved:
         assert getattr(mod, attr) is original
     assert {name: dict(vars(mod)) for name, mod in vars(mods).items()} == before
+
+
+def test_cover_suite_reaches_the_traced_minimal_covers():
+    # The cover suite works on mask tuples and memoises each antichain's side;
+    # its memo misses must still call `minimal_covers` as `search` binds it, or
+    # a traced run records no `setfam.minimal_covers.small` span to take a median of.
+    mods = SimpleNamespace(cli=cli, lpmodel=lpmodel, ratlp=ratlp, search=search, setfam=setfam)
+    inst = load_tracing().Instrumentation(mods)
+    inst.install()
+    try:
+        search.verify_cover_theorem(n_max=2, n5_samples=5)
+    finally:
+        inst.remove()
+    assert "setfam.minimal_covers.small" in inst.tracer.names
