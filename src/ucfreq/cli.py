@@ -1,9 +1,9 @@
 """Command-line front end. Batch commands, exact rational output.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input family (or a
-refused flag combination, or over MAX_OUTPUT sets to list), 3 internal
-consistency failure (a certificate that does not re-verify, or a
-verification suite reporting violations - both always bugs).
+Exit codes: 0 success, 1 usage error (a bad flag or flag combination),
+2 invalid input family or base set (or over MAX_OUTPUT sets to list),
+3 internal consistency failure (a certificate that does not re-verify,
+or a verification suite reporting violations - both always bugs).
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to status 2; keep 1 for usage
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+class UsageError(Exception):
+    pass
 
 
 class FamilyInputError(Exception):
@@ -91,7 +95,7 @@ def _parse_objective(text: str, s: int) -> dict[str, Fraction]:
     for token in text.split("+"):
         name = token.strip()
         if name not in names:
-            raise FamilyInputError(
+            raise UsageError(
                 f"unknown objective term {name!r} (try q_singleton, sum_singletons, or q_<roles>)"
             )
         objective[name] = objective.get(name, Fraction(0)) + 1
@@ -104,9 +108,9 @@ def _parse_objective(text: str, s: int) -> dict[str, Fraction]:
 
 def _cmd_table(args) -> int:
     if args.certificates and args.format != "json":
-        raise FamilyInputError("--certificates needs --format json")
+        raise UsageError("--certificates needs --format json")
     if args.approx and args.format == "json":
-        raise FamilyInputError("--approx needs --format csv")
+        raise UsageError("--approx needs --format csv")
     results = lpmodel.bounds_table()
     for res in results:
         if not lpmodel.recheck(res):
@@ -131,9 +135,9 @@ _SCENARIOS = {
 
 def _cmd_solve_case(args) -> int:
     if args.c == "aux" and args.s != 5:
-        raise FamilyInputError("--c aux exists only for --s 5")
+        raise UsageError("--c aux exists only for --s 5")
     if args.approx and args.dump_lp:
-        raise FamilyInputError("--approx does not apply to --dump-lp")
+        raise UsageError("--approx does not apply to --dump-lp")
     spec = lpmodel.CaseSpec(args.s, _SCENARIOS[args.c])
     res = lpmodel.solve_case(spec)
     if not lpmodel.recheck(res):
@@ -184,6 +188,8 @@ def _cmd_analyze(args) -> int:
         lines.append(f"  {setfam.format_mask(s)} incidence={setfam.incidence(fam, s)}")
     if args.base is not None:
         base = _parse_base(args.base, fam.n)
+        if 1 << base.bit_count() > MAX_OUTPUT:
+            raise FamilyInputError(f"base set {args.base!r} has more than {MAX_OUTPUT} subsets to list")
         counts = setfam.trace_counts(fam, base)
         lines.append(f"trace counts for S = {setfam.format_mask(base)}:")
         for t in setfam.submasks(base):
@@ -200,21 +206,13 @@ def _cmd_covers(args) -> int:
         raise FamilyInputError(f"{args.family}: {exc}") from exc
     if len(mc) > MAX_OUTPUT:
         raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal covers")
+    if setfam.minimal_covers(mc) != setfam.minimal_elements(fam):
+        raise CertificateError("MC(MC(F)) differs from the minimal elements of F")
+    antichain = setfam.is_antichain(fam)
     lines = ["minimal covers:"]
     lines.extend(f"  {setfam.format_mask(s)}" for s in mc.sets)
-    if setfam.is_antichain(fam):
-        lines.append("input is antichain: yes")
-        holds = setfam.minimal_covers(mc) == fam.sorted()
-        lines.append(f"MC(MC(F)) == F: {'yes' if holds else 'NO (bug)'}")
-        if not holds:
-            raise CertificateError("minimal-cover involution failed")
-    else:
-        lines.append("input is antichain: no")
-        reduced = setfam.minimal_elements(fam)
-        holds = setfam.minimal_covers(mc) == reduced.sorted()
-        lines.append(f"MC(MC(F)) == minimal elements of F: {'yes' if holds else 'NO (bug)'}")
-        if not holds:
-            raise CertificateError("minimal-cover reduction failed")
+    lines.append(f"input is antichain: {'yes' if antichain else 'no'}")
+    lines.append(f"MC(MC(F)) == {'F' if antichain else 'minimal elements of F'}: yes")
     _emit("\n".join(lines) + "\n", args.out)
     return OK
 
@@ -241,10 +239,7 @@ def _cmd_search_nagel(args) -> int:
         max_family_size=args.max_family_size,
     )
     progress = None if args.quiet else _progress_lines()
-    try:
-        report = search.verify_nagel_k2(spec, progress=progress)
-    except ValueError as exc:
-        raise FamilyInputError(str(exc)) from exc
+    report = search.verify_nagel_k2(spec, progress=progress)
     _emit(json.dumps(report.to_json_dict(max_witnesses=args.max_witnesses), indent=2) + "\n", args.out)
     return OK if report.passed else INTERNAL_ERROR
 
@@ -317,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_covers)
 
     p = sub.add_parser("search-nagel", help="exhaustive second-frequency check")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=int, choices=range(2, search.ENUMERATION_LIMIT + 1), required=True,
                    help=f"ground-set size (2..{search.ENUMERATION_LIMIT} exhaustive)")
     p.add_argument("--require-empty", action="store_true")
     p.add_argument("--max-family-size", type=_int_at_least(1))
@@ -343,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.handler(args)
+    except UsageError as exc:
+        print(f"ucfreq: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except FamilyInputError as exc:
         print(f"ucfreq: {exc}", file=sys.stderr)
         return BAD_FAMILY

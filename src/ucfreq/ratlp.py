@@ -56,7 +56,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

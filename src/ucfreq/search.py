@@ -289,7 +289,6 @@ def verify_cover_theorem(
     n_max: int = 4,
     n5_samples: int = 100_000,
     seed: int = 2024,
-    progress: Progress = None,
 ) -> VerificationReport:
     """Cover-theorem suite: exhaustive on n <= n_max, sampled on n = 5.
 
@@ -305,15 +304,11 @@ def verify_cover_theorem(
     for n in range(1, n_max + 1):
         for sets in _nonempty_subfamilies(n):
             _check_cover_laws(n, sets, memo, report)
-            if progress and report.families_checked % PROGRESS_STRIDE == 0:
-                progress(report.families_checked)
     rng = random.Random(seed)
     for _ in range(n5_samples):
         anti = _check_cover_laws(5, _random_nonempty_family(rng, 5), memo, report)
         # exercise the involution on the derived antichain as well
         _check_cover_laws(5, anti, memo, report)
-        if progress and report.families_checked % PROGRESS_STRIDE == 0:
-            progress(report.families_checked)
     return report
 
 
@@ -422,11 +417,9 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
 # randomized corpus
 # ---------------------------------------------------------------------------
 
-def random_union_closed(
-    rng: random.Random, n: int, min_generators: int = 3, max_generators: int = 10
-) -> SetFamily:
-    """Union closure of a few uniformly random nonempty generator sets."""
-    count = rng.randint(min_generators, max_generators)
+def random_union_closed(rng: random.Random, n: int) -> SetFamily:
+    """Union closure of 3 to 10 uniformly random nonempty generator sets."""
+    count = rng.randint(3, 10)
     ground = (1 << n) - 1
     gens: list[int] = []
     for _ in range(count):
@@ -441,7 +434,6 @@ def run_lemma_corpus(
     seed: int = 7,
     n_low: int = 4,
     n_high: int = 9,
-    progress: Progress = None,
 ) -> VerificationReport:
     """Spot-check the counting bounds on randomly generated instances.
 
@@ -466,6 +458,4 @@ def run_lemma_corpus(
             report.violations.extend(
                 f"{fam!r} S={format_mask(s)}: {v}" for v in sub.violations
             )
-            if progress and report.families_checked % 100 == 0:
-                progress(report.families_checked)
     return report

@@ -297,41 +297,39 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
 # 2-good sets, traces, incidence
 # ---------------------------------------------------------------------------
 
-def is_two_good(fam: SetFamily, s: Mask, distinguished: int = 1) -> bool:
-    """True iff `s` avoids the distinguished element and meets every member
-    other than the empty set and the distinguished singleton."""
-    dbit = 1 << (distinguished - 1)
-    if s & dbit:
+def is_two_good(fam: SetFamily, s: Mask) -> bool:
+    """True iff `s` avoids element 1 and meets every member other than the
+    empty set and {1}."""
+    if s & 1:
         return False
     for a in fam.sets:
-        if a == 0 or a == dbit:
+        if a == 0 or a == 1:
             continue
         if a & s == 0:
             return False
     return True
 
 
-def _two_good_problem(fam: SetFamily, distinguished: int) -> tuple[list[Mask], Mask]:
-    """The 2-good sets as transversals: targets {A - {distinguished}} over the
-    members A outside {empty, {distinguished}}, candidates all but that element."""
-    dbit = 1 << (distinguished - 1)
-    return [t for a in fam.sets if (t := a & ~dbit)], fam.ground & ~dbit
+def _two_good_problem(fam: SetFamily) -> tuple[list[Mask], Mask]:
+    """The 2-good sets as transversals: targets {A - {1}} over the members A
+    outside {empty, {1}}, candidates all elements but 1."""
+    return [t for a in fam.sets if (t := a & ~1)], fam.ground & ~1
 
 
-def minimal_two_good_sets(fam: SetFamily, distinguished: int = 1, limit: int | None = None) -> tuple[Mask, ...]:
+def minimal_two_good_sets(fam: SetFamily, limit: int | None = None) -> tuple[Mask, ...]:
     """All inclusion-minimal 2-good sets, in canonical order (`limit` as in
     `minimal_transversals`).
 
-    These are the minimal transversals of {A - {distinguished}} over the
-    members A outside {empty, {distinguished}}.  The empty set is returned
-    when it is (vacuously) 2-good.
+    These are the minimal transversals of {A - {1}} over the members A
+    outside {empty, {1}}.  The empty set is returned when it is (vacuously)
+    2-good.
     """
-    return minimal_transversals(*_two_good_problem(fam, distinguished), limit)
+    return minimal_transversals(*_two_good_problem(fam), limit)
 
 
-def is_minimal_two_good(fam: SetFamily, s: Mask, distinguished: int = 1) -> bool:
+def is_minimal_two_good(fam: SetFamily, s: Mask) -> bool:
     """True iff `s` is 2-good and no proper subset of it is."""
-    targets, allowed = _two_good_problem(fam, distinguished)
+    targets, allowed = _two_good_problem(fam)
     return s & ~allowed == 0 and is_minimal_transversal(s, targets)
 
 
@@ -447,12 +445,7 @@ def minimal_elements(fam: SetFamily) -> SetFamily:
 
 def is_antichain(fam: SetFamily) -> bool:
     """True iff no member properly contains another."""
-    sets = fam.sets
-    for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            if a & ~b == 0 or b & ~a == 0:
-                return False
-    return True
+    return len(_minimal_masks(fam.sets)) == len(fam.sets)
 
 
 # ---------------------------------------------------------------------------

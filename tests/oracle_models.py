@@ -1,6 +1,6 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
 the split-tableau simplex, the subset scan for minimal transversals, the
-pairwise scan for minimal elements, the recursive union-closed
+pairwise scans for minimal elements and antichains, the recursive union-closed
 enumerator with its f_2 check, and the cover-law suite on `SetFamily`
 values.
 
@@ -44,7 +44,6 @@ from ucfreq.search import (
 from ucfreq.setfam import (
     SetFamily,
     elements_of,
-    is_antichain,
     kth_frequency,
     minimal_covers,
     minimal_elements,
@@ -412,6 +411,20 @@ def scan_minimal_elements(masks) -> tuple[int, ...]:
     return tuple(sorted(out, key=elements_of))
 
 
+def scan_is_antichain(masks) -> bool:
+    """True iff no two of the distinct `masks` are nested, each pair tested.
+
+    This is the body `setfam.is_antichain` had before it counted the
+    minimal members with `setfam._minimal_masks`; it stays as the reference.
+    """
+    masks = tuple(masks)
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if a & ~b == 0 or b & ~a == 0:
+                return False
+    return True
+
+
 # The enumerator and the f_2 check as they were before `search` walked the
 # families with one explicit-stack DFS and incremental element counts; they
 # stay as the reference for its families, their order and its reports.
@@ -507,17 +520,17 @@ def setfamily_random_nonempty_family(rng: random.Random, n: int) -> SetFamily:
 def setfamily_check_cover_laws(fam: SetFamily, report: VerificationReport) -> None:
     report.families_checked += 1
     mc = minimal_covers(fam)
-    if not is_antichain(mc):
+    if not scan_is_antichain(mc.sets):
         report.violations.append(f"MC not an antichain for {fam!r}")
     if minimal_covers(minimal_elements(fam)) != mc:
         report.violations.append(f"MC differs from MC of minimal elements for {fam!r}")
-    if is_antichain(fam):
+    if scan_is_antichain(fam.sets):
         if minimal_covers(mc) != fam.sorted():
             report.violations.append(f"MC(MC(F)) != F for antichain {fam!r}")
 
 
 def setfamily_verify_cover_theorem(n_max: int, n5_samples: int, seed: int) -> VerificationReport:
-    """`search.verify_cover_theorem` without progress: exhaustive on
+    """`search.verify_cover_theorem` on `SetFamily` values: exhaustive on
     n <= n_max, then `n5_samples` seeded families at n = 5, each checked
     with its minimal elements."""
     report = VerificationReport()

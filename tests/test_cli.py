@@ -73,10 +73,10 @@ class TestTable:
         )
 
     def test_certificates_need_json(self, capsys):
-        assert main(["table", "--certificates"]) == 2
+        assert main(["table", "--certificates"]) == 1
 
     def test_approx_needs_csv(self, capsys):
-        assert main(["table", "--format", "json", "--approx"]) == 2
+        assert main(["table", "--format", "json", "--approx"]) == 1
         assert_one_line_error(capsys)
 
     def test_jobs_is_a_usage_error(self, capsys):
@@ -119,7 +119,7 @@ class TestSolveCommands:
         assert capsys.readouterr().out == "129\n"
 
     def test_aux_needs_s5(self, capsys):
-        assert main(["solve-case", "--s", "4", "--c", "aux"]) == 2
+        assert main(["solve-case", "--s", "4", "--c", "aux"]) == 1
 
     def test_dump_lp(self, capsys):
         assert main(["solve-case", "--s", "4", "--c", "0", "--dump-lp"]) == 0
@@ -131,7 +131,7 @@ class TestSolveCommands:
         assert "value: 81" in out
 
     def test_dump_lp_refuses_approx(self, capsys):
-        assert main(["solve-case", "--s", "4", "--c", "0", "--dump-lp", "--approx"]) == 2
+        assert main(["solve-case", "--s", "4", "--c", "0", "--dump-lp", "--approx"]) == 1
         assert_one_line_error(capsys)
 
     def test_min_objective_tokens(self, capsys):
@@ -147,7 +147,7 @@ class TestSolveCommands:
         assert capsys.readouterr().out == "42.5\n"
 
     def test_min_objective_bad_term(self, capsys):
-        assert main(["min-objective", "--s", "4", "--objective", "q_abcde"]) == 2
+        assert main(["min-objective", "--s", "4", "--objective", "q_abcde"]) == 1
 
 
 class TestAnalyze:
@@ -202,6 +202,16 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ucfreq: ") and err.count("\n") == 1
+
+    def test_wide_base_is_refused(self, tmp_path, capsys):
+        # its trace counts would list all 2^40 subsets of the base
+        path = tmp_path / "chain40.json"
+        path.write_text('{"n": 40, "sets": [[1], [40], [1, 40]]}')
+        base = ",".join(str(e) for e in range(1, 41))
+        start = time.perf_counter()
+        assert main(["analyze", str(path), "--base", base]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"ucfreq: base set {base!r} has more than {MAX_OUTPUT} subsets to list\n")
 
     def test_wide_chain_finishes(self, tmp_path, capsys):
         path = tmp_path / "chain24.json"
@@ -288,8 +298,8 @@ family_objects = st.fixed_dictionaries({
 
 
 class TestFamilyFileInput:
-    """Whatever a family file holds, `analyze` and `covers` answer or refuse
-    it in one line: exit code 0 or 2, never a traceback."""
+    """Whatever a family file holds, `analyze`, `covers` and `check-lemmas`
+    answer or refuse it in one line: exit code 0 or 2, never a traceback."""
 
     @pytest.mark.parametrize("command", ["analyze", "covers"])
     def test_empty_sets_is_bad_family(self, tmp_path, capsys, command):
@@ -303,23 +313,24 @@ class TestFamilyFileInput:
         return tmp_path_factory.mktemp("fuzz")
 
     def check(self, command, path):
+        name, *flags = command.split()
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([command, str(path)])
+            code = main([name, str(path), *flags])
         if code == 0:
             assert out.getvalue() and not err.getvalue()
         else:
             assert code == 2 and not out.getvalue()
             assert err.getvalue().startswith("ucfreq: ") and err.getvalue().count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["analyze", "covers"])
+    @pytest.mark.parametrize("command", ["analyze", "covers", "check-lemmas --base 2"])
     @given(value=json_values | family_objects)
     def test_any_json(self, folder, command, value):
         path = folder / "family.json"
         path.write_text(json.dumps(value))
         self.check(command, path)
 
-    @pytest.mark.parametrize("command", ["analyze", "covers"])
+    @pytest.mark.parametrize("command", ["analyze", "covers", "check-lemmas --base 2"])
     @given(text=st.text(max_size=40) | st.lists(
         st.lists(st.integers(-1, 9).map(str), max_size=8).map(" ".join), max_size=12
     ).map("\n".join))
@@ -338,7 +349,17 @@ class TestSearchNagel:
         assert doc["passed"] is True
 
     def test_usage_error_on_n1(self, capsys):
-        assert main(["search-nagel", "--n", "1", "--quiet"]) == 2
+        assert main(["search-nagel", "--n", "1", "--quiet"]) == 1
+
+    @pytest.mark.parametrize("n", ["0", "-1", "6"])
+    def test_n_off_the_choices_is_usage_error(self, capsys, n):
+        # the parser refuses it before `search` can raise on the size
+        assert main(["search-nagel", "--n", n, "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            f"ucfreq search-nagel: error: argument --n: invalid choice: {n}"
+        )
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_max_family_size_below_one_is_usage_error(self, capsys, size):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
-from oracle_models import scan_minimal_elements, scan_minimal_transversals
+from oracle_models import scan_is_antichain, scan_minimal_elements, scan_minimal_transversals
 
 from ucfreq.setfam import (
     FlexibleWitness,
@@ -255,11 +255,6 @@ class TestTwoGood:
     def test_contains_distinguished(self):
         f = family(2, [[], [1], [2], [1, 2]])
         assert not is_two_good(f, mask_of([1, 2]))
-
-    def test_other_distinguished_element(self):
-        f = family(2, [[], [2], [1], [1, 2]])
-        assert is_two_good(f, mask_of([1]), distinguished=2)
-        assert not is_two_good(f, mask_of([2]), distinguished=2)
 
     @given(closed_families(max_n=5))
     def test_monotone_under_supersets(self, f):
@@ -513,6 +508,7 @@ class TestMinimalElements:
     @given(raw_families())
     def test_matches_scan(self, f):
         assert minimal_elements(f).sets == scan_minimal_elements(f.sets)
+        assert is_antichain(f) == scan_is_antichain(f.sets)
 
 
 class TestShattering:
