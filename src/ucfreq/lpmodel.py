@@ -344,10 +344,14 @@ def table_to_json(results: Iterable[CaseResult], certificates: bool = False) -> 
 
 
 def recheck(result: CaseResult) -> bool:
-    """Re-verify a case result's certificate against its reconstructed program."""
+    """Re-verify a case result's certificate against its reconstructed
+    program, and an optimum's value against the objective at its point."""
     lp = case_program(result.spec)
     if isinstance(result.outcome, Optimal):
-        return verify_optimality(lp, result.outcome.assignment, result.outcome.dual)
+        x = result.outcome.assignment
+        return verify_optimality(lp, x, result.outcome.dual) and result.outcome.value == sum(
+            (c * x[v] for v, c in lp.objective.items()), Fraction(0)
+        )
     if isinstance(result.outcome, Infeasible):
         return verify_infeasibility(lp, result.outcome.farkas)
     return False

@@ -1,28 +1,28 @@
 """Exact rational linear programming with machine-checkable certificates.
 
-Everything is `fractions.Fraction` arithmetic: solving, certificate
-checking, and re-solving after row permutations give identical optimal
-values, so half-integer optima like 141/2 are exact, not approximate.
+No float enters: programs, results and certificates are `fractions.Fraction`
+values and the simplex tableau holds integers, so optima like 141/2 are
+exact, and re-solving after row permutations gives identical values.
 
 Declared per-variable bounds are materialized as ordinary rows, appended
 after the declared constraints (for each variable in declaration order:
 lower bound row, then upper bound row).  `materialized_rows` exposes that
 row list; certificate maps are keyed by indices into it.
 
-The solver presolves that list, then runs a two-phase primal simplex on a
-dense tableau with Bland's anti-cycling pivot rule.  Presolve reads every
-one-variable row (declared or a bound, with either coefficient sign and any
-relation) as a bound on its variable and keeps the tightest; a lower bound
-above an upper bound is refuted by those two rows alone.  It then shifts
-instead of splitting: x = l + x' with x' >= 0 where x has a lower bound l,
-x = u - x' where it has only an upper bound u, and x = x'+ - x'- only where
-it is free; an upper bound left over becomes the row x' <= u - l, which
-needs no artificial.  The tableau holds those rows and the rows over two or
-more variables, nothing else.  Each absorbed row gets its weight back from
-the final reduced costs (the phase-1 ones for a Farkas certificate), so
-certificates are stated over `materialized_rows` exactly as without the
-presolve.  Every outcome carries a `SolveStats` record of the work, left
-out of outcome equality and of the text and JSON formats.
+The solver presolves that list, then runs a two-phase primal simplex with
+Bland's rule on a dense integer tableau: each row is scaled by the lcm of
+its denominators and pivots are fraction-free, taking the same pivots as
+rational arithmetic would.  Presolve reads every one-variable row (declared
+or a bound, either coefficient sign, any relation) as a bound on its
+variable and keeps the tightest; crossing bounds are refuted by their two
+rows alone.  It shifts instead of splitting: x = l + x' with x' >= 0 under a
+lower bound l, x = u - x' under only an upper bound u, x = x'+ - x'- only
+when free; an upper bound left over is the row x' <= u - l, which needs no
+artificial.  Each absorbed row gets its weight back from the final reduced
+costs (phase 1's for a Farkas certificate), so certificates are stated over
+`materialized_rows` as without the presolve.  Every outcome carries a
+`SolveStats` record of the work, left out of outcome equality and of the
+text and JSON formats.
 
 Certificate conventions
 -----------------------
@@ -53,7 +53,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -437,111 +438,109 @@ def _farkas(rows: list[Row], y: list[Fraction]) -> dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """Dense equality-form tableau. Columns: the presolved x', slacks, artificials."""
+    """Dense equality-form integer tableau. Columns: the presolved x', slacks, artificials.
+
+    Row i is multiplied by the lcm of its denominators and its slack and
+    artificial count in units of one over it (`scale`), so the start is an
+    integer matrix on the identity basis.  Row i reads ``M[i] / d`` with
+    ``b[i] / d`` on the right; pivots are integer-preserving Gauss-Jordan
+    (Edmonds 1967), whose divisions by d are exact.  Scaling a column
+    divides its reduced cost and its ratios by one positive constant, so
+    Bland's rule takes the pivots the unscaled tableau would.  A cost row
+    is integer over ``den * d`` (den from `_integer_cost`).
+    """
 
     def __init__(self, rows: list[Row], cost: list[Fraction]):
         self.nrows = len(rows)
         self.sigma: list[int] = [1 if rhs >= 0 else -1 for _, _, rhs in rows]
-        self.slack_col: list[int | None] = []
-        self.art_col: list[int | None] = []
+        cols = count(len(cost))
+        self.slack_col = [None if rel == "==" else next(cols) for _, rel, _ in rows]
+        # a row that reads <= once oriented has its slack as identity column
+        self.art_col = [
+            None if rel == ("<=" if sg == 1 else ">=") else next(cols)
+            for sg, (_, rel, _) in zip(self.sigma, rows)
+        ]
+        self.ncols = ncols = next(cols)
 
-        ncols = len(cost)
-        for _, rel, _ in rows:
-            if rel == "==":
-                self.slack_col.append(None)
-            else:
-                self.slack_col.append(ncols)
-                ncols += 1
-        for i, (_, rel, _) in enumerate(rows):
-            slack_sign = 1 if rel == "<=" else -1
-            if self.slack_col[i] is not None and self.sigma[i] * slack_sign == 1:
-                self.art_col.append(None)
-            else:
-                self.art_col.append(ncols)
-                ncols += 1
-        self.ncols = ncols
-
-        self.A = [[ZERO] * ncols for _ in range(self.nrows)]
-        self.b = [ZERO] * self.nrows
-        self.basis = [0] * self.nrows
-        for i, (coeffs, rel, rhs) in enumerate(rows):
-            sg = self.sigma[i]
+        self.M = [[0] * ncols for _ in rows]
+        self.b, self.d, self.scale = [0] * self.nrows, 1, [1] * ncols
+        self.basis = [self.initial_identity_column(i) for i in range(self.nrows)]
+        for i, (sg, row, (coeffs, rel, rhs)) in enumerate(zip(self.sigma, self.M, rows)):
+            lam = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
             for j, c in coeffs.items():
-                self.A[i][j] = sg * c
-            if self.slack_col[i] is not None:
-                self.A[i][self.slack_col[i]] = sg * (ONE if rel == "<=" else -ONE)
-            if self.art_col[i] is not None:
-                self.A[i][self.art_col[i]] = ONE
-            self.basis[i] = self.initial_identity_column(i)
-            self.b[i] = sg * rhs
+                row[j] = sg * c.numerator * (lam // c.denominator)
+            for col, entry in ((self.slack_col[i], sg if rel == "<=" else -sg), (self.art_col[i], 1)):
+                if col is not None:
+                    row[col], self.scale[col] = entry, lam
+            self.b[i] = sg * rhs.numerator * (lam // rhs.denominator)
 
         self.artificials = {c for c in self.art_col if c is not None}
         self.cost2 = list(cost) + [ZERO] * (ncols - len(cost))  # phase-2 costs, min form
         self.phase = 0  # index into `pivots`: 0 for phase 1, 1 for phase 2
         self.pivots = [0, 0]
 
-    def price(self, cost: list[Fraction]) -> list[Fraction]:
-        costrow = list(cost)
-        for i in range(self.nrows):
-            cb = cost[self.basis[i]]
-            if cb != 0:
-                row = self.A[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        costrow[j] -= cb * row[j]
+    def _integer_cost(self, cost: list[Fraction]) -> tuple[list[int], int]:
+        """Integers C and den with cost[j] / scale[j] == C[j] / den."""
+        dens = [c.denominator * s for c, s in zip(cost, self.scale)]
+        den = lcm(*(q for c, q in zip(cost, dens) if c))
+        return [c.numerator * (den // q) for c, q in zip(cost, dens)], den
+
+    def price(self, cost: list[Fraction]) -> list[int]:
+        """The reduced costs of `cost` (given per unscaled column) over ``den * d``."""
+        C, _ = self._integer_cost(cost)
+        costrow = [c * self.d for c in C]
+        for k, row in zip(self.basis, self.M):
+            if C[k] != 0:
+                costrow = [z - C[k] * v for z, v in zip(costrow, row)]
         return costrow
 
-    def objective_value(self, cost: list[Fraction]) -> Fraction:
-        return sum((cost[self.basis[i]] * self.b[i] for i in range(self.nrows)), ZERO)
+    def reduced_costs(self, cost: list[Fraction], costrow: list[int]) -> list[Fraction]:
+        """`costrow`, priced from `cost`, as `Fraction`s per unscaled column."""
+        _, den = self._integer_cost(cost)
+        return [Fraction(z * s, den * self.d) for z, s in zip(costrow, self.scale)]
 
-    def pivot(self, r: int, e: int, costrow: list[Fraction]) -> None:
+    def pivot(self, r: int, e: int, costrow: list[int]) -> None:
         self.pivots[self.phase] += 1
-        row = self.A[r]
-        piv = row[e]
-        if piv != 1:
-            inv = ONE / piv
-            self.A[r] = row = [v * inv for v in row]
-            self.b[r] *= inv
-        nz = [j for j, v in enumerate(row) if v != 0]
-        br = self.b[r]
+        M, b, d = self.M, self.b, self.d
+        row, br = M[r], b[r]
+        p = row[e]
+        if p < 0:  # the pivot row negated keeps d > 0
+            M[r] = row = [-v for v in row]
+            b[r] = br = -br
+            p = -p
         for i in range(self.nrows):
-            if i == r:
+            f = M[i][e]
+            if i == r or (f == 0 and p == d):
                 continue
-            f = self.A[i][e]
-            if f != 0:
-                target = self.A[i]
-                for j in nz:
-                    target[j] -= f * row[j]
-                self.b[i] -= f * br
+            M[i] = [(p * v - f * w) // d for v, w in zip(M[i], row)]
+            b[i] = (p * b[i] - f * br) // d
         f = costrow[e]
-        if f != 0:
-            for j in nz:
-                costrow[j] -= f * row[j]
+        if f != 0 or p != d:
+            costrow[:] = [(p * v - f * w) // d for v, w in zip(costrow, row)]
+        self.d = p
         self.basis[r] = e
 
-    def run(self, costrow: list[Fraction], banned: frozenset[int]) -> int | None:
+    def run(self, costrow: list[int], banned: frozenset[int]) -> int | None:
         """Bland pivoting to optimality; returns an entering column on unboundedness."""
         # Bland's rule terminates; the cap only turns a would-be bug into a
         # loud failure instead of a hang
         budget = 1000 * (self.nrows + self.ncols) + 10_000
+        M, b, basis = self.M, self.b, self.basis
         for _ in range(budget):
-            enter = None
-            for j in range(self.ncols):
-                if j not in banned and costrow[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j, z in enumerate(costrow) if z < 0 and j not in banned), None)
             if enter is None:
                 return None
-            best = None
+            # least ratio b[i] / a, compared crosswise; ties to the lower basis index
+            best, bb, ba = None, 0, 1
             for i in range(self.nrows):
-                aij = self.A[i][enter]
-                if aij > 0:
-                    key = (self.b[i] / aij, self.basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
+                a = M[i][enter]
+                if a > 0:
+                    lhs, rhs = b[i] * ba, bb * a
+                    if best is None or lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                        best, bb, ba = i, b[i], a
             if best is None:
                 return enter
-            self.pivot(best[1], enter, costrow)
+            self.pivot(best, enter, costrow)
         raise CertificateError("pivot budget exceeded; anti-cycling rule violated")
 
     def initial_identity_column(self, i: int) -> int:
@@ -549,11 +548,16 @@ class _Tableau:
         return col if col is not None else self.slack_col[i]
 
     def max_bits(self) -> int:
+        # entry j of row i, unscaled, is M[i][j] * scale[j] / (d * scale[basis[i]]);
         # the bit-length of |p| | q is the larger of those of p and q
-        return max(
-            (abs(v.numerator) | v.denominator for row in self.A + [self.b] for v in row),
-            default=0,
-        ).bit_length()
+        best = 0
+        for i, k in enumerate(self.basis):
+            q = self.d * self.scale[k]
+            for v, s in zip(self.M[i] + [self.b[i]], self.scale + [1]):
+                if v != 0:  # a zero is 0/1, and row i holds d over its basic column
+                    g = gcd(v * s, q)
+                    best = max(best, abs(v * s) // g | q // g)
+        return best.bit_length()
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -589,24 +593,24 @@ def _simplex(lp: LinearProgram, rows: list[Row], pre: _Presolved, t: _Tableau) -
         costrow = t.price(cost1)
         if t.run(costrow, banned=frozenset()) is not None:
             raise CertificateError("phase 1 cannot be unbounded")
-        if t.objective_value(cost1) > 0:
-            return Infeasible(_farkas(rows, pre.weights(t, cost1, costrow)))
+        if any(v > 0 for k, v in zip(t.basis, t.b) if k in t.artificials):  # phase-1 value > 0
+            return Infeasible(_farkas(rows, pre.weights(t, cost1, t.reduced_costs(cost1, costrow))))
         _drive_out_artificials(t)
     t.phase = 1
 
     costrow = t.price(t.cost2)
     enter = t.run(costrow, banned=frozenset(t.artificials))
     if enter is not None:
-        step = {enter: ONE}
-        for i in range(t.nrows):
-            if t.A[i][enter] != 0:
-                step[t.basis[i]] = -t.A[i][enter]
+        step = {k: Fraction(-row[enter] * t.scale[enter], t.d * t.scale[k])
+                for k, row in zip(t.basis, t.M) if row[enter] != 0}
+        step[enter] = ONE
         direction = pre.point(step, shifted=False)
         return Unbounded({name: d for name, d in zip(lp.variables, direction) if d != 0})
 
-    x = pre.point({t.basis[i]: t.b[i] for i in range(t.nrows)})
+    x = pre.point({k: Fraction(v, t.d * t.scale[k]) for k, v in zip(t.basis, t.b)})
     sign = ONE if lp.sense == "min" else -ONE
-    dual = {i: sign * w for i, w in enumerate(pre.weights(t, t.cost2, costrow)) if w != 0}
+    weights = pre.weights(t, t.cost2, t.reduced_costs(t.cost2, costrow))
+    dual = {i: sign * w for i, w in enumerate(weights) if w != 0}
     value = sum((lp.objective.get(name, ZERO) * v for name, v in zip(lp.variables, x)), ZERO)
     return Optimal(value, dict(zip(lp.variables, x)), dual)
 
@@ -615,14 +619,9 @@ def _drive_out_artificials(t: _Tableau) -> None:
     for i in range(t.nrows):
         if t.basis[i] in t.artificials:
             # at phase-1 optimum zero, so any nonzero real entry pivots at ratio 0
-            row = t.A[i]
-            enter = next(
-                (j for j in range(t.ncols) if j not in t.artificials and row[j] != 0),
-                None,
-            )
+            enter = next((j for j, v in enumerate(t.M[i]) if v != 0 and j not in t.artificials), None)
             if enter is not None:
-                dummy = [ZERO] * t.ncols
-                t.pivot(i, enter, dummy)
+                t.pivot(i, enter, [0] * t.ncols)
             # else: redundant row; the artificial stays basic at value 0
 
 

@@ -1,5 +1,6 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
-the split-tableau simplex, the subset scan for minimal transversals, the
+the split-tableau simplex, the presolved simplex on a `Fraction` tableau
+(`fraction_tableau_solve`), the subset scan for minimal transversals, the
 pairwise scans for minimal elements and antichains, the recursive union-closed
 enumerator with its f_2 check, and the cover-law suite on `SetFamily`
 values.
@@ -15,6 +16,7 @@ feasibility and objective, so some optimum is orbit-constant.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -27,7 +29,12 @@ from ucfreq.ratlp import (
     LinearProgram,
     LpOutcome,
     Optimal,
+    Row,
     Unbounded,
+    _certified,
+    _farkas,
+    _Presolved,
+    _presolve_bounds,
     materialized_rows,
     verify_infeasibility,
     verify_optimality,
@@ -350,6 +357,193 @@ def _extract_ray(lp: LinearProgram, t: _Tableau, enter: int) -> dict[str, Fracti
         for j, name in enumerate(lp.variables)
         if delta.get(j, ZERO) != delta.get(t.nvars + j, ZERO)
     }
+
+
+# The presolved simplex as it was before `ratlp._Tableau` went integer: the
+# same presolve, two phases and Bland's rule on a dense `Fraction` tableau.
+# It stays as the reference for the integer tableau's outcomes and stats.
+
+class _FractionTableau:
+    """Dense equality-form `Fraction` tableau. Columns: the presolved x', slacks, artificials."""
+
+    def __init__(self, rows: list[Row], cost: list[Fraction]):
+        self.nrows = len(rows)
+        self.sigma: list[int] = [1 if rhs >= 0 else -1 for _, _, rhs in rows]
+        self.slack_col: list[int | None] = []
+        self.art_col: list[int | None] = []
+
+        ncols = len(cost)
+        for _, rel, _ in rows:
+            if rel == "==":
+                self.slack_col.append(None)
+            else:
+                self.slack_col.append(ncols)
+                ncols += 1
+        for i, (_, rel, _) in enumerate(rows):
+            slack_sign = 1 if rel == "<=" else -1
+            if self.slack_col[i] is not None and self.sigma[i] * slack_sign == 1:
+                self.art_col.append(None)
+            else:
+                self.art_col.append(ncols)
+                ncols += 1
+        self.ncols = ncols
+
+        self.A = [[ZERO] * ncols for _ in range(self.nrows)]
+        self.b = [ZERO] * self.nrows
+        self.basis = [0] * self.nrows
+        for i, (coeffs, rel, rhs) in enumerate(rows):
+            sg = self.sigma[i]
+            for j, c in coeffs.items():
+                self.A[i][j] = sg * c
+            if self.slack_col[i] is not None:
+                self.A[i][self.slack_col[i]] = sg * (ONE if rel == "<=" else -ONE)
+            if self.art_col[i] is not None:
+                self.A[i][self.art_col[i]] = ONE
+            self.basis[i] = self.initial_identity_column(i)
+            self.b[i] = sg * rhs
+
+        self.artificials = {c for c in self.art_col if c is not None}
+        self.cost2 = list(cost) + [ZERO] * (ncols - len(cost))  # phase-2 costs, min form
+        self.phase = 0  # index into `pivots`: 0 for phase 1, 1 for phase 2
+        self.pivots = [0, 0]
+
+    def price(self, cost: list[Fraction]) -> list[Fraction]:
+        costrow = list(cost)
+        for i in range(self.nrows):
+            cb = cost[self.basis[i]]
+            if cb != 0:
+                row = self.A[i]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        costrow[j] -= cb * row[j]
+        return costrow
+
+    def objective_value(self, cost: list[Fraction]) -> Fraction:
+        return sum((cost[self.basis[i]] * self.b[i] for i in range(self.nrows)), ZERO)
+
+    def pivot(self, r: int, e: int, costrow: list[Fraction]) -> None:
+        self.pivots[self.phase] += 1
+        row = self.A[r]
+        piv = row[e]
+        if piv != 1:
+            inv = ONE / piv
+            self.A[r] = row = [v * inv for v in row]
+            self.b[r] *= inv
+        nz = [j for j, v in enumerate(row) if v != 0]
+        br = self.b[r]
+        for i in range(self.nrows):
+            if i == r:
+                continue
+            f = self.A[i][e]
+            if f != 0:
+                target = self.A[i]
+                for j in nz:
+                    target[j] -= f * row[j]
+                self.b[i] -= f * br
+        f = costrow[e]
+        if f != 0:
+            for j in nz:
+                costrow[j] -= f * row[j]
+        self.basis[r] = e
+
+    def run(self, costrow: list[Fraction], banned: frozenset[int]) -> int | None:
+        """Bland pivoting to optimality; returns an entering column on unboundedness."""
+        # Bland's rule terminates; the cap only turns a would-be bug into a
+        # loud failure instead of a hang
+        budget = 1000 * (self.nrows + self.ncols) + 10_000
+        for _ in range(budget):
+            enter = None
+            for j in range(self.ncols):
+                if j not in banned and costrow[j] < 0:
+                    enter = j
+                    break
+            if enter is None:
+                return None
+            best = None
+            for i in range(self.nrows):
+                aij = self.A[i][enter]
+                if aij > 0:
+                    key = (self.b[i] / aij, self.basis[i])
+                    if best is None or key < best[0]:
+                        best = (key, i)
+            if best is None:
+                return enter
+            self.pivot(best[1], enter, costrow)
+        raise CertificateError("pivot budget exceeded; anti-cycling rule violated")
+
+    def initial_identity_column(self, i: int) -> int:
+        col = self.art_col[i]
+        return col if col is not None else self.slack_col[i]
+
+    def max_bits(self) -> int:
+        # the bit-length of |p| | q is the larger of those of p and q
+        return max(
+            (abs(v.numerator) | v.denominator for row in self.A + [self.b] for v in row),
+            default=0,
+        ).bit_length()
+
+
+def fraction_tableau_solve(lp: LinearProgram) -> LpOutcome:
+    """`ratlp.solve` on the `Fraction` tableau: the same presolve, pivots,
+    certificates and `SolveStats` (but wall time)."""
+    started = time.perf_counter()
+    lp.validate()
+    rows = materialized_rows(lp)
+    lower, upper = _presolve_bounds(len(lp.variables), rows)
+    for lo, hi in zip(lower, upper):
+        if lo is not None and hi is not None and lo.value > hi.value:
+            # x >= l and x <= u add up to 0 <= u - l < 0
+            y = [ZERO] * len(rows)
+            y[lo.row] += ONE / lo.coeff
+            y[hi.row] -= ONE / hi.coeff
+            return _certified(lp, Infeasible(_farkas(rows, y)), None, started)
+    pre = _Presolved(lp, rows, lower, upper)
+    t = _FractionTableau(pre.rows, pre.cost)
+    return _certified(lp, _fraction_simplex(lp, rows, pre, t), t, started)
+
+
+def _fraction_simplex(lp: LinearProgram, rows: list[Row], pre: _Presolved, t: _FractionTableau) -> LpOutcome:
+    """Two phases on the presolved tableau; outcomes are stated over `lp`."""
+    if t.artificials:
+        cost1 = [ONE if j in t.artificials else ZERO for j in range(t.ncols)]
+        costrow = t.price(cost1)
+        if t.run(costrow, banned=frozenset()) is not None:
+            raise CertificateError("phase 1 cannot be unbounded")
+        if t.objective_value(cost1) > 0:
+            return Infeasible(_farkas(rows, pre.weights(t, cost1, costrow)))
+        _fraction_drive_out_artificials(t)
+    t.phase = 1
+
+    costrow = t.price(t.cost2)
+    enter = t.run(costrow, banned=frozenset(t.artificials))
+    if enter is not None:
+        step = {enter: ONE}
+        for i in range(t.nrows):
+            if t.A[i][enter] != 0:
+                step[t.basis[i]] = -t.A[i][enter]
+        direction = pre.point(step, shifted=False)
+        return Unbounded({name: d for name, d in zip(lp.variables, direction) if d != 0})
+
+    x = pre.point({t.basis[i]: t.b[i] for i in range(t.nrows)})
+    sign = ONE if lp.sense == "min" else -ONE
+    dual = {i: sign * w for i, w in enumerate(pre.weights(t, t.cost2, costrow)) if w != 0}
+    value = sum((lp.objective.get(name, ZERO) * v for name, v in zip(lp.variables, x)), ZERO)
+    return Optimal(value, dict(zip(lp.variables, x)), dual)
+
+
+def _fraction_drive_out_artificials(t: _FractionTableau) -> None:
+    for i in range(t.nrows):
+        if t.basis[i] in t.artificials:
+            # at phase-1 optimum zero, so any nonzero real entry pivots at ratio 0
+            row = t.A[i]
+            enter = next(
+                (j for j in range(t.ncols) if j not in t.artificials and row[j] != 0),
+                None,
+            )
+            if enter is not None:
+                dummy = [ZERO] * t.ncols
+                t.pivot(i, enter, dummy)
+            # else: redundant row; the artificial stays basic at value 0
 
 
 def random_bounded_program(rng: random.Random) -> LinearProgram:

@@ -7,6 +7,7 @@ import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,10 @@ def flex_family_text(tmp_path):
     path.write_text(family_to_text(union_closure(fam)))
     return str(path)
 
+
+# `solve-case --dump-lp` output of the eight cells and aux: the programs and
+# certificates byte for byte
+DUMP_LP_PINNED = Path(__file__).resolve().parent / "demo_output" / "dump_lp"
 
 TABLE_CSV = (
     "s,|C|=0,|C|=1,|C|=2,|C|=3+\n"
@@ -129,6 +134,13 @@ class TestSolveCommands:
         assert "floor_q_a: q_a >= 2" in out
         assert "status: optimal" in out
         assert "value: 81" in out
+
+    @pytest.mark.parametrize(
+        "s, c", [(s, c) for s in ("4", "5") for c in ("0", "1", "2", "3")] + [("5", "aux")]
+    )
+    def test_dump_lp_is_pinned(self, capsys, s, c):
+        assert main(["solve-case", "--s", s, "--c", c, "--dump-lp"]) == 0
+        assert capsys.readouterr().out == (DUMP_LP_PINNED / f"s{s}_c{c}.txt").read_text()
 
     def test_dump_lp_refuses_approx(self, capsys):
         assert main(["solve-case", "--s", "4", "--c", "0", "--dump-lp", "--approx"]) == 1

@@ -15,11 +15,13 @@ import pytest
 from oracle_models import reduced_full_symmetry, reduced_one_marked_role
 
 from ucfreq.lpmodel import (
+    CaseResult,
     CaseSpec,
     Scenario,
     all_subsets,
     bounds_table,
     build_base,
+    case_program,
     covered_pair_cap_constraint,
     doubled_trace_targets,
     frequency_cap_constant,
@@ -222,6 +224,14 @@ class TestCases:
         for res in results:
             assert EXPECTED_TABLE[(res.spec.s, res.spec.scenario)] == res.bound
             assert recheck(res)
+
+    def test_recheck_refuses_a_value_off_the_objective(self):
+        # same point and dual, so the certificate itself still verifies
+        res = solve_case(CaseSpec(4, Scenario.C0))
+        assert res.bound == 81 and recheck(res)
+        tampered = CaseResult(res.spec, Optimal(F(82), res.outcome.assignment, res.outcome.dual))
+        assert verify_optimality(case_program(res.spec), tampered.outcome.assignment, tampered.outcome.dual)
+        assert not recheck(tampered)
 
     def test_infeasible_cell_has_farkas(self):
         res = solve_case(CaseSpec(4, Scenario.C3PLUS))

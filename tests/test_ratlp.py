@@ -2,9 +2,10 @@
 
 The randomized suites compare simplex output against `brute_force_optimum`
 (exhaustive basic-point enumeration over Gaussian-solved row subsets), an
-algorithm with no code in common with the simplex path, and against the
+algorithm with no code in common with the simplex path, against the
 split-tableau simplex that ran before the presolve, which keeps every bound
-as a row.
+as a row, and against the presolved simplex on a `Fraction` tableau, which
+must take the same pivots and give equal outcomes and `SolveStats`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracle_models import random_bounded_program, random_box_program, split_tableau_solve
+from oracle_models import (
+    fraction_tableau_solve,
+    random_bounded_program,
+    random_box_program,
+    split_tableau_solve,
+)
 
 import ucfreq
+from ucfreq import lpmodel, ratlp
 from ucfreq.ratlp import (
     Infeasible,
     LinearConstraint,
@@ -472,3 +479,126 @@ def test_reimport_releases_the_previous_module(monkeypatch):
     del module
     gc.collect()
     assert first() is None
+
+
+# ---------------------------------------------------------------------------
+# integer tableau: the same pivots, outcomes and stats as the Fraction one
+# ---------------------------------------------------------------------------
+
+def assert_matches_fraction_tableau(lp: LinearProgram):
+    new, ref = solve(lp), fraction_tableau_solve(lp)
+    assert new == ref  # status, value, assignment, dual, Farkas weights, ray
+    assert new.stats._replace(wall_ms=0) == ref.stats._replace(wall_ms=0)
+    assert_certified(lp, new)
+    return new
+
+
+def paper_programs() -> dict[str, LinearProgram]:
+    """The 13 programs behind the published numbers: eight cells, aux, the
+    two base programs and the two `min-objective` ones."""
+    out = {
+        f"s{spec.s}_{spec.scenario.value}": lpmodel.case_program(spec)
+        for spec in [lpmodel.CaseSpec(s, sc) for s in (4, 5) for sc in lpmodel.GRID]
+        + [lpmodel.CaseSpec(5, lpmodel.Scenario.PAIR_CAP)]
+        + [lpmodel.CaseSpec(s, lpmodel.Scenario.BASE) for s in (4, 5)]
+    }
+    for s, objective in ((4, {"q_a": F(1)}), (5, {f"q_{y}": F(1) for y in "abcde"})):
+        lp = lpmodel.build_base(s)
+        lp.objective = objective
+        out[f"s{s}_min_objective"] = lp
+    return out
+
+
+PAPER_PROGRAMS = paper_programs()
+
+
+@pytest.fixture
+def tableau_log(monkeypatch):
+    """Records every integer tableau `solve` finishes with, each pivot element
+    before its pivot, and each column `run` returns as unbounded."""
+    log = {"tableaus": [], "pivots": [], "unbounded_on": []}
+    certified, pivot, run = ratlp._certified, ratlp._Tableau.pivot, ratlp._Tableau.run
+
+    def spy_certified(lp, outcome, t, started):
+        log["tableaus"].append(t)
+        return certified(lp, outcome, t, started)
+
+    def spy_pivot(t, r, e, costrow):
+        log["pivots"].append(t.M[r][e])
+        pivot(t, r, e, costrow)
+
+    def spy_run(t, costrow, banned):
+        enter = run(t, costrow, banned)
+        if enter is not None:
+            log["unbounded_on"].append((t, enter))
+        return enter
+
+    monkeypatch.setattr(ratlp, "_certified", spy_certified)
+    monkeypatch.setattr(ratlp._Tableau, "pivot", spy_pivot)
+    monkeypatch.setattr(ratlp._Tableau, "run", spy_run)
+    return log
+
+
+class TestIntegerTableau:
+    @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
+    def test_hand_programs(self, name):
+        assert_matches_fraction_tableau(HAND_PROGRAMS[name]())
+
+    @pytest.mark.parametrize("name", sorted(PAPER_PROGRAMS))
+    def test_paper_programs(self, name):
+        assert isinstance(assert_matches_fraction_tableau(PAPER_PROGRAMS[name]), Optimal | Infeasible)
+
+    def test_random_bounded_programs(self):
+        rng = random.Random(6011)
+        kinds = Counter()
+        for _ in range(400):
+            kinds[type(assert_matches_fraction_tableau(random_bounded_program(rng)))] += 1
+        assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 40
+
+    def test_random_box_programs(self):
+        rng = random.Random(6012)
+        for _ in range(200):
+            assert_matches_fraction_tableau(random_box_program(rng))
+
+    def test_negative_pivot_driving_out_an_artificial(self, tableau_log):
+        # -x/2 - y/3 == 0 leaves its artificial basic at zero after phase 1,
+        # with only negative entries to pivot it out on: d flips sign
+        lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(1)}, lower={"x": F(0), "y": F(0)})
+        lp.add({"x": F(-1, 2), "y": F(-1, 3)}, "==", 0)
+        lp.add({"x": 1, "y": 2}, "<=", F(5, 2))
+        out = assert_matches_fraction_tableau(lp)
+        assert out.value == 0
+        assert min(tableau_log["pivots"]) < 0
+        (t,) = tableau_log["tableaus"]
+        assert t.d > 0
+
+    def test_redundant_equality_keeps_its_artificial(self, tableau_log):
+        lp = LinearProgram(("x", "y"), "min", {"x": F(1)}, lower={"x": F(0), "y": F(0)})
+        lp.add({"x": F(1, 2), "y": F(1, 3)}, "==", 1)
+        lp.add({"x": 3, "y": 2}, "==", 6)
+        out = assert_matches_fraction_tableau(lp)
+        assert out.value == 0
+        (t,) = tableau_log["tableaus"]
+        assert any(k in t.artificials for k in t.basis)
+
+    def test_coprime_denominators_in_one_row(self, tableau_log):
+        lp = LinearProgram(("x", "y", "z"), "max", {"x": F(1), "y": F(1), "z": F(1)},
+                           lower={"x": F(0), "y": F(0), "z": F(0)})
+        lp.add({"x": F(1, 2), "y": F(1, 3), "z": F(1, 7)}, "<=", 1)
+        lp.add({"x": 1, "z": 1}, ">=", 1)
+        out = assert_matches_fraction_tableau(lp)
+        assert out.value == 7
+        (t,) = tableau_log["tableaus"]
+        assert t.scale[t.slack_col[0]] == 42
+        assert t.M[0][:3] != [0, 0, 0]
+        assert all(isinstance(v, int) for row in t.M for v in row)
+
+    def test_ray_entering_on_a_scaled_slack(self, tableau_log):
+        # min -x under x/2 + y/3 >= 1: the surplus of that row (scale 6) enters unbounded
+        lp = LinearProgram(("x", "y"), "min", {"x": F(-1)}, lower={"x": F(0), "y": F(0)})
+        lp.add({"x": F(1, 2), "y": F(1, 3)}, ">=", 1)
+        out = assert_matches_fraction_tableau(lp)
+        assert out == Unbounded({"x": F(2)})
+        ((t, enter),) = tableau_log["unbounded_on"]
+        assert enter == t.slack_col[0] and t.scale[enter] == 6
+
