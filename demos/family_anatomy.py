@@ -39,9 +39,10 @@ print()
 base = mask_of([2, 3, 4])
 counts = trace_counts(fam, base)
 print(f"Trace counts over S = {format_mask(base)} (q_T = members meeting S exactly in T):")
-for t, q in counts.counts.items():
+for t, q in counts.items():
     print(f"  q_{format_mask(t)} = {q}")
-print(f"  total = {counts.total()} = |F|, weighted = {counts.weighted_total()} = incidence")
+weighted = sum(q * t.bit_count() for t, q in counts.items())
+print(f"  total = {sum(counts.values())} = |F|, weighted = {weighted} = incidence")
 print()
 
 print(f"Covered elements of S by x=5: {covered_set(fam, base, 5)}")

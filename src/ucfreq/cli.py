@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from .ratlp import CertificateError, Optimal, format_certificate, format_lp
 OK, USAGE_ERROR, BAD_FAMILY, INTERNAL_ERROR = 0, 1, 2, 3
 
 MAX_OUTPUT = 100_000  # minimal covers or 2-good sets listed at most; there can be 3^(n/3)
-PROGRESS_INTERVAL_S = 0.5  # `search-nagel` prints at most one progress line this often
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,7 +39,10 @@ class FamilyInputError(Exception):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -49,7 +50,7 @@ def _emit(text: str, out: str | None) -> None:
 def _load_family(path: str, fmt: str | None, add_empty: bool) -> setfam.SetFamily:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FamilyInputError(f"cannot read {path}: {exc}") from exc
     kind = fmt or ("json" if path.endswith(".json") else "text")
     try:
@@ -217,20 +218,6 @@ def _cmd_covers(args) -> int:
     return OK
 
 
-def _progress_lines(clock=time.monotonic) -> search.Progress:
-    """Print "checked N families" to stderr at most once per PROGRESS_INTERVAL_S of `clock`."""
-    last = clock()
-
-    def progress(checked: int) -> None:
-        nonlocal last
-        now = clock()
-        if now - last >= PROGRESS_INTERVAL_S:
-            last = now
-            print(f"checked {checked} families", file=sys.stderr)
-
-    return progress
-
-
 def _cmd_search_nagel(args) -> int:
     spec = search.EnumerationSpec(
         args.n,
@@ -238,8 +225,7 @@ def _cmd_search_nagel(args) -> int:
         require_ground_coverage=True,
         max_family_size=args.max_family_size,
     )
-    progress = None if args.quiet else _progress_lines()
-    report = search.verify_nagel_k2(spec, progress=progress)
+    report = search.verify_nagel_k2(spec)
     _emit(json.dumps(report.to_json_dict(max_witnesses=args.max_witnesses), indent=2) + "\n", args.out)
     return OK if report.passed else INTERNAL_ERROR
 
@@ -317,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-empty", action="store_true")
     p.add_argument("--max-family-size", type=_int_at_least(1))
     p.add_argument("--max-witnesses", type=_int_at_least(0), default=16)
-    p.add_argument("--quiet", action="store_true", help="suppress stderr progress")
     common(p)
     p.set_defaults(handler=_cmd_search_nagel)
 

@@ -68,14 +68,18 @@ def all_subsets(s: int) -> tuple[Subset, ...]:
     return tuple(out)
 
 
-def build_base(s: int) -> LinearProgram:
+def build_base(s: int, doubled: Iterable[Subset] = ()) -> LinearProgram:
     """The base program: minimize the family size under the trace constraints.
 
-    Rows, in order: one cap per role, one q_T >= 1 floor per subset, and
-    the two-member ceiling q_empty <= 2 (only the empty set and the
-    distinguished singleton can miss S).
+    Rows, in order: one cap per role, one q_T >= 1 floor per subset (q_T >= 2
+    for each T in `doubled`), and the two-member ceiling q_empty <= 2 (only
+    the empty set and the distinguished singleton can miss S).
     """
     subsets = all_subsets(s)
+    raised = set(doubled)
+    unknown = raised - set(subsets)
+    if unknown:
+        raise ValueError(f"no floor rows for {sorted(f'floor_{subset_name(t)}' for t in unknown)}")
     names = tuple(subset_name(t) for t in subsets)
     lp = LinearProgram(names, "min", {name: Fraction(1) for name in names})
     for y in role_letters(s):
@@ -84,7 +88,7 @@ def build_base(s: int) -> LinearProgram:
         }
         lp.add(coeffs, "<=", 0, label=f"cap_{y}")
     for t in subsets:
-        lp.add({subset_name(t): 1}, ">=", 1, label=f"floor_{subset_name(t)}")
+        lp.add({subset_name(t): 1}, ">=", 2 if t in raised else 1, label=f"floor_{subset_name(t)}")
     lp.add({"q_empty": 1}, "<=", 2, label="ceil_q_empty")
     return lp
 
@@ -113,25 +117,6 @@ def doubled_trace_targets(
         for t in all_subsets(s)
         if (a in t and not t & cov) or len(t & cov) >= 2
     )
-
-
-def raise_trace_floors(lp: LinearProgram, targets: Iterable[Subset]) -> LinearProgram:
-    """Copy of `lp` with the floor of q_T raised to 2 for each target subset."""
-    labels = {f"floor_{subset_name(t)}" for t in targets}
-    missing = labels - {con.label for con in lp.constraints}
-    if missing:
-        raise ValueError(f"no floor rows for {sorted(missing)}")
-    out = LinearProgram(
-        lp.variables, lp.sense, dict(lp.objective),
-        lower=dict(lp.lower), upper=dict(lp.upper),
-    )
-    out.constraints = [
-        LinearConstraint(dict(con.coeffs), con.relation, 2, con.label)
-        if con.label in labels
-        else con
-        for con in lp.constraints
-    ]
-    return out
 
 
 def frequency_cap_constant(s: int, covered_size: int) -> int:
@@ -237,24 +222,17 @@ class CaseResult:
         """The optimum, or None when the cell is infeasible."""
         return self.outcome.value if isinstance(self.outcome, Optimal) else None
 
-    @property
-    def bound_text(self) -> str:
-        return render_bound(self.bound)
-
 
 def case_program(spec: CaseSpec) -> LinearProgram:
     """The exact program attached to one cell of the case analysis."""
     s, scenario = spec.s, spec.scenario
-    lp = build_base(s)
-    if scenario is Scenario.BASE:
-        return lp
-    if scenario is Scenario.PAIR_CAP:
-        lp.constraints.append(covered_pair_cap_constraint(s))
-        return lp
     covered = scenario.covered_roles
+    targets = ()
     if scenario in (Scenario.C0, Scenario.C1, Scenario.C2):
         targets = doubled_trace_targets(s, "a", covered)
-        lp = raise_trace_floors(lp, targets)
+    lp = build_base(s, targets)
+    if scenario is Scenario.PAIR_CAP:
+        lp.constraints.append(covered_pair_cap_constraint(s))
     if scenario is Scenario.C1:
         # mirrors the published tally of extra constraints: 4+3 and 8+3
         assert len(targets) == {4: 4, 5: 8}[s]
@@ -329,7 +307,7 @@ def table_to_json(results: Iterable[CaseResult], certificates: bool = False) -> 
             "s": r.spec.s,
             "c": COLUMN_KEYS[GRID.index(r.spec.scenario)],
             "status": "infeasible" if r.bound is None else "optimal",
-            "bound": r.bound_text,
+            "bound": render_bound(r.bound),
         }
         if certificates:
             if isinstance(r.outcome, Optimal):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .setfam import (
     Mask,
@@ -46,9 +46,6 @@ from .setfam import (
 )
 
 ENUMERATION_LIMIT = 5  # full union-closed enumeration is guarded above this
-
-Progress = Callable[[int], None] | None
-PROGRESS_STRIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,7 @@ def enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
 F2_FLOOR = Fraction(1, 3)
 
 
-def verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) -> VerificationReport:
+def verify_nagel_k2(spec: EnumerationSpec) -> VerificationReport:
     """Check f_2 >= 1/3 over every enumerated family.
 
     Requires ground coverage and n >= 2, so each family's ground set
@@ -203,8 +200,6 @@ def verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) -> Verific
     witnesses: list[tuple[Mask, ...]] = []
     for chosen, counts in _walk_union_closed(spec):
         checked += 1
-        if progress and checked % PROGRESS_STRIDE == 0:
-            progress(checked)
         size = len(chosen)
         c2 = sorted(counts)[-2]
         if not witnesses or c2 * low_size < low * size:
@@ -341,7 +336,7 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
         raise ValueError(f"base set {format_mask(s)} is not minimal 2-good")
     report = VerificationReport(families_checked=1)
     size = s.bit_count()
-    counts = trace_counts(fam, s).counts
+    counts = trace_counts(fam, s)
     freqs = element_frequencies(fam)
 
     maximal_incidence = None

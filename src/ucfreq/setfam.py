@@ -338,29 +338,13 @@ def incidence(fam: SetFamily, s: Mask) -> int:
     return sum((a & s).bit_count() for a in fam.sets)
 
 
-@dataclass(frozen=True)
-class TraceCounts:
-    """For a base set S, the total map T -> #{A in F : A & S == T} over T <= S."""
-
-    base: Mask
-    counts: dict[Mask, int]
-
-    def __getitem__(self, t: Mask) -> int:
-        return self.counts[t]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def weighted_total(self) -> int:
-        return sum(q * t.bit_count() for t, q in self.counts.items())
-
-
-def trace_counts(fam: SetFamily, s: Mask) -> TraceCounts:
-    """Count members by their trace on `s`; every subset of `s` gets an entry."""
+def trace_counts(fam: SetFamily, s: Mask) -> dict[Mask, int]:
+    """Count members by their trace on `s`: T -> #{A in F : A & s == T}, with
+    an entry for every subset T of `s`."""
     counts = {t: 0 for t in submasks(s)}
     for a in fam.sets:
         counts[a & s] += 1
-    return TraceCounts(s, counts)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,7 @@ from ucfreq.ratlp import (
 from ucfreq.search import (
     ENUMERATION_LIMIT,
     F2_FLOOR,
-    PROGRESS_STRIDE,
     EnumerationSpec,
-    Progress,
     VerificationReport,
 )
 from ucfreq.setfam import (
@@ -667,7 +665,7 @@ def recursive_enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamil
     yield from walk(ground)
 
 
-def recursive_verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) -> VerificationReport:
+def recursive_verify_nagel_k2(spec: EnumerationSpec) -> VerificationReport:
     """Check f_2 >= 1/3 over every enumerated family.
 
     Requires ground coverage and n >= 2, so each family's ground set
@@ -680,8 +678,6 @@ def recursive_verify_nagel_k2(spec: EnumerationSpec, progress: Progress = None) 
     report = VerificationReport()
     for fam in recursive_enumerate_union_closed(spec):
         report.families_checked += 1
-        if progress and report.families_checked % PROGRESS_STRIDE == 0:
-            progress(report.families_checked)
         value = kth_frequency(fam, 2)[2]
         if report.min_f2 is None or value < report.min_f2:
             report.min_f2 = value

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ucfreq import cli, setfam
+from ucfreq import setfam
 from ucfreq.cli import MAX_OUTPUT, main
 from ucfreq.setfam import family, family_to_json, family_to_text, union_closure
 
@@ -37,6 +36,8 @@ def flex_family_text(tmp_path):
 # `solve-case --dump-lp` output of the eight cells and aux: the programs and
 # certificates byte for byte
 DUMP_LP_PINNED = Path(__file__).resolve().parent / "demo_output" / "dump_lp"
+# `search-nagel --n N` reports, byte for byte
+SEARCH_NAGEL_PINNED = Path(__file__).resolve().parent / "demo_output" / "search_nagel"
 
 TABLE_CSV = (
     "s,|C|=0,|C|=1,|C|=2,|C|=3+\n"
@@ -96,6 +97,15 @@ class TestTable:
         assert main(["table", "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("s,")
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "table.csv"
+        assert main(["table", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ucfreq: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestSolveCommands:
@@ -197,6 +207,15 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/f.json"]) == 2
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_is_usage_error(self, chain_family_json, tmp_path, capsys, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+        assert main(["analyze", chain_family_json, "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ucfreq: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         '{"n": 3, "sets": [1]}',
@@ -320,6 +339,17 @@ class TestFamilyFileInput:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"ucfreq: {path}: no sets in family input\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "covers", "check-lemmas --base 2"])
+    def test_non_utf8_file_is_bad_family(self, tmp_path, capsys, command):
+        path = tmp_path / "family.txt"
+        path.write_bytes(bytes.fromhex("fffe3120320a"))
+        name, *flags = command.split()
+        assert main([name, str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ucfreq: cannot read {path}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.fixture(scope="class")
     def folder(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz")
@@ -354,19 +384,19 @@ class TestFamilyFileInput:
 
 class TestSearchNagel:
     def test_n2_report(self, capsys):
-        assert main(["search-nagel", "--n", "2", "--quiet"]) == 0
+        assert main(["search-nagel", "--n", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["families_checked"] == 8
         assert doc["min_f2"] == "1/3"
         assert doc["passed"] is True
 
     def test_usage_error_on_n1(self, capsys):
-        assert main(["search-nagel", "--n", "1", "--quiet"]) == 1
+        assert main(["search-nagel", "--n", "1"]) == 1
 
     @pytest.mark.parametrize("n", ["0", "-1", "6"])
     def test_n_off_the_choices_is_usage_error(self, capsys, n):
         # the parser refuses it before `search` can raise on the size
-        assert main(["search-nagel", "--n", n, "--quiet"]) == 1
+        assert main(["search-nagel", "--n", n]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(
@@ -376,34 +406,33 @@ class TestSearchNagel:
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_max_family_size_below_one_is_usage_error(self, capsys, size):
         # a cap below one would check no family and report a pass
-        assert main(["search-nagel", "--n", "3", "--quiet", "--max-family-size", size]) == 1
+        assert main(["search-nagel", "--n", "3", "--max-family-size", size]) == 1
         assert capsys.readouterr().out == ""
 
     def test_negative_max_witnesses_is_usage_error(self, capsys):
-        assert main(["search-nagel", "--n", "3", "--quiet", "--max-witnesses", "-1"]) == 1
+        assert main(["search-nagel", "--n", "3", "--max-witnesses", "-1"]) == 1
         assert capsys.readouterr().out == ""
 
     def test_max_witnesses_caps_the_list(self, capsys):
-        assert main(["search-nagel", "--n", "3", "--quiet", "--max-witnesses", "2"]) == 0
+        assert main(["search-nagel", "--n", "3", "--max-witnesses", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["witnesses"]) == 2 and doc["witnesses_total"] == 3
 
-    def test_progress_at_most_one_line_per_interval(self, capsys):
-        ticks = iter([0.0, 0.1, 0.4, 0.5, 0.6, 0.99, 1.0, 5.0])
-        progress = cli._progress_lines(clock=lambda: next(ticks))
-        for k in range(1, 8):
-            progress(4096 * k)
-        assert capsys.readouterr().err.splitlines() == [
-            "checked 12288 families", "checked 24576 families", "checked 28672 families",
-        ]
+    @pytest.mark.parametrize("n", ["2", "3", "4"])
+    def test_report_is_pinned(self, capsys, n):
+        # and nothing goes to stderr: there is no progress output
+        assert main(["search-nagel", "--n", n]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (SEARCH_NAGEL_PINNED / f"n{n}.txt").read_text()
+        assert captured.err == ""
 
-    def test_progress_reaches_stderr(self, capsys, monkeypatch):
-        real = cli._progress_lines
-        seconds = itertools.count()  # a clock that moves one second per reading
-        monkeypatch.setattr(cli, "_progress_lines", lambda: real(clock=lambda: next(seconds)))
-        assert main(["search-nagel", "--n", "4"]) == 0
-        # 4542 families, polled once at 4096
-        assert capsys.readouterr().err == "checked 4096 families\n"
+    def test_quiet_is_a_usage_error(self, capsys):
+        assert main(["search-nagel", "--n", "2", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            "ucfreq: error: unrecognized arguments: --quiet"
+        ]
 
     def test_help_names_the_enumeration_limit(self, capsys):
         assert main(["search-nagel", "--help"]) == 0

@@ -28,7 +28,6 @@ from ucfreq.lpmodel import (
     frequency_cap_constraint,
     incidence_count_constraints,
     min_objective,
-    raise_trace_floors,
     recheck,
     solve_case,
     subset_name,
@@ -124,21 +123,27 @@ class TestDoubledTraceTargets:
 
 
 class TestRaiseTraceFloors:
+    """`build_base(s, doubled)` raises the floor rows of the doubled targets to 2."""
+
     def test_identity_on_empty_targets(self):
-        lp = build_base(4)
-        assert raise_trace_floors(lp, ()).constraints == lp.constraints
+        for s in (4, 5):
+            lp = build_base(s, ())
+            assert lp.constraints == case_program(CaseSpec(s, Scenario.BASE)).constraints
+            assert all(c.rhs == 1 for c in lp.constraints if c.label.startswith("floor_"))
 
     def test_raises_only_targets(self):
-        lp = raise_trace_floors(build_base(4), doubled_trace_targets(4, "a", ()))
-        floors = {c.label: c.rhs for c in lp.constraints if c.label.startswith("floor_")}
-        assert floors["floor_q_a"] == 2
-        assert floors["floor_q_ab"] == 2
-        assert floors["floor_q_b"] == 1
-        assert floors["floor_q_empty"] == 1
+        base = build_base(4)
+        lp = build_base(4, doubled_trace_targets(4, "a", ()))
+        assert [c.label for c in lp.constraints] == [c.label for c in base.constraints]
+        raised = {c.label for c, b in zip(lp.constraints, base.constraints) if c != b}
+        assert raised == {f"floor_{subset_name(t)}" for t in all_subsets(4) if "a" in t}
+        for c, b in zip(lp.constraints, base.constraints):
+            assert (c.coeffs, c.relation) == (b.coeffs, b.relation)
+            assert c.rhs == (2 if c.label in raised else b.rhs)
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError):
-            raise_trace_floors(build_base(4), (frozenset("ae"),))
+        with pytest.raises(ValueError, match="floor_q_ae"):
+            build_base(4, (frozenset("ae"),))
 
 
 class TestFrequencyCap:
@@ -245,11 +250,11 @@ class TestCases:
 
     def test_role_permutation_leaves_bounds_unchanged(self):
         # |C| = 2 with covered roles {d, e} instead of the positional {b, c}
-        lp = raise_trace_floors(build_base(5), doubled_trace_targets(5, "a", {"d", "e"}))
+        lp = build_base(5, doubled_trace_targets(5, "a", {"d", "e"}))
         lp.constraints.append(frequency_cap_constraint(5, {"d", "e"}))
         assert solve(lp).value == F(122)
         # |C| = 1 with covered role c instead of b
-        lp = raise_trace_floors(build_base(4), doubled_trace_targets(4, "a", {"c"}))
+        lp = build_base(4, doubled_trace_targets(4, "a", {"c"}))
         lp.constraints.extend(incidence_count_constraints(4, "c"))
         assert solve(lp).value == 81
 
