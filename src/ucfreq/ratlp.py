@@ -46,6 +46,14 @@ conditions and are independent of the solver internals; `solve` re-checks
 every certificate it emits against the program as given, every
 materialized row included, and raises `CertificateError` if its own
 output fails (which would be a bug, never a property of the input).
+
+The checks, `check_feasible` and `verify_ray` included, run on integers:
+each materialized row is multiplied by the positive lcm L_i of its
+denominators, a point or ray is written as integers over one positive
+denominator, and each weight y_i / L_i over one common denominator E.
+Every condition above then becomes an integer dot product, compared by
+cross-multiplying (an equality) or by its sign, which a positive scale
+does not change.  Nothing is rounded.
 """
 
 from __future__ import annotations
@@ -161,7 +169,8 @@ class SolveStats(NamedTuple):
     `rows`, `columns` and `artificials` give the shape of the tableau after
     presolve (all 0 when presolve alone decides the program), and
     `max_bits` the largest numerator or denominator bit-length in its
-    final matrix and right-hand side.  `wall_ms` includes re-verification.
+    final matrix and right-hand side.  `verify_ms` is the time spent
+    re-verifying the certificate, and `wall_ms` the whole call including it.
     """
 
     rows: int
@@ -170,6 +179,7 @@ class SolveStats(NamedTuple):
     phase1_pivots: int
     phase2_pivots: int
     wall_ms: float
+    verify_ms: float
     max_bits: int
 
 
@@ -204,16 +214,77 @@ LpOutcome = Optimal | Infeasible | Unbounded
 # feasibility / certificate checking (independent of the solver internals)
 # ---------------------------------------------------------------------------
 
-def _row_value(coeffs: dict[int, Fraction], x: Sequence[Fraction]) -> Fraction:
-    return sum((c * x[j] for j, c in coeffs.items()), ZERO)
+def _row_value(coeffs: dict[int, int | Fraction], x: Sequence[int | Fraction]) -> int | Fraction:
+    return sum(c * x[j] for j, c in coeffs.items())
 
 
-def _holds(lhs: Fraction, relation: str, rhs: Fraction) -> bool:
+def _holds(lhs: int | Fraction, relation: str, rhs: int | Fraction) -> bool:
     if relation == "<=":
         return lhs <= rhs
     if relation == ">=":
         return lhs >= rhs
     return lhs == rhs
+
+
+# A materialized row times the positive lcm L of its denominators:
+# (integer coefficients A, relation, integer right-hand side B, L).
+IntRow = tuple[dict[int, int], str, int, int]
+
+
+def _integer_rows(lp: LinearProgram) -> list[IntRow]:
+    out: list[IntRow] = []
+    for coeffs, rel, rhs in materialized_rows(lp):
+        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        out.append((
+            {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()},
+            rel,
+            rhs.numerator * (scale // rhs.denominator),
+            scale,
+        ))
+    return out
+
+
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers X and one positive D with values[j] == X[j] / D."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _weights_over_rows(rows: list[IntRow], weights: Mapping[int, Fraction], what: str) -> tuple[dict[int, int], int]:
+    """Integers Z and one positive E with weights[i] / L_i == Z[i] / E, so
+    that sum_i weights[i] * (row i) is sum_i Z[i] * (integer row i) / E.
+
+    Weights are read in row order and zeros are dropped."""
+    if any(isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(rows) for i in weights):
+        raise ValueError(f"{what} keys must index the materialized rows")
+    nonzero = [(i, w) for i in sorted(weights) if (w := _rat(weights[i])) != 0]
+    e = lcm(*(w.denominator * rows[i][3] for i, w in nonzero))
+    return {i: w.numerator * (e // (w.denominator * rows[i][3])) for i, w in nonzero}, e
+
+
+def _point(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> list[Fraction]:
+    missing = set(lp.variables) - set(assignment)
+    extra = set(assignment) - set(lp.variables)
+    if missing or extra:
+        raise ValueError(f"assignment must cover exactly the variables (missing {sorted(missing)}, extra {sorted(extra)})")
+    return [_rat(assignment[name]) for name in lp.variables]
+
+
+def _satisfies(rows: list[IntRow], x: list[int], d: int) -> bool:
+    """Every row holds at the point x / d: sum_j A_j * x_j rel B * d."""
+    return all(_holds(_row_value(coeffs, x), rel, rhs * d) for coeffs, rel, rhs, _ in rows)
+
+
+def _combine(rows: list[IntRow], z: Mapping[int, int], nvars: int) -> tuple[list[int], int]:
+    """sum_i Z[i] * A_i and sum_i Z[i] * B_i."""
+    combined = [0] * nvars
+    total = 0
+    for i, zi in z.items():
+        coeffs, _, rhs, _ = rows[i]
+        for j, a in coeffs.items():
+            combined[j] += zi * a
+        total += zi * rhs
+    return combined, total
 
 
 def check_feasible(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> bool:
@@ -222,12 +293,7 @@ def check_feasible(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> boo
     The assignment must be total over the declared variables.
     """
     lp.validate()
-    missing = set(lp.variables) - set(assignment)
-    extra = set(assignment) - set(lp.variables)
-    if missing or extra:
-        raise ValueError(f"assignment must cover exactly the variables (missing {sorted(missing)}, extra {sorted(extra)})")
-    x = [_rat(assignment[name]) for name in lp.variables]
-    return all(_holds(_row_value(coeffs, x), rel, rhs) for coeffs, rel, rhs in materialized_rows(lp))
+    return _satisfies(_integer_rows(lp), *_over_one_denominator(_point(lp, assignment)))
 
 
 def verify_optimality(
@@ -241,33 +307,25 @@ def verify_optimality(
     combines the rows exactly to the objective, and both objective values
     coincide.  A True result proves optimality of the primal point.
     """
-    if not check_feasible(lp, primal):
+    lp.validate()
+    rows = _integer_rows(lp)
+    x, d = _over_one_denominator(_point(lp, primal))
+    if not _satisfies(rows, x, d):
         return False
-    rows = materialized_rows(lp)
-    if any(not isinstance(i, int) or not 0 <= i < len(rows) for i in dual):
-        raise ValueError("dual keys must index the materialized rows")
-    nvars = len(lp.variables)
-    combined = [ZERO] * nvars
-    dual_value = ZERO
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        y = _rat(dual.get(i, ZERO))
-        if y == 0:
-            continue
-        geq_sign = 1 if lp.sense == "min" else -1
-        if rel == ">=" and geq_sign * y < 0:
+    z, e = _weights_over_rows(rows, dual, "dual")
+    geq_sign = 1 if lp.sense == "min" else -1
+    for i, zi in z.items():  # Z[i] has the sign of dual[i]
+        rel = rows[i][1]
+        if rel == ">=" and geq_sign * zi < 0:
             return False
-        if rel == "<=" and geq_sign * y > 0:
+        if rel == "<=" and geq_sign * zi > 0:
             return False
-        for j, c in coeffs.items():
-            combined[j] += y * c
-        dual_value += y * rhs
-    objective = [lp.objective.get(name, ZERO) for name in lp.variables]
-    if combined != objective:
+    combined, dual_value = _combine(rows, z, len(lp.variables))
+    c, g = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
+    # combined / e == c / g componentwise, and (c . x) / (g * d) == dual_value / e
+    if any(cz * g != cj * e for cz, cj in zip(combined, c)):
         return False
-    primal_value = sum(
-        (objective[j] * _rat(primal[name]) for j, name in enumerate(lp.variables)), ZERO
-    )
-    return primal_value == dual_value
+    return sum(cj * xj for cj, xj in zip(c, x)) * e == dual_value * g * d
 
 
 def verify_infeasibility(lp: LinearProgram, farkas: Mapping[int, Fraction]) -> bool:
@@ -278,23 +336,14 @@ def verify_infeasibility(lp: LinearProgram, farkas: Mapping[int, Fraction]) -> b
     equality rows.
     """
     lp.validate()
-    rows = materialized_rows(lp)
-    if any(not isinstance(i, int) or not 0 <= i < len(rows) for i in farkas):
-        raise ValueError("farkas keys must index the materialized rows")
-    nvars = len(lp.variables)
-    combined = [ZERO] * nvars
-    total_rhs = ZERO
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        w = _rat(farkas.get(i, ZERO))
-        if w == 0:
-            continue
-        if rel != "==" and w < 0:
-            return False
-        flip = -1 if rel == ">=" else 1
-        for j, c in coeffs.items():
-            combined[j] += w * flip * c
-        total_rhs += w * flip * rhs
-    return all(c == 0 for c in combined) and total_rhs < 0
+    rows = _integer_rows(lp)
+    z, _ = _weights_over_rows(rows, farkas, "farkas")
+    if any(rows[i][1] != "==" and zi < 0 for i, zi in z.items()):
+        return False
+    # a >= row enters negated; scaling by the positive 1 / e changes neither zero nor a sign
+    oriented = {i: -zi if rows[i][1] == ">=" else zi for i, zi in z.items()}
+    combined, total_rhs = _combine(rows, oriented, len(lp.variables))
+    return all(v == 0 for v in combined) and total_rhs < 0
 
 
 def verify_ray(lp: LinearProgram, ray: Mapping[str, Fraction]) -> bool:
@@ -302,20 +351,13 @@ def verify_ray(lp: LinearProgram, ray: Mapping[str, Fraction]) -> bool:
     lp.validate()
     if set(ray) - set(lp.variables):
         raise ValueError("ray keys must be declared variables")
-    d = [_rat(ray.get(name, ZERO)) for name in lp.variables]
-    if all(v == 0 for v in d):
+    # the direction is x / d with d > 0: moving along it keeps every row
+    # true iff every row holds at x with its right-hand side set to zero
+    x, _ = _over_one_denominator([_rat(ray.get(name, ZERO)) for name in lp.variables])
+    if all(v == 0 for v in x) or not _satisfies(_integer_rows(lp), x, 0):
         return False
-    for coeffs, rel, rhs in materialized_rows(lp):
-        drift = _row_value(coeffs, d)
-        if rel == "<=" and drift > 0:
-            return False
-        if rel == ">=" and drift < 0:
-            return False
-        if rel == "==" and drift != 0:
-            return False
-    gain = sum(
-        (lp.objective.get(name, ZERO) * d[j] for j, name in enumerate(lp.variables)), ZERO
-    )
+    c, _ = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
+    gain = sum(cj * xj for cj, xj in zip(c, x))
     return gain < 0 if lp.sense == "min" else gain > 0
 
 
@@ -627,6 +669,7 @@ def _drive_out_artificials(t: _Tableau) -> None:
 
 def _certified(lp: LinearProgram, outcome: LpOutcome, t: _Tableau | None, started: float) -> LpOutcome:
     """`outcome` with its stats attached, once its certificate verifies against `lp`."""
+    verifying = time.perf_counter()
     if isinstance(outcome, Optimal):
         ok, what = verify_optimality(lp, outcome.assignment, outcome.dual), "optimality certificate"
     elif isinstance(outcome, Infeasible):
@@ -635,11 +678,12 @@ def _certified(lp: LinearProgram, outcome: LpOutcome, t: _Tableau | None, starte
         ok, what = verify_ray(lp, outcome.ray), "ray"
     if not ok:
         raise CertificateError(f"produced {what} failed verification")
-    wall_ms = (time.perf_counter() - started) * 1000
+    done = time.perf_counter()
+    wall_ms, verify_ms = (done - started) * 1000, (done - verifying) * 1000
     if t is None:  # presolve alone decided the program
-        stats = SolveStats(0, 0, 0, 0, 0, wall_ms, 0)
+        stats = SolveStats(0, 0, 0, 0, 0, wall_ms, verify_ms, 0)
     else:
-        stats = SolveStats(t.nrows, t.ncols, len(t.artificials), *t.pivots, wall_ms, t.max_bits())
+        stats = SolveStats(t.nrows, t.ncols, len(t.artificials), *t.pivots, wall_ms, verify_ms, t.max_bits())
     return replace(outcome, stats=stats)
 
 

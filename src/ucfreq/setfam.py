@@ -31,12 +31,10 @@ def mask_of(elements: Iterable[int]) -> Mask:
 def elements_of(mask: Mask) -> tuple[int, ...]:
     """Ascending tuple of the elements in a bitmask."""
     out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+    while mask:  # one step per set bit, lowest first
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -1,9 +1,10 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
-the split-tableau simplex, the presolved simplex on a `Fraction` tableau
-(`fraction_tableau_solve`), the subset scan for minimal transversals, the
-pairwise scans for minimal elements and antichains, the recursive union-closed
-enumerator with its f_2 check, and the cover-law suite on `SetFamily`
-values.
+the certificate checks in `Fraction` arithmetic (`fraction_check_feasible`
+and the three `fraction_verify_*`), the split-tableau simplex, the presolved
+simplex on a `Fraction` tableau (`fraction_tableau_solve`), the shift loop of
+`elements_of`, the subset scan for minimal transversals, the pairwise scans
+for minimal elements and antichains, the recursive union-closed enumerator
+with its f_2 check, and the cover-law suite on `SetFamily` values.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -35,10 +36,8 @@ from ucfreq.ratlp import (
     _farkas,
     _Presolved,
     _presolve_bounds,
+    _rat,
     materialized_rows,
-    verify_infeasibility,
-    verify_optimality,
-    verify_ray,
 )
 from ucfreq.search import (
     ENUMERATION_LIMIT,
@@ -112,6 +111,102 @@ def random_box_program(rng: random.Random) -> LinearProgram:
         rel = rng.choice(("<=", ">=", "<=", ">=", "=="))
         lp.add(coeffs, rel, F(rng.randint(-8, 8), rng.choice((1, 2))))
     return lp
+
+
+# The certificate checks as they were before `ratlp` scaled rows to
+# integers: the same conditions summed in `Fraction`s.  They stay as the
+# reference for the integer checks' verdicts and `ValueError`s.
+
+def _row_value(coeffs: dict[int, Fraction], x: list[Fraction]) -> Fraction:
+    return sum((c * x[j] for j, c in coeffs.items()), ZERO)
+
+
+def _holds(lhs: Fraction, relation: str, rhs: Fraction) -> bool:
+    if relation == "<=":
+        return lhs <= rhs
+    if relation == ">=":
+        return lhs >= rhs
+    return lhs == rhs
+
+
+def fraction_check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> bool:
+    lp.validate()
+    missing = set(lp.variables) - set(assignment)
+    extra = set(assignment) - set(lp.variables)
+    if missing or extra:
+        raise ValueError(f"assignment must cover exactly the variables (missing {sorted(missing)}, extra {sorted(extra)})")
+    x = [_rat(assignment[name]) for name in lp.variables]
+    return all(_holds(_row_value(coeffs, x), rel, rhs) for coeffs, rel, rhs in materialized_rows(lp))
+
+
+def _are_row_indices(keys, rows: list[Row]) -> bool:
+    return all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < len(rows) for i in keys)
+
+
+def fraction_verify_optimality(lp: LinearProgram, primal: dict[str, Fraction], dual: dict[int, Fraction]) -> bool:
+    if not fraction_check_feasible(lp, primal):
+        return False
+    rows = materialized_rows(lp)
+    if not _are_row_indices(dual, rows):
+        raise ValueError("dual keys must index the materialized rows")
+    combined = [ZERO] * len(lp.variables)
+    dual_value = ZERO
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        y = _rat(dual.get(i, ZERO))
+        if y == 0:
+            continue
+        geq_sign = 1 if lp.sense == "min" else -1
+        if rel == ">=" and geq_sign * y < 0:
+            return False
+        if rel == "<=" and geq_sign * y > 0:
+            return False
+        for j, c in coeffs.items():
+            combined[j] += y * c
+        dual_value += y * rhs
+    objective = [lp.objective.get(name, ZERO) for name in lp.variables]
+    if combined != objective:
+        return False
+    primal_value = sum((objective[j] * _rat(primal[name]) for j, name in enumerate(lp.variables)), ZERO)
+    return primal_value == dual_value
+
+
+def fraction_verify_infeasibility(lp: LinearProgram, farkas: dict[int, Fraction]) -> bool:
+    lp.validate()
+    rows = materialized_rows(lp)
+    if not _are_row_indices(farkas, rows):
+        raise ValueError("farkas keys must index the materialized rows")
+    combined = [ZERO] * len(lp.variables)
+    total_rhs = ZERO
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        w = _rat(farkas.get(i, ZERO))
+        if w == 0:
+            continue
+        if rel != "==" and w < 0:
+            return False
+        flip = -1 if rel == ">=" else 1
+        for j, c in coeffs.items():
+            combined[j] += w * flip * c
+        total_rhs += w * flip * rhs
+    return all(c == 0 for c in combined) and total_rhs < 0
+
+
+def fraction_verify_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
+    lp.validate()
+    if set(ray) - set(lp.variables):
+        raise ValueError("ray keys must be declared variables")
+    d = [_rat(ray.get(name, ZERO)) for name in lp.variables]
+    if all(v == 0 for v in d):
+        return False
+    for coeffs, rel, _ in materialized_rows(lp):
+        drift = _row_value(coeffs, d)
+        if rel == "<=" and drift > 0:
+            return False
+        if rel == ">=" and drift < 0:
+            return False
+        if rel == "==" and drift != 0:
+            return False
+    gain = sum((lp.objective.get(name, ZERO) * d[j] for j, name in enumerate(lp.variables)), ZERO)
+    return gain < 0 if lp.sense == "min" else gain > 0
 
 
 # The exact simplex as it was before `ratlp.solve` folded one-variable rows
@@ -265,7 +360,7 @@ def split_tableau_solve(lp: LinearProgram) -> LpOutcome:
             raise CertificateError("phase 1 cannot be unbounded")
         if t.objective_value(cost1) > 0:
             farkas = _extract_farkas(lp, t, cost1, costrow)
-            if not verify_infeasibility(lp, farkas):
+            if not fraction_verify_infeasibility(lp, farkas):
                 raise CertificateError("produced farkas certificate failed verification")
             return Infeasible(farkas)
         _drive_out_artificials(t)
@@ -274,7 +369,7 @@ def split_tableau_solve(lp: LinearProgram) -> LpOutcome:
     enter = t.run(costrow, banned=frozenset(t.artificials))
     if enter is not None:
         ray = _extract_ray(lp, t, enter)
-        if not verify_ray(lp, ray):
+        if not fraction_verify_ray(lp, ray):
             raise CertificateError("produced ray failed verification")
         return Unbounded(ray)
 
@@ -282,7 +377,7 @@ def split_tableau_solve(lp: LinearProgram) -> LpOutcome:
     dual = _extract_dual(lp, t, costrow)
     internal = t.objective_value(t.cost2)
     value = internal if t.minimize else -internal
-    if not verify_optimality(lp, assignment, dual):
+    if not fraction_verify_optimality(lp, assignment, dual):
         raise CertificateError("produced optimality certificate failed verification")
     return Optimal(value, assignment, dual)
 
@@ -570,6 +665,22 @@ def random_bounded_program(rng: random.Random) -> LinearProgram:
             coeffs[names[0]] = F(1)
         lp.add(coeffs, rng.choice(relations), F(rng.randint(-8, 8), rng.choice((1, 2))))
     return lp
+
+
+def shift_elements_of(mask: int) -> tuple[int, ...]:
+    """Ascending elements of a bitmask, one shift per bit up to the highest.
+
+    This is the loop `setfam.elements_of` ran before it stepped over the set
+    bits only; it stays as the reference.
+    """
+    out = []
+    e = 1
+    while mask:
+        if mask & 1:
+            out.append(e)
+        mask >>= 1
+        e += 1
+    return tuple(out)
 
 
 def scan_minimal_transversals(targets, allowed: int) -> tuple[int, ...]:

@@ -5,7 +5,9 @@ The randomized suites compare simplex output against `brute_force_optimum`
 algorithm with no code in common with the simplex path, against the
 split-tableau simplex that ran before the presolve, which keeps every bound
 as a row, and against the presolved simplex on a `Fraction` tableau, which
-must take the same pivots and give equal outcomes and `SolveStats`.
+must take the same pivots and give equal outcomes and `SolveStats`.  The
+integer certificate checks must give the verdicts and `ValueError`s of the
+`Fraction` ones on solver certificates and on single mutations of them.
 """
 
 from __future__ import annotations
@@ -16,11 +18,16 @@ import random
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from oracle_models import (
+    fraction_check_feasible,
     fraction_tableau_solve,
+    fraction_verify_infeasibility,
+    fraction_verify_optimality,
+    fraction_verify_ray,
     random_bounded_program,
     random_box_program,
     split_tableau_solve,
@@ -148,6 +155,11 @@ class TestVerifyOptimality:
         with pytest.raises(ValueError):
             verify_optimality(lp_min_x_ge_1(), {"x": F(1)}, {5: F(1)})
 
+    def test_bool_key_raises(self):
+        # False == 0, so the weight would otherwise land on row 0 and certify
+        with pytest.raises(ValueError, match="must index the materialized rows"):
+            verify_optimality(lp_min_x_ge_1(), {"x": F(1)}, {False: F(1)})
+
 
 class TestVerifyInfeasibility:
     def test_conflicting_pair(self):
@@ -166,6 +178,10 @@ class TestVerifyInfeasibility:
         out = solve(lp_conflicting())
         assert isinstance(out, Infeasible)
         assert verify_infeasibility(lp_conflicting(), out.farkas)
+
+    def test_bool_key_raises(self):
+        with pytest.raises(ValueError, match="must index the materialized rows"):
+            verify_infeasibility(lp_conflicting(), {False: F(1), True: F(1)})
 
 
 class TestValidation:
@@ -452,7 +468,7 @@ class TestSolveStats:
     def test_every_outcome_carries_stats(self, name):
         stats = solve(HAND_PROGRAMS[name]()).stats
         assert isinstance(stats, SolveStats)
-        assert stats.wall_ms >= 0 and stats.max_bits >= 0
+        assert stats.wall_ms >= stats.verify_ms >= 0 and stats.max_bits >= 0
         assert stats.artificials <= stats.rows <= stats.columns
 
     def test_stats_stay_out_of_equality_repr_and_text(self):
@@ -488,7 +504,7 @@ def test_reimport_releases_the_previous_module(monkeypatch):
 def assert_matches_fraction_tableau(lp: LinearProgram):
     new, ref = solve(lp), fraction_tableau_solve(lp)
     assert new == ref  # status, value, assignment, dual, Farkas weights, ray
-    assert new.stats._replace(wall_ms=0) == ref.stats._replace(wall_ms=0)
+    assert new.stats._replace(wall_ms=0, verify_ms=0) == ref.stats._replace(wall_ms=0, verify_ms=0)
     assert_certified(lp, new)
     return new
 
@@ -602,3 +618,112 @@ class TestIntegerTableau:
         ((t, enter),) = tableau_log["unbounded_on"]
         assert enter == t.slack_col[0] and t.scale[enter] == 6
 
+
+# ---------------------------------------------------------------------------
+# integer certificate checks: the verdicts and errors of the Fraction ones
+# ---------------------------------------------------------------------------
+
+def verdict(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def check_pairs(lp: LinearProgram, out):
+    """(integer check, `Fraction` check, arguments) for each check of `out`."""
+    if isinstance(out, Optimal):
+        return [(check_feasible, fraction_check_feasible, (lp, out.assignment)),
+                (verify_optimality, fraction_verify_optimality, (lp, out.assignment, out.dual))]
+    if isinstance(out, Infeasible):
+        return [(verify_infeasibility, fraction_verify_infeasibility, (lp, out.farkas))]
+    return [(verify_ray, fraction_verify_ray, (lp, out.ray))]
+
+
+def single_mutations(lp: LinearProgram, out):
+    """Thunks, each giving `(lp, out)` changed in one place: a weight by
+    +-1/2, a point or ray entry by +-1/3, an objective coefficient, a row
+    coefficient or a right-hand side by +-1, or a key that names no row or
+    variable (one past the end, -1, a bool, a string; a missing or an extra
+    variable)."""
+    thunks = []
+    nrows = len(materialized_rows(lp))
+    field_name = {Optimal: "dual", Infeasible: "farkas"}.get(type(out))
+    if field_name:
+        weights = getattr(out, field_name)
+        for i in range(nrows):
+            for delta in (F(1, 2), F(-1, 2)):
+                thunks.append(lambda i=i, delta=delta: (lp, replace(
+                    out, **{field_name: {**weights, i: weights.get(i, F(0)) + delta}})))
+        for key in (nrows, -1, False, True, "0"):
+            thunks.append(lambda key=key: (lp, replace(out, **{field_name: {**weights, key: F(1)}})))
+    point_name = {Optimal: "assignment", Unbounded: "ray"}.get(type(out))
+    if point_name:
+        point = getattr(out, point_name)
+        for name in lp.variables:
+            for delta in (F(1, 3), F(-1, 3)):
+                thunks.append(lambda name=name, delta=delta: (lp, replace(
+                    out, **{point_name: {**point, name: point.get(name, F(0)) + delta}})))
+        thunks.append(lambda: (lp, replace(out, **{point_name: {**point, "extra": F(0)}})))
+        if isinstance(out, Optimal):
+            thunks.append(lambda: (lp, replace(out, assignment=dict(list(point.items())[1:]))))
+    for name in lp.variables:
+        for delta in (1, -1):
+            thunks.append(lambda name=name, delta=delta: (replace(
+                lp, objective={**lp.objective, name: lp.objective.get(name, F(0)) + delta}), out))
+
+    def with_row(k, con):
+        return lambda: (replace(lp, constraints=lp.constraints[:k] + [con] + lp.constraints[k + 1:]), out)
+
+    for k, con in enumerate(lp.constraints):
+        for delta in (1, -1):
+            thunks.append(with_row(k, replace(con, rhs=con.rhs + delta)))
+            for name in lp.variables:
+                coeffs = {**con.coeffs, name: con.coeffs.get(name, F(0)) + delta}
+                if any(c != 0 for c in coeffs.values()):
+                    thunks.append(with_row(k, replace(con, coeffs=coeffs)))
+    return thunks
+
+
+def assert_checks_agree(lp: LinearProgram, out, rng: random.Random, limit: int, seen: Counter) -> None:
+    """The integer and `Fraction` checks agree on `out` and on up to `limit`
+    of its single mutations, drawn at random; `seen` counts the verdicts."""
+    thunks = single_mutations(lp, out)
+    cases = [(lp, out)] + [thunk() for thunk in rng.sample(thunks, min(limit, len(thunks)))]
+    for case_lp, case_out in cases:
+        for check, reference, args in check_pairs(case_lp, case_out):
+            got = verdict(check, *args)
+            assert got == verdict(reference, *args), (check.__name__, args)
+            seen[got if isinstance(got, bool) else "ValueError"] += 1
+
+
+def rows_divided(lp: LinearProgram, rng: random.Random) -> LinearProgram:
+    """`lp` with each declared row divided by 1, 2, 3 or 5: the same program,
+    with coefficient denominators that the right-hand side need not share."""
+    rows = []
+    for con in lp.constraints:
+        q = rng.choice((1, 2, 3, 5))
+        rows.append(replace(con, coeffs={v: c / q for v, c in con.coeffs.items()}, rhs=con.rhs / q))
+    return replace(lp, constraints=rows)
+
+
+class TestIntegerChecks:
+    def test_random_programs_and_their_mutations(self):
+        rng = random.Random(7013)
+        seen, kinds = Counter(), Counter()
+        for k in range(240):
+            lp = random_box_program(rng) if k % 3 == 0 else random_bounded_program(rng)
+            if k % 2:
+                lp = rows_divided(lp, rng)
+            out = solve(lp)
+            kinds[type(out)] += 1
+            assert_checks_agree(lp, out, rng, 12, seen)
+        assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 20
+        assert min(seen[v] for v in (True, False, "ValueError")) >= 100
+
+    @pytest.mark.parametrize("name", sorted(PAPER_PROGRAMS))
+    def test_paper_certificates_and_their_mutations(self, name):
+        lp = PAPER_PROGRAMS[name]
+        seen = Counter()
+        assert_checks_agree(lp, solve(lp), random.Random(name), 24, seen)
+        assert seen[True] >= 1 and seen[False] >= 1

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
-from oracle_models import scan_is_antichain, scan_minimal_elements, scan_minimal_transversals
+from oracle_models import scan_is_antichain, scan_minimal_elements, scan_minimal_transversals, shift_elements_of
 
 from ucfreq.setfam import (
     FlexibleWitness,
@@ -132,6 +132,16 @@ class TestSetFamily:
         assert elements_of(mask_of([3, 1])) == (1, 3)
         assert format_mask(0) == "{}"
         assert format_mask(mask_of([2, 3])) == "{2,3}"
+
+    def test_elements_of_matches_the_shift_loop_on_every_small_mask(self):
+        for mask in range(1 << 10):
+            assert elements_of(mask) == shift_elements_of(mask)
+
+    @given(st.integers(0, (1 << 63) - 1))
+    @example((1 << 63) - 1)
+    @example(1 << 62)
+    def test_elements_of_matches_the_shift_loop_on_wide_masks(self, mask):
+        assert elements_of(mask) == shift_elements_of(mask)
 
     def test_mask_of_rejects_elements_off_the_widest_ground(self):
         for bad in (0, 64, 10**12):
