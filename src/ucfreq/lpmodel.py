@@ -68,6 +68,10 @@ def all_subsets(s: int) -> tuple[Subset, ...]:
     return tuple(out)
 
 
+# shared by every coefficient and right-hand side `build_base` writes
+_ONE, _TWO, _MINUS_ONE = Fraction(1), Fraction(2), Fraction(-1)
+
+
 def build_base(s: int, doubled: Iterable[Subset] = ()) -> LinearProgram:
     """The base program: minimize the family size under the trace constraints.
 
@@ -81,15 +85,13 @@ def build_base(s: int, doubled: Iterable[Subset] = ()) -> LinearProgram:
     if unknown:
         raise ValueError(f"no floor rows for {sorted(f'floor_{subset_name(t)}' for t in unknown)}")
     names = tuple(subset_name(t) for t in subsets)
-    lp = LinearProgram(names, "min", {name: Fraction(1) for name in names})
+    lp = LinearProgram(names, "min", dict.fromkeys(names, _ONE))
     for y in role_letters(s):
-        coeffs = {
-            subset_name(t): Fraction(2) if y in t else Fraction(-1) for t in subsets
-        }
+        coeffs = {name: _TWO if y in t else _MINUS_ONE for name, t in zip(names, subsets)}
         lp.add(coeffs, "<=", 0, label=f"cap_{y}")
-    for t in subsets:
-        lp.add({subset_name(t): 1}, ">=", 2 if t in raised else 1, label=f"floor_{subset_name(t)}")
-    lp.add({"q_empty": 1}, "<=", 2, label="ceil_q_empty")
+    for name, t in zip(names, subsets):
+        lp.add({name: _ONE}, ">=", _TWO if t in raised else _ONE, label=f"floor_{name}")
+    lp.add({"q_empty": _ONE}, "<=", _TWO, label="ceil_q_empty")
     return lp
 
 

@@ -1,28 +1,31 @@
 """Exact rational linear programming with machine-checkable certificates.
 
 No float enters: programs, results and certificates are `fractions.Fraction`
-values and the simplex tableau holds integers, so optima like 141/2 are
-exact, and re-solving after row permutations gives identical values.
+values and the solver computes on integers, so optima like 141/2 are exact,
+and re-solving after row permutations gives identical values.
 
 Declared per-variable bounds are materialized as ordinary rows, appended
 after the declared constraints (for each variable in declaration order:
 lower bound row, then upper bound row).  `materialized_rows` exposes that
 row list; certificate maps are keyed by indices into it.
 
-The solver presolves that list, then runs a two-phase primal simplex with
-Bland's rule on a dense integer tableau: each row is scaled by the lcm of
-its denominators and pivots are fraction-free, taking the same pivots as
-rational arithmetic would.  Presolve reads every one-variable row (declared
-or a bound, either coefficient sign, any relation) as a bound on its
-variable and keeps the tightest; crossing bounds are refuted by their two
-rows alone.  It shifts instead of splitting: x = l + x' with x' >= 0 under a
-lower bound l, x = u - x' under only an upper bound u, x = x'+ - x'- only
-when free; an upper bound left over is the row x' <= u - l, which needs no
-artificial.  Each absorbed row gets its weight back from the final reduced
-costs (phase 1's for a Farkas certificate), so certificates are stated over
-`materialized_rows` as without the presolve.  Every outcome carries a
-`SolveStats` record of the work, left out of outcome equality and of the
-text and JSON formats.
+`solve` writes that list once as integer rows, row i times the positive lcm
+L_i of its denominators, and uses them from the presolve to the certificate
+check.  Presolve reads every one-variable row (declared or a bound, either
+coefficient sign, any relation) as the bound B/A on its variable and keeps
+the tightest, compared by cross-multiplying (the first of equally tight
+rows wins); crossing bounds are refuted by their two rows alone.  It shifts
+instead of splitting: x = l + x' with x' >= 0 under a lower bound l, x = u -
+x' under only an upper bound u, x = x'+ - x'- only when free; an upper bound
+left over is the row x' <= u - l, which needs no artificial.  A shifted row
+times the lcm D of its offsets' denominators is integer, with scale L_i * D;
+a two-phase primal simplex with Bland's rule takes it into its dense integer
+tableau as it is, and its fraction-free pivots are those rational arithmetic
+would take.  Offsets and the factors that give each absorbed row its weight
+back from the final reduced costs (phase 1's for a Farkas certificate) are
+integer pairs: only the costs come in, and the point, weights and value go
+out, as `Fraction`s.  Every outcome carries a `SolveStats` record of the
+work, left out of outcome equality and of the text and JSON formats.
 
 Certificate conventions
 -----------------------
@@ -42,18 +45,14 @@ rows, combine the left-hand sides to zero, and combine the right-hand
 sides to a negative number: 0 <= negative, a contradiction.
 
 `verify_optimality` and `verify_infeasibility` check exactly these
-conditions and are independent of the solver internals; `solve` re-checks
-every certificate it emits against the program as given, every
-materialized row included, and raises `CertificateError` if its own
-output fails (which would be a bug, never a property of the input).
-
-The checks, `check_feasible` and `verify_ray` included, run on integers:
-each materialized row is multiplied by the positive lcm L_i of its
-denominators, a point or ray is written as integers over one positive
-denominator, and each weight y_i / L_i over one common denominator E.
-Every condition above then becomes an integer dot product, compared by
-cross-multiplying (an equality) or by its sign, which a positive scale
-does not change.  Nothing is rounded.
+conditions and are independent of the solver internals.  Like
+`check_feasible` and `verify_ray` they run on the integer rows, with a point
+or ray as integers over one positive denominator and each weight y_i / L_i
+over one common denominator, so every condition is an integer dot product
+compared by cross-multiplying or by its sign; nothing is rounded.  `solve`
+re-checks every certificate it emits on the integer rows it solved, every
+materialized row included, and raises `CertificateError` if its own output
+fails (which would be a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -219,11 +218,11 @@ def _row_value(coeffs: dict[int, int | Fraction], x: Sequence[int | Fraction]) -
 
 
 def _holds(lhs: int | Fraction, relation: str, rhs: int | Fraction) -> bool:
-    if relation == "<=":
-        return lhs <= rhs
-    if relation == ">=":
-        return lhs >= rhs
-    return lhs == rhs
+    return lhs <= rhs if relation == "<=" else lhs >= rhs if relation == ">=" else lhs == rhs
+
+
+# The sign of a min-form dual weight on a row of each relation (any on ``==``).
+_ORIENTATION = {">=": 1, "<=": -1, "==": 0}
 
 
 # A materialized row times the positive lcm L of its denominators:
@@ -235,12 +234,8 @@ def _integer_rows(lp: LinearProgram) -> list[IntRow]:
     out: list[IntRow] = []
     for coeffs, rel, rhs in materialized_rows(lp):
         scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        out.append((
-            {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()},
-            rel,
-            rhs.numerator * (scale // rhs.denominator),
-            scale,
-        ))
+        out.append(({j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()},
+                    rel, rhs.numerator * (scale // rhs.denominator), scale))
     return out
 
 
@@ -287,6 +282,48 @@ def _combine(rows: list[IntRow], z: Mapping[int, int], nvars: int) -> tuple[list
     return combined, total
 
 
+# The checks on integer rows, as `solve` runs them on the rows it solved.
+
+def _proves_optimality(lp: LinearProgram, rows: list[IntRow], primal, dual) -> bool:
+    x, d = _over_one_denominator(_point(lp, primal))
+    if not _satisfies(rows, x, d):
+        return False
+    z, e = _weights_over_rows(rows, dual, "dual")
+    # Z[i] has the sign of dual[i]: for min, >= 0 on >= rows and <= 0 on <= rows
+    geq_sign = 1 if lp.sense == "min" else -1
+    if any(geq_sign * _ORIENTATION[rows[i][1]] * zi < 0 for i, zi in z.items()):
+        return False
+    combined, dual_value = _combine(rows, z, len(lp.variables))
+    c, g = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
+    # combined / e == c / g componentwise, and (c . x) / (g * d) == dual_value / e
+    if any(cz * g != cj * e for cz, cj in zip(combined, c)):
+        return False
+    return sum(cj * xj for cj, xj in zip(c, x)) * e == dual_value * g * d
+
+
+def _proves_infeasibility(lp: LinearProgram, rows: list[IntRow], farkas) -> bool:
+    z, _ = _weights_over_rows(rows, farkas, "farkas")
+    if any(rows[i][1] != "==" and zi < 0 for i, zi in z.items()):
+        return False
+    # a >= row enters negated; scaling by the positive 1 / e changes neither zero nor a sign
+    oriented = {i: -zi if rows[i][1] == ">=" else zi for i, zi in z.items()}
+    combined, total_rhs = _combine(rows, oriented, len(lp.variables))
+    return all(v == 0 for v in combined) and total_rhs < 0
+
+
+def _is_ray(lp: LinearProgram, rows: list[IntRow], ray) -> bool:
+    if set(ray) - set(lp.variables):
+        raise ValueError("ray keys must be declared variables")
+    # the direction is x / d with d > 0: moving along it keeps every row
+    # true iff every row holds at x with its right-hand side set to zero
+    x, _ = _over_one_denominator([_rat(ray.get(name, ZERO)) for name in lp.variables])
+    if all(v == 0 for v in x) or not _satisfies(rows, x, 0):
+        return False
+    c, _ = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
+    gain = sum(cj * xj for cj, xj in zip(c, x))
+    return gain < 0 if lp.sense == "min" else gain > 0
+
+
 def check_feasible(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> bool:
     """True iff every constraint and declared bound holds exactly.
 
@@ -296,11 +333,7 @@ def check_feasible(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> boo
     return _satisfies(_integer_rows(lp), *_over_one_denominator(_point(lp, assignment)))
 
 
-def verify_optimality(
-    lp: LinearProgram,
-    primal: Mapping[str, Fraction],
-    dual: Mapping[int, Fraction],
-) -> bool:
+def verify_optimality(lp: LinearProgram, primal: Mapping[str, Fraction], dual: Mapping[int, Fraction]) -> bool:
     """Strong-duality check in exact arithmetic.
 
     True iff `primal` is feasible, `dual` satisfies the sign conventions and
@@ -308,24 +341,7 @@ def verify_optimality(
     coincide.  A True result proves optimality of the primal point.
     """
     lp.validate()
-    rows = _integer_rows(lp)
-    x, d = _over_one_denominator(_point(lp, primal))
-    if not _satisfies(rows, x, d):
-        return False
-    z, e = _weights_over_rows(rows, dual, "dual")
-    geq_sign = 1 if lp.sense == "min" else -1
-    for i, zi in z.items():  # Z[i] has the sign of dual[i]
-        rel = rows[i][1]
-        if rel == ">=" and geq_sign * zi < 0:
-            return False
-        if rel == "<=" and geq_sign * zi > 0:
-            return False
-    combined, dual_value = _combine(rows, z, len(lp.variables))
-    c, g = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
-    # combined / e == c / g componentwise, and (c . x) / (g * d) == dual_value / e
-    if any(cz * g != cj * e for cz, cj in zip(combined, c)):
-        return False
-    return sum(cj * xj for cj, xj in zip(c, x)) * e == dual_value * g * d
+    return _proves_optimality(lp, _integer_rows(lp), primal, dual)
 
 
 def verify_infeasibility(lp: LinearProgram, farkas: Mapping[int, Fraction]) -> bool:
@@ -336,29 +352,13 @@ def verify_infeasibility(lp: LinearProgram, farkas: Mapping[int, Fraction]) -> b
     equality rows.
     """
     lp.validate()
-    rows = _integer_rows(lp)
-    z, _ = _weights_over_rows(rows, farkas, "farkas")
-    if any(rows[i][1] != "==" and zi < 0 for i, zi in z.items()):
-        return False
-    # a >= row enters negated; scaling by the positive 1 / e changes neither zero nor a sign
-    oriented = {i: -zi if rows[i][1] == ">=" else zi for i, zi in z.items()}
-    combined, total_rhs = _combine(rows, oriented, len(lp.variables))
-    return all(v == 0 for v in combined) and total_rhs < 0
+    return _proves_infeasibility(lp, _integer_rows(lp), farkas)
 
 
 def verify_ray(lp: LinearProgram, ray: Mapping[str, Fraction]) -> bool:
     """True iff `ray` is a feasible direction that improves the objective forever."""
     lp.validate()
-    if set(ray) - set(lp.variables):
-        raise ValueError("ray keys must be declared variables")
-    # the direction is x / d with d > 0: moving along it keeps every row
-    # true iff every row holds at x with its right-hand side set to zero
-    x, _ = _over_one_denominator([_rat(ray.get(name, ZERO)) for name in lp.variables])
-    if all(v == 0 for v in x) or not _satisfies(_integer_rows(lp), x, 0):
-        return False
-    c, _ = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
-    gain = sum(cj * xj for cj, xj in zip(c, x))
-    return gain < 0 if lp.sense == "min" else gain > 0
+    return _is_ray(lp, _integer_rows(lp), ray)
 
 
 # ---------------------------------------------------------------------------
@@ -366,28 +366,35 @@ def verify_ray(lp: LinearProgram, ray: Mapping[str, Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Bound(NamedTuple):
-    """A one-variable row read as a bound on its variable."""
+    """A one-variable row a x rel b, scaled by L to A x rel B, read as the
+    bound num / den (den > 0) on x; its weight 1 / a is L / A."""
 
-    value: Fraction
+    num: int
+    den: int
     row: int  # index into `materialized_rows`
-    coeff: Fraction  # the row's coefficient on the variable
+    scale: int  # L
+    coeff: int  # A
+
+    def exceeds(self, other: _Bound) -> bool:
+        return self.num * other.den > other.num * self.den
 
 
-def _presolve_bounds(nvars: int, rows: list[Row]):
+def _presolve_bounds(nvars: int, rows: list[IntRow]):
     """The tightest lower and upper bound of each variable, read off the
     one-variable rows; the first of equally tight rows wins."""
     lower: list[_Bound | None] = [None] * nvars
-    upper: list[_Bound | None] = [None] * nvars
-    for i, (coeffs, rel, rhs) in enumerate(rows):
+    upper = list(lower)
+    for i, (coeffs, rel, rhs, scale) in enumerate(rows):
         if len(coeffs) > 1:
             continue
         ((j, a),) = coeffs.items()
-        bound = _Bound(rhs / a, i, a)
+        g = gcd(rhs, a) if a > 0 else -gcd(rhs, a)
+        bound = _Bound(rhs // g, a // g, i, scale, a)
         if rel != ("<=" if a > 0 else ">="):  # x_j >= rhs / a
-            if lower[j] is None or bound.value > lower[j].value:
+            if lower[j] is None or bound.exceeds(lower[j]):
                 lower[j] = bound
         if rel != (">=" if a > 0 else "<="):  # x_j <= rhs / a
-            if upper[j] is None or bound.value < upper[j].value:
+            if upper[j] is None or upper[j].exceeds(bound):
                 upper[j] = bound
     return lower, upper
 
@@ -398,78 +405,83 @@ class _Presolved:
     A variable with a lower bound l is x = l + x' (an upper bound u as well
     adds the row x' <= u - l, whose slack needs no artificial); one with
     only an upper bound is x = u - x'; a free one is x = x'+ - x'-.  The
-    tableau gets the rows with two or more variables and those upper rows.
-
-    Every tableau row and every bounded column keeps the materialized row
-    it stands for and the factor that turns its dual (for a column: its
-    reduced cost, the dual of x' >= 0) into that row's weight, so the
-    certificates come back keyed to `materialized_rows`.
+    tableau gets those upper rows and the rows with two or more variables,
+    as integer rows with their scales.  Every tableau row and every bounded
+    column keeps the materialized row it stands for and the factor p / q
+    that turns its dual (for a column: its reduced cost, the dual of x' >=
+    0) into that row's weight, so certificates are keyed to `materialized_rows`.
     """
 
-    def __init__(self, lp: LinearProgram, rows: list[Row], lower, upper):
-        sign = ONE if lp.sense == "min" else -ONE
+    def __init__(self, lp: LinearProgram, rows: list[IntRow], lower, upper):
+        sign = 1 if lp.sense == "min" else -1
         self.nmaterialized = len(rows)
         self.columns: list[tuple[tuple[int, int], ...]] = []  # per variable: (column, sign)
-        self.offset: list[Fraction] = []
-        self.column_origin: list[tuple[int, Fraction] | None] = []
+        self.offset: list[tuple[int, int]] = []  # per variable: l, u or 0, as (num, den)
+        self.column_origin: list[tuple[int, int, int] | None] = []
         self.cost: list[Fraction] = []
         for j, name in enumerate(lp.variables):
             lo, hi = lower[j], upper[j]
             c = len(self.cost)
             if lo is not None:
-                cols, offset, origins = ((c, 1),), lo.value, [(lo.row, ONE / lo.coeff)]
+                cols, offset, origins = ((c, 1),), lo, [(lo.row, lo.scale, lo.coeff)]
             elif hi is not None:
-                cols, offset, origins = ((c, -1),), hi.value, [(hi.row, -ONE / hi.coeff)]
+                cols, offset, origins = ((c, -1),), hi, [(hi.row, -hi.scale, hi.coeff)]
             else:
-                cols, offset, origins = ((c, 1), (c + 1, -1)), ZERO, [None, None]
+                cols, offset, origins = ((c, 1), (c + 1, -1)), (0, 1), [None, None]
             self.columns.append(cols)
-            self.offset.append(offset)
+            self.offset.append(offset[:2])
             self.column_origin += origins
-            self.cost += [sign * lp.objective.get(name, ZERO) * s for _, s in cols]
+            objective = lp.objective.get(name, ZERO)
+            self.cost += [objective if sign * s > 0 else -objective for _, s in cols]
 
-        boxed = {
-            hi.row: j for j, (lo, hi) in enumerate(zip(lower, upper))
-            if lo is not None and hi is not None
-        }
-        self.rows: list[Row] = []  # in materialized order
-        self.row_origin: list[tuple[int, Fraction]] = []
-        for i, (coeffs, rel, rhs) in enumerate(rows):
+        boxed = {hi.row: j for j, (lo, hi) in enumerate(zip(lower, upper)) if lo is not None and hi is not None}
+        self.rows: list[IntRow] = []  # in materialized order
+        self.row_origin: list[tuple[int, int, int]] = []
+        for i, (coeffs, rel, rhs, scale) in enumerate(rows):
             if i in boxed:
                 j = boxed[i]
-                col = self.columns[j][0][0]
-                self.rows.append(({col: ONE}, "<=", upper[j].value - lower[j].value))
-                self.row_origin.append((i, ONE / upper[j].coeff))
+                (ln, ld), hi = self.offset[j], upper[j]
+                self.rows.append(({self.columns[j][0][0]: ld * hi.den}, "<=", hi.num * ld - ln * hi.den, ld * hi.den))
+                self.row_origin.append((i, hi.scale, hi.coeff))
             elif len(coeffs) > 1:
-                shifted: dict[int, Fraction] = {}
+                d = lcm(*(self.offset[j][1] for j in coeffs))
+                shifted: dict[int, int] = {}
+                rhs *= d
                 for j, a in coeffs.items():
-                    rhs -= a * self.offset[j]
+                    num, den = self.offset[j]
+                    rhs -= a * num * (d // den)
                     for c, sg in self.columns[j]:
-                        shifted[c] = a * sg
-                self.rows.append((shifted, rel, rhs))
-                self.row_origin.append((i, ONE))
+                        shifted[c] = a * sg * d
+                self.rows.append((shifted, rel, rhs, scale * d))
+                self.row_origin.append((i, 1, 1))
 
-    def point(self, values: Mapping[int, Fraction], shifted: bool = True) -> list[Fraction]:
-        """x from the column values x' (absent columns are 0); with
-        `shifted` False, the direction of x along a direction of x'."""
-        return [
-            (offset if shifted else ZERO) + sum((s * values.get(c, ZERO) for c, s in cols), ZERO)
-            for offset, cols in zip(self.offset, self.columns)
-        ]
+    def point(self, values: Mapping[int, int], d: int, shifted: bool = True) -> list[Fraction]:
+        """x from the column values x'_c = values[c] / d (absent columns are 0);
+        with `shifted` False, the direction of x along a direction of x'."""
+        x = []
+        for (p, q), cols in zip(self.offset, self.columns):
+            v = sum(s * values.get(c, 0) for c, s in cols)
+            x.append(Fraction(p * d + q * v, q * d) if shifted else Fraction(v, d))
+        return x
 
-    def weights(self, t: _Tableau, cost: list[Fraction], costrow: list[Fraction]) -> list[Fraction]:
-        """Min-form dual weights on the materialized rows from a tableau priced by `cost`."""
-        y = [ZERO] * self.nmaterialized
-        for r, (i, factor) in enumerate(self.row_origin):
+    def weights(self, t: _Tableau, cost: list[Fraction], costrow: list[int]) -> list[Fraction]:
+        """Min-form dual weights on the materialized rows from `costrow`, priced by `cost`."""
+        C, den = t._integer_cost(cost)
+        # column c's reduced cost is costrow[c] * scale[c] / (den * d), and every
+        # factor p / q of row i has the row's own coefficient (or 1) as q
+        y, q_of = [0] * self.nmaterialized, [1] * self.nmaterialized
+        for r, (i, p, q) in enumerate(self.row_origin):
             col = t.initial_identity_column(r)
-            y[i] += t.sigma[r] * (cost[col] - costrow[col]) * factor
+            y[i] += t.sigma[r] * p * t.scale[col] * (C[col] * t.d - costrow[col])
+            q_of[i] = q
         for c, origin in enumerate(self.column_origin):
-            if origin is not None and costrow[c] != 0:
-                i, factor = origin
-                y[i] += costrow[c] * factor
-        return y
+            if origin is not None and costrow[c] != 0:  # a column of x', scale 1
+                i, p, q = origin
+                y[i], q_of[i] = y[i] + p * costrow[c], q
+        return [Fraction(v, q * den * t.d) if v else ZERO for v, q in zip(y, q_of)]
 
 
-def _farkas(rows: list[Row], y: list[Fraction]) -> dict[int, Fraction]:
+def _farkas(rows: list[IntRow], y: list[Fraction]) -> dict[int, Fraction]:
     """Min-form weights that prove 0 < 0, oriented as `verify_infeasibility`
     reads them: every inequality as ``<=``."""
     return {i: w if rows[i][1] == ">=" else -w for i, w in enumerate(y) if w != 0}
@@ -482,39 +494,36 @@ def _farkas(rows: list[Row], y: list[Fraction]) -> dict[int, Fraction]:
 class _Tableau:
     """Dense equality-form integer tableau. Columns: the presolved x', slacks, artificials.
 
-    Row i is multiplied by the lcm of its denominators and its slack and
-    artificial count in units of one over it (`scale`), so the start is an
-    integer matrix on the identity basis.  Row i reads ``M[i] / d`` with
-    ``b[i] / d`` on the right; pivots are integer-preserving Gauss-Jordan
-    (Edmonds 1967), whose divisions by d are exact.  Scaling a column
-    divides its reduced cost and its ratios by one positive constant, so
-    Bland's rule takes the pivots the unscaled tableau would.  A cost row
-    is integer over ``den * d`` (den from `_integer_cost`).
+    Row i comes as integers with the `scale` it was multiplied by, and its
+    slack and artificial count in units of one over that scale, so the start
+    is an integer matrix on the identity basis.  Row i reads ``M[i] / d``
+    with ``b[i] / d`` on the right; pivots are integer-preserving Gauss-Jordan
+    (Edmonds 1967), whose divisions by d are exact.  Scaling a column divides
+    its reduced cost and its ratios by one positive constant, so Bland's rule
+    takes the pivots the unscaled tableau would.  A cost row is integer over
+    ``den * d`` (den from `_integer_cost`).
     """
 
-    def __init__(self, rows: list[Row], cost: list[Fraction]):
+    def __init__(self, rows: list[IntRow], cost: list[Fraction]):
         self.nrows = len(rows)
-        self.sigma: list[int] = [1 if rhs >= 0 else -1 for _, _, rhs in rows]
+        self.sigma: list[int] = [1 if rhs >= 0 else -1 for _, _, rhs, _ in rows]
         cols = count(len(cost))
-        self.slack_col = [None if rel == "==" else next(cols) for _, rel, _ in rows]
+        self.slack_col = [None if rel == "==" else next(cols) for _, rel, _, _ in rows]
         # a row that reads <= once oriented has its slack as identity column
-        self.art_col = [
-            None if rel == ("<=" if sg == 1 else ">=") else next(cols)
-            for sg, (_, rel, _) in zip(self.sigma, rows)
-        ]
+        self.art_col = [None if rel == ("<=" if sg == 1 else ">=") else next(cols)
+                        for sg, (_, rel, _, _) in zip(self.sigma, rows)]
         self.ncols = ncols = next(cols)
 
         self.M = [[0] * ncols for _ in rows]
         self.b, self.d, self.scale = [0] * self.nrows, 1, [1] * ncols
         self.basis = [self.initial_identity_column(i) for i in range(self.nrows)]
-        for i, (sg, row, (coeffs, rel, rhs)) in enumerate(zip(self.sigma, self.M, rows)):
-            lam = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        for i, (sg, row, (coeffs, rel, rhs, scale)) in enumerate(zip(self.sigma, self.M, rows)):
             for j, c in coeffs.items():
-                row[j] = sg * c.numerator * (lam // c.denominator)
+                row[j] = sg * c
             for col, entry in ((self.slack_col[i], sg if rel == "<=" else -sg), (self.art_col[i], 1)):
                 if col is not None:
-                    row[col], self.scale[col] = entry, lam
-            self.b[i] = sg * rhs.numerator * (lam // rhs.denominator)
+                    row[col], self.scale[col] = entry, scale
+            self.b[i] = sg * rhs
 
         self.artificials = {c for c in self.art_col if c is not None}
         self.cost2 = list(cost) + [ZERO] * (ncols - len(cost))  # phase-2 costs, min form
@@ -535,11 +544,6 @@ class _Tableau:
             if C[k] != 0:
                 costrow = [z - C[k] * v for z, v in zip(costrow, row)]
         return costrow
-
-    def reduced_costs(self, cost: list[Fraction], costrow: list[int]) -> list[Fraction]:
-        """`costrow`, priced from `cost`, as `Fraction`s per unscaled column."""
-        _, den = self._integer_cost(cost)
-        return [Fraction(z * s, den * self.d) for z, s in zip(costrow, self.scale)]
 
     def pivot(self, r: int, e: int, costrow: list[int]) -> None:
         self.pivots[self.phase] += 1
@@ -591,14 +595,14 @@ class _Tableau:
 
     def max_bits(self) -> int:
         # entry j of row i, unscaled, is M[i][j] * scale[j] / (d * scale[basis[i]]);
-        # the bit-length of |p| | q is the larger of those of p and q
-        best = 0
-        for i, k in enumerate(self.basis):
+        # the bit-length of an OR is the largest of its operands'
+        best, scales = 0, self.scale + [1]
+        for row, b, k in zip(self.M, self.b, self.basis):
             q = self.d * self.scale[k]
-            for v, s in zip(self.M[i] + [self.b[i]], self.scale + [1]):
-                if v != 0:  # a zero is 0/1, and row i holds d over its basic column
+            for v, s in zip(row + [b], scales):
+                if v:  # a zero is 0/1, and row i holds d over its basic column
                     g = gcd(v * s, q)
-                    best = max(best, abs(v * s) // g | q // g)
+                    best |= abs(v * s) // g | q // g
         return best.bit_length()
 
 
@@ -614,21 +618,20 @@ def solve(lp: LinearProgram) -> LpOutcome:
     """
     started = time.perf_counter()
     lp.validate()
-    rows = materialized_rows(lp)
+    rows = _integer_rows(lp)
     lower, upper = _presolve_bounds(len(lp.variables), rows)
     for lo, hi in zip(lower, upper):
-        if lo is not None and hi is not None and lo.value > hi.value:
+        if lo is not None and hi is not None and lo.exceeds(hi):
             # x >= l and x <= u add up to 0 <= u - l < 0
-            y = [ZERO] * len(rows)
-            y[lo.row] += ONE / lo.coeff
-            y[hi.row] -= ONE / hi.coeff
-            return _certified(lp, Infeasible(_farkas(rows, y)), None, started)
+            y = [ZERO] * len(rows)  # lo.row != hi.row: one row gives equal bounds
+            y[lo.row], y[hi.row] = Fraction(lo.scale, lo.coeff), Fraction(-hi.scale, hi.coeff)
+            return _certified(lp, rows, Infeasible(_farkas(rows, y)), None, started)
     pre = _Presolved(lp, rows, lower, upper)
     t = _Tableau(pre.rows, pre.cost)
-    return _certified(lp, _simplex(lp, rows, pre, t), t, started)
+    return _certified(lp, rows, _simplex(lp, rows, pre, t), t, started)
 
 
-def _simplex(lp: LinearProgram, rows: list[Row], pre: _Presolved, t: _Tableau) -> LpOutcome:
+def _simplex(lp: LinearProgram, rows: list[IntRow], pre: _Presolved, t: _Tableau) -> LpOutcome:
     """Two phases on the presolved tableau; outcomes are stated over `lp`."""
     if t.artificials:
         cost1 = [ONE if j in t.artificials else ZERO for j in range(t.ncols)]
@@ -636,24 +639,24 @@ def _simplex(lp: LinearProgram, rows: list[Row], pre: _Presolved, t: _Tableau) -
         if t.run(costrow, banned=frozenset()) is not None:
             raise CertificateError("phase 1 cannot be unbounded")
         if any(v > 0 for k, v in zip(t.basis, t.b) if k in t.artificials):  # phase-1 value > 0
-            return Infeasible(_farkas(rows, pre.weights(t, cost1, t.reduced_costs(cost1, costrow))))
+            return Infeasible(_farkas(rows, pre.weights(t, cost1, costrow)))
         _drive_out_artificials(t)
     t.phase = 1
 
     costrow = t.price(t.cost2)
     enter = t.run(costrow, banned=frozenset(t.artificials))
     if enter is not None:
-        step = {k: Fraction(-row[enter] * t.scale[enter], t.d * t.scale[k])
-                for k, row in zip(t.basis, t.M) if row[enter] != 0}
-        step[enter] = ONE
-        direction = pre.point(step, shifted=False)
+        # over d; a column of x' has scale 1, and only those enter the direction
+        step = {k: -row[enter] * t.scale[enter] for k, row in zip(t.basis, t.M) if row[enter] != 0}
+        step[enter] = t.d
+        direction = pre.point(step, t.d, shifted=False)
         return Unbounded({name: d for name, d in zip(lp.variables, direction) if d != 0})
 
-    x = pre.point({k: Fraction(v, t.d * t.scale[k]) for k, v in zip(t.basis, t.b)})
-    sign = ONE if lp.sense == "min" else -ONE
-    weights = pre.weights(t, t.cost2, t.reduced_costs(t.cost2, costrow))
-    dual = {i: sign * w for i, w in enumerate(weights) if w != 0}
-    value = sum((lp.objective.get(name, ZERO) * v for name, v in zip(lp.variables, x)), ZERO)
+    x = pre.point(dict(zip(t.basis, t.b)), t.d)  # a column of x' has scale 1
+    dual = {i: w if lp.sense == "min" else -w for i, w in enumerate(pre.weights(t, t.cost2, costrow)) if w}
+    c, g = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
+    xs, xd = _over_one_denominator(x)
+    value = Fraction(sum(cj * xj for cj, xj in zip(c, xs)), g * xd)
     return Optimal(value, dict(zip(lp.variables, x)), dual)
 
 
@@ -667,15 +670,16 @@ def _drive_out_artificials(t: _Tableau) -> None:
             # else: redundant row; the artificial stays basic at value 0
 
 
-def _certified(lp: LinearProgram, outcome: LpOutcome, t: _Tableau | None, started: float) -> LpOutcome:
-    """`outcome` with its stats attached, once its certificate verifies against `lp`."""
+def _certified(lp: LinearProgram, rows: list[IntRow], outcome: LpOutcome, t: _Tableau | None, started) -> LpOutcome:
+    """`outcome` with its stats attached, once its certificate verifies
+    against `rows`, the integer rows of `lp`; `t` is the final tableau."""
     verifying = time.perf_counter()
     if isinstance(outcome, Optimal):
-        ok, what = verify_optimality(lp, outcome.assignment, outcome.dual), "optimality certificate"
+        ok, what = _proves_optimality(lp, rows, outcome.assignment, outcome.dual), "optimality certificate"
     elif isinstance(outcome, Infeasible):
-        ok, what = verify_infeasibility(lp, outcome.farkas), "farkas certificate"
+        ok, what = _proves_infeasibility(lp, rows, outcome.farkas), "farkas certificate"
     else:
-        ok, what = verify_ray(lp, outcome.ray), "ray"
+        ok, what = _is_ray(lp, rows, outcome.ray), "ray"
     if not ok:
         raise CertificateError(f"produced {what} failed verification")
     done = time.perf_counter()
@@ -721,17 +725,10 @@ def brute_force_optimum(lp: LinearProgram) -> Fraction | None:
     n = len(lp.variables)
     best: Fraction | None = None
     for subset in combinations(range(len(rows)), n):
-        point = _solve_square(
-            [rows[i][0] for i in subset], [rows[i][2] for i in subset], n
-        )
-        if point is None:
+        point = _solve_square([rows[i][0] for i in subset], [rows[i][2] for i in subset], n)
+        if point is None or not all(_holds(_row_value(coeffs, point), rel, rhs) for coeffs, rel, rhs in rows):
             continue
-        if not all(_holds(_row_value(coeffs, point), rel, rhs) for coeffs, rel, rhs in rows):
-            continue
-        val = sum(
-            (lp.objective.get(name, ZERO) * point[j] for j, name in enumerate(lp.variables)),
-            ZERO,
-        )
+        val = sum((lp.objective.get(name, ZERO) * point[j] for j, name in enumerate(lp.variables)), ZERO)
         if best is None or (val < best if lp.sense == "min" else val > best):
             best = val
     return best
@@ -781,8 +778,7 @@ def format_certificate(lp: LinearProgram, outcome: LpOutcome) -> str:
     lines: list[str] = []
     labels = row_labels(lp)
     if isinstance(outcome, Optimal):
-        lines.append("status: optimal")
-        lines.append(f"value: {outcome.value}")
+        lines += ["status: optimal", f"value: {outcome.value}"]
         for name in lp.variables:
             lines.append(f"{name} = {outcome.assignment[name]}")
         for i in sorted(outcome.dual):

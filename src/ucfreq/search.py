@@ -412,6 +412,10 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
 # randomized corpus
 # ---------------------------------------------------------------------------
 
+# `run_lemma_corpus` gives up after this many draws per instance asked for
+CORPUS_DRAWS_PER_INSTANCE = 100
+
+
 def random_union_closed(rng: random.Random, n: int) -> SetFamily:
     """Union closure of 3 to 10 uniformly random nonempty generator sets."""
     count = rng.randint(3, 10)
@@ -436,12 +440,21 @@ def run_lemma_corpus(
     at least 2 admitting a flexible pair; random union-closed families are
     drawn (fixed seed) until `instances` of them have been checked.  Such
     an S and an x outside S + {1} need n >= 4, so `n_high` must be at least 4.
+    After `CORPUS_DRAWS_PER_INSTANCE * instances` draws without enough
+    instances it raises `RuntimeError` instead of drawing on.
     """
     if n_high < 4 or n_low > n_high:
         raise ValueError(f"need n_low <= n_high and n_high >= 4, got n = {n_low}..{n_high}")
     rng = random.Random(seed)
     report = VerificationReport()
+    budget, draws = CORPUS_DRAWS_PER_INSTANCE * instances, 0
     while report.families_checked < instances:
+        if draws == budget:
+            raise RuntimeError(
+                f"lemma corpus: {report.families_checked} of {instances} instances"
+                f" found in {budget} draws at n = {n_low}..{n_high}"
+            )
+        draws += 1
         fam = random_union_closed(rng, rng.randint(n_low, n_high))
         for s in minimal_two_good_sets(fam):
             if report.families_checked >= instances:

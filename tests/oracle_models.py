@@ -1,7 +1,8 @@
 """Shared test oracles: symmetry-reduced LP models, random program generators,
 the certificate checks in `Fraction` arithmetic (`fraction_check_feasible`
 and the three `fraction_verify_*`), the split-tableau simplex, the presolved
-simplex on a `Fraction` tableau (`fraction_tableau_solve`), the shift loop of
+simplex with its presolve and tableau in `Fraction`s
+(`fraction_presolve_bounds`, `fraction_tableau_solve`), the shift loop of
 `elements_of`, the subset scan for minimal transversals, the pairwise scans
 for minimal elements and antichains, the recursive union-closed enumerator
 with its f_2 check, and the cover-law suite on `SetFamily` values.
@@ -20,7 +21,7 @@ import random
 import time
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import Iterator, Mapping, NamedTuple
 
 from ucfreq.ratlp import (
     ONE,
@@ -34,8 +35,7 @@ from ucfreq.ratlp import (
     Unbounded,
     _certified,
     _farkas,
-    _Presolved,
-    _presolve_bounds,
+    _integer_rows,
     _rat,
     materialized_rows,
 )
@@ -452,6 +452,115 @@ def _extract_ray(lp: LinearProgram, t: _Tableau, enter: int) -> dict[str, Fracti
     }
 
 
+# The presolve as it was before `ratlp.solve` kept one integer row form
+# from the presolve to the check: bounds read off the `Fraction` rows as
+# `Fraction`s, and shifted rows summed in `Fraction`s.  It feeds the
+# `Fraction` tableau below, the reference for the integer presolve.
+
+class _FractionBound(NamedTuple):
+    """A one-variable row read as a bound on its variable."""
+
+    value: Fraction
+    row: int  # index into `materialized_rows`
+    coeff: Fraction  # the row's coefficient on the variable
+
+
+def fraction_presolve_bounds(nvars: int, rows: list[Row]):
+    """The tightest lower and upper bound of each variable, read off the
+    one-variable rows; the first of equally tight rows wins."""
+    lower: list[_FractionBound | None] = [None] * nvars
+    upper: list[_FractionBound | None] = [None] * nvars
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        if len(coeffs) > 1:
+            continue
+        ((j, a),) = coeffs.items()
+        bound = _FractionBound(rhs / a, i, a)
+        if rel != ("<=" if a > 0 else ">="):  # x_j >= rhs / a
+            if lower[j] is None or bound.value > lower[j].value:
+                lower[j] = bound
+        if rel != (">=" if a > 0 else "<="):  # x_j <= rhs / a
+            if upper[j] is None or bound.value < upper[j].value:
+                upper[j] = bound
+    return lower, upper
+
+
+class _FractionPresolved:
+    """The program over columns x' >= 0, with the bounds folded in.
+
+    A variable with a lower bound l is x = l + x' (an upper bound u as well
+    adds the row x' <= u - l, whose slack needs no artificial); one with
+    only an upper bound is x = u - x'; a free one is x = x'+ - x'-.  The
+    tableau gets the rows with two or more variables and those upper rows.
+
+    Every tableau row and every bounded column keeps the materialized row
+    it stands for and the factor that turns its dual (for a column: its
+    reduced cost, the dual of x' >= 0) into that row's weight, so the
+    certificates come back keyed to `materialized_rows`.
+    """
+
+    def __init__(self, lp: LinearProgram, rows: list[Row], lower, upper):
+        sign = ONE if lp.sense == "min" else -ONE
+        self.nmaterialized = len(rows)
+        self.columns: list[tuple[tuple[int, int], ...]] = []  # per variable: (column, sign)
+        self.offset: list[Fraction] = []
+        self.column_origin: list[tuple[int, Fraction] | None] = []
+        self.cost: list[Fraction] = []
+        for j, name in enumerate(lp.variables):
+            lo, hi = lower[j], upper[j]
+            c = len(self.cost)
+            if lo is not None:
+                cols, offset, origins = ((c, 1),), lo.value, [(lo.row, ONE / lo.coeff)]
+            elif hi is not None:
+                cols, offset, origins = ((c, -1),), hi.value, [(hi.row, -ONE / hi.coeff)]
+            else:
+                cols, offset, origins = ((c, 1), (c + 1, -1)), ZERO, [None, None]
+            self.columns.append(cols)
+            self.offset.append(offset)
+            self.column_origin += origins
+            self.cost += [sign * lp.objective.get(name, ZERO) * s for _, s in cols]
+
+        boxed = {
+            hi.row: j for j, (lo, hi) in enumerate(zip(lower, upper))
+            if lo is not None and hi is not None
+        }
+        self.rows: list[Row] = []  # in materialized order
+        self.row_origin: list[tuple[int, Fraction]] = []
+        for i, (coeffs, rel, rhs) in enumerate(rows):
+            if i in boxed:
+                j = boxed[i]
+                col = self.columns[j][0][0]
+                self.rows.append(({col: ONE}, "<=", upper[j].value - lower[j].value))
+                self.row_origin.append((i, ONE / upper[j].coeff))
+            elif len(coeffs) > 1:
+                shifted: dict[int, Fraction] = {}
+                for j, a in coeffs.items():
+                    rhs -= a * self.offset[j]
+                    for c, sg in self.columns[j]:
+                        shifted[c] = a * sg
+                self.rows.append((shifted, rel, rhs))
+                self.row_origin.append((i, ONE))
+
+    def point(self, values: Mapping[int, Fraction], shifted: bool = True) -> list[Fraction]:
+        """x from the column values x' (absent columns are 0); with
+        `shifted` False, the direction of x along a direction of x'."""
+        return [
+            (offset if shifted else ZERO) + sum((s * values.get(c, ZERO) for c, s in cols), ZERO)
+            for offset, cols in zip(self.offset, self.columns)
+        ]
+
+    def weights(self, t: _FractionTableau, cost: list[Fraction], costrow: list[Fraction]) -> list[Fraction]:
+        """Min-form dual weights on the materialized rows from a tableau priced by `cost`."""
+        y = [ZERO] * self.nmaterialized
+        for r, (i, factor) in enumerate(self.row_origin):
+            col = t.initial_identity_column(r)
+            y[i] += t.sigma[r] * (cost[col] - costrow[col]) * factor
+        for c, origin in enumerate(self.column_origin):
+            if origin is not None and costrow[c] != 0:
+                i, factor = origin
+                y[i] += costrow[c] * factor
+        return y
+
+
 # The presolved simplex as it was before `ratlp._Tableau` went integer: the
 # same presolve, two phases and Bland's rule on a dense `Fraction` tableau.
 # It stays as the reference for the integer tableau's outcomes and stats.
@@ -582,20 +691,20 @@ def fraction_tableau_solve(lp: LinearProgram) -> LpOutcome:
     started = time.perf_counter()
     lp.validate()
     rows = materialized_rows(lp)
-    lower, upper = _presolve_bounds(len(lp.variables), rows)
+    lower, upper = fraction_presolve_bounds(len(lp.variables), rows)
     for lo, hi in zip(lower, upper):
         if lo is not None and hi is not None and lo.value > hi.value:
             # x >= l and x <= u add up to 0 <= u - l < 0
             y = [ZERO] * len(rows)
             y[lo.row] += ONE / lo.coeff
             y[hi.row] -= ONE / hi.coeff
-            return _certified(lp, Infeasible(_farkas(rows, y)), None, started)
-    pre = _Presolved(lp, rows, lower, upper)
+            return _certified(lp, _integer_rows(lp), Infeasible(_farkas(rows, y)), None, started)
+    pre = _FractionPresolved(lp, rows, lower, upper)
     t = _FractionTableau(pre.rows, pre.cost)
-    return _certified(lp, _fraction_simplex(lp, rows, pre, t), t, started)
+    return _certified(lp, _integer_rows(lp), _fraction_simplex(lp, rows, pre, t), t, started)
 
 
-def _fraction_simplex(lp: LinearProgram, rows: list[Row], pre: _Presolved, t: _FractionTableau) -> LpOutcome:
+def _fraction_simplex(lp: LinearProgram, rows: list[Row], pre: _FractionPresolved, t: _FractionTableau) -> LpOutcome:
     """Two phases on the presolved tableau; outcomes are stated over `lp`."""
     if t.artificials:
         cost1 = [ONE if j in t.artificials else ZERO for j in range(t.ncols)]

@@ -4,10 +4,12 @@ The randomized suites compare simplex output against `brute_force_optimum`
 (exhaustive basic-point enumeration over Gaussian-solved row subsets), an
 algorithm with no code in common with the simplex path, against the
 split-tableau simplex that ran before the presolve, which keeps every bound
-as a row, and against the presolved simplex on a `Fraction` tableau, which
-must take the same pivots and give equal outcomes and `SolveStats`.  The
-integer certificate checks must give the verdicts and `ValueError`s of the
-`Fraction` ones on solver certificates and on single mutations of them.
+as a row, and against the presolved simplex with its presolve and tableau in
+`Fraction`s, which must take the same pivots and give equal outcomes and
+`SolveStats`.  The integer certificate checks must give the verdicts and
+`ValueError`s of the `Fraction` ones on solver certificates and on single
+mutations of them, and the tableau shape, pivots and `max_bits` of the 13
+paper programs are pinned.
 """
 
 from __future__ import annotations
@@ -535,9 +537,9 @@ def tableau_log(monkeypatch):
     log = {"tableaus": [], "pivots": [], "unbounded_on": []}
     certified, pivot, run = ratlp._certified, ratlp._Tableau.pivot, ratlp._Tableau.run
 
-    def spy_certified(lp, outcome, t, started):
+    def spy_certified(lp, rows, outcome, t, started):
         log["tableaus"].append(t)
-        return certified(lp, outcome, t, started)
+        return certified(lp, rows, outcome, t, started)
 
     def spy_pivot(t, r, e, costrow):
         log["pivots"].append(t.M[r][e])
@@ -727,3 +729,131 @@ class TestIntegerChecks:
         seen = Counter()
         assert_checks_agree(lp, solve(lp), random.Random(name), 24, seen)
         assert seen[True] >= 1 and seen[False] >= 1
+
+
+# ---------------------------------------------------------------------------
+# integer presolve: bounds and shifts on the integer rows, as in `Fraction`s
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def presolve_log(monkeypatch):
+    """Records the (lower, upper) bounds `solve` reads off the integer rows
+    and every `_Presolved` it builds."""
+    log = {"bounds": [], "presolved": []}
+    presolve_bounds, presolved = ratlp._presolve_bounds, ratlp._Presolved
+
+    def spy_bounds(nvars, rows):
+        log["bounds"].append(presolve_bounds(nvars, rows))
+        return log["bounds"][-1]
+
+    class SpyPresolved(presolved):
+        def __init__(self, *args):
+            super().__init__(*args)
+            log["presolved"].append(self)
+
+    monkeypatch.setattr(ratlp, "_presolve_bounds", spy_bounds)
+    monkeypatch.setattr(ratlp, "_Presolved", SpyPresolved)
+    return log
+
+
+class TestIntegerPresolve:
+    def test_one_variable_rows_with_non_unit_coefficients(self, presolve_log):
+        # -2x >= -3 is x <= 3/2 on the integer row itself; x/3 >= 1/2 is the
+        # integer row 2y >= 3 (scale 6), so y >= 3/2 with weight factor 6/2
+        lp = LinearProgram(("x", "y"), "max", {"x": F(2), "y": F(1)})
+        lp.add({"x": -2}, ">=", -3)
+        lp.add({"y": F(1, 3)}, ">=", F(1, 2))
+        lp.add({"x": 1, "y": 1}, "<=", 4)
+        out = assert_matches_fraction_tableau(lp)
+        assert out == Optimal(F(11, 2), {"x": F(3, 2), "y": F(5, 2)}, {0: F(-1, 2), 2: F(1)})
+        ((lower, upper),) = presolve_log["bounds"]
+        # (num, den, row, L, A): 3/2 off row 0 (L = 1, A = -2) and off row 1 (L = 6, A = 2)
+        assert upper[0] == (3, 2, 0, 1, -2) and lower[1] == (3, 2, 1, 6, 2)
+        (pre,) = presolve_log["presolved"]
+        assert pre.column_origin == [(0, -1, -2), (1, 6, 2)]
+
+    def test_coprime_offset_denominators_in_one_row(self, presolve_log):
+        # offsets 1/2, 1/3 and 1/7 meet in x + y + z <= 3: the shifted row
+        # is multiplied by 42 and stays integer
+        lp = LinearProgram(("x", "y", "z"), "max", {"x": F(1), "y": F(2), "z": F(3)},
+                           lower={"x": F(1, 2), "y": F(1, 3), "z": F(1, 7)})
+        lp.add({"x": 1, "y": 1, "z": 1}, "<=", 3)
+        lp.add({"x": 1, "z": -1}, ">=", F(1, 5))
+        out = assert_matches_fraction_tableau(lp)
+        assert out.value == F(29, 5)
+        (pre,) = presolve_log["presolved"]
+        assert pre.offset == [(1, 2), (1, 3), (1, 7)]
+        assert pre.rows[0] == ({0: 42, 1: 42, 2: 42}, "<=", 3 * 42 - 21 - 14 - 6, 42)
+
+    def test_first_of_equally_tight_bound_rows_is_cited(self, presolve_log):
+        # x >= 1, 2x >= 2 and the declared lb(x) = 1 bound x equally tightly
+        lp = LinearProgram(("x", "y"), "min", {"x": F(1), "y": F(1)}, lower={"x": F(1), "y": F(0)})
+        lp.add({"x": 1}, ">=", 1)
+        lp.add({"x": 2}, ">=", 2)
+        lp.add({"x": 1, "y": 1}, ">=", F(1, 2))
+        out = assert_matches_fraction_tableau(lp)
+        assert out.dual == {0: F(1), 4: F(1)}
+        ((lower, _),) = presolve_log["bounds"]
+        assert lower[0].row == 0
+
+    def test_crossing_fractional_bounds_are_refuted_by_their_rows(self, presolve_log):
+        # 3x >= 2 and -5x >= -3: x >= 2/3 > 3/5 >= x, since 2 * 5 > 3 * 3
+        lp = LinearProgram(("x", "y"), "min", {"x": F(1)})
+        lp.add({"x": 1, "y": 1}, ">=", 0)
+        lp.add({"x": 3}, ">=", 2)
+        lp.add({"x": -5}, ">=", -3)
+        out = assert_matches_fraction_tableau(lp)
+        assert out == Infeasible({1: F(1, 3), 2: F(1, 5)})
+        assert out.stats.rows == 0 and presolve_log["presolved"] == []
+        # 5x >= 3 meets the same upper bound without crossing it
+        touching = replace(lp, constraints=lp.constraints[:1] + [LinearConstraint({"x": F(5)}, ">=", F(3))]
+                           + lp.constraints[2:])
+        assert assert_matches_fraction_tableau(touching).value == F(3, 5)
+        assert len(presolve_log["presolved"]) == 1
+
+    def test_free_variable_split_next_to_shifted_ones(self, presolve_log):
+        lp = LinearProgram(("x", "y", "z"), "min", {"x": F(1), "y": F(1), "z": F(-1)},
+                           lower={"y": F(1, 2)}, upper={"z": F(5, 3)})
+        lp.add({"x": 1, "y": -1}, ">=", -2)
+        lp.add({"x": 1, "z": 1}, ">=", F(1, 3))
+        out = assert_matches_fraction_tableau(lp)
+        assert out.value == F(-5, 2)
+        (pre,) = presolve_log["presolved"]
+        assert pre.columns == [((0, 1), (1, -1)), ((2, 1),), ((3, -1),)]
+        # x + z >= 1/3 is 3x + 3z >= 1; with z = 5/3 - z' and times 3 it reads
+        assert pre.rows[1] == ({0: 9, 1: -9, 3: -9}, ">=", 3 - 15, 9)
+
+    def test_boxed_variable_with_a_fractional_width(self, presolve_log):
+        # x in [1/3, 5/2]: its upper row is x' <= 13/6, written 6x' <= 13
+        lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(1)},
+                           lower={"x": F(1, 3), "y": F(0)}, upper={"x": F(5, 2), "y": F(1)})
+        lp.add({"x": 1, "y": 2}, "<=", 3)
+        out = assert_matches_fraction_tableau(lp)
+        assert out.value == F(11, 4) and out.dual == {0: F(1, 2), 2: F(1, 2)}
+        (pre,) = presolve_log["presolved"]
+        assert pre.rows[1] == ({0: 6}, "<=", 13, 6)
+
+
+# Rows, columns, artificials, phase-1 and phase-2 pivots and max_bits of the
+# 13 paper programs, as the solver gave them before the integer presolve.
+PAPER_STATS = {
+    "s4_base": (5, 25, 4, 5, 0, 3),
+    "s4_c0": (5, 25, 4, 5, 0, 4),
+    "s4_c1": (7, 29, 6, 7, 0, 5),
+    "s4_c2": (6, 27, 5, 6, 0, 5),
+    "s4_c3plus": (6, 27, 5, 6, 0, 6),
+    "s4_min_objective": (5, 25, 4, 5, 0, 3),
+    "s5_base": (6, 43, 5, 6, 0, 4),
+    "s5_c0": (6, 43, 5, 6, 0, 5),
+    "s5_c1": (9, 49, 8, 9, 0, 6),
+    "s5_c2": (7, 45, 6, 9, 1, 6),
+    "s5_c3plus": (7, 45, 6, 9, 2, 5),
+    "s5_min_objective": (6, 43, 5, 6, 0, 4),
+    "s5_pair": (7, 45, 6, 9, 0, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_PROGRAMS))
+def test_paper_program_stats_are_pinned(name):
+    stats = solve(PAPER_PROGRAMS[name]).stats
+    assert stats[:5] + (stats.max_bits,) == PAPER_STATS[name]

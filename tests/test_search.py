@@ -303,6 +303,32 @@ class TestLemmaCorpus:
     def test_smallest_admissible_size(self):
         assert run_lemma_corpus(instances=20, seed=3, n_low=4, n_high=4).passed
 
+    def test_gives_up_after_the_draw_budget(self, monkeypatch):
+        # {{1}} has the one minimal 2-good set {} and so no instance: without
+        # a budget the loop would draw for ever
+        drawn = []
+
+        def barren(rng, n):
+            drawn.append(n)
+            return family(n, [[1]])
+
+        monkeypatch.setattr(search, "random_union_closed", barren)
+        with pytest.raises(RuntimeError, match=r"^lemma corpus: 0 of 3 instances found in 300 draws at n = 4\.\.9$"):
+            run_lemma_corpus(instances=3)
+        assert len(drawn) == 3 * search.CORPUS_DRAWS_PER_INSTANCE == 300
+
+    def test_budget_leaves_the_draws_unchanged(self, monkeypatch):
+        # 362 draws for 1000 instances at seed 7, as before the budget existed
+        drawn = []
+
+        def counted(rng, n):
+            drawn.append(n)
+            return random_union_closed(rng, n)
+
+        monkeypatch.setattr(search, "random_union_closed", counted)
+        assert run_lemma_corpus(instances=1000, seed=7).families_checked == 1000
+        assert len(drawn) == 362
+
 
 class TestReport:
     def test_default_report_passes(self):
