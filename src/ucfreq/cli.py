@@ -1,7 +1,7 @@
 """Command-line front end. Batch commands, exact rational output.
 
 Exit codes: 0 success, 1 usage error (a bad flag or flag combination),
-2 invalid input family or base set (or over MAX_OUTPUT sets to list),
+2 invalid input family or base set (or over MAX_OUTPUT sets to read or list),
 3 internal consistency failure (a certificate that does not re-verify,
 or a verification suite reporting violations - both always bugs).
 """
@@ -20,7 +20,9 @@ from .ratlp import CertificateError, Optimal, format_certificate, format_lp
 
 OK, USAGE_ERROR, BAD_FAMILY, INTERNAL_ERROR = 0, 1, 2, 3
 
-MAX_OUTPUT = 100_000  # minimal covers or 2-good sets listed at most; there can be 3^(n/3)
+# minimal covers or 2-good sets listed at most (there can be 3^(n/3)), and
+# member sets read at most from a family file
+MAX_OUTPUT = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +62,8 @@ def _load_family(path: str, fmt: str | None, add_empty: bool) -> setfam.SetFamil
             fam = setfam.family_from_text(text)
     except ValueError as exc:
         raise FamilyInputError(f"{path}: {exc}") from exc
+    if len(fam) > MAX_OUTPUT:
+        raise FamilyInputError(f"{path}: more than {MAX_OUTPUT} member sets")
     if add_empty and 0 not in fam.member_set():
         fam = setfam.SetFamily(fam.n, (0,) + fam.sets)
     return fam

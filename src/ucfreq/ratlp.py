@@ -50,9 +50,10 @@ conditions and are independent of the solver internals.  Like
 or ray as integers over one positive denominator and each weight y_i / L_i
 over one common denominator, so every condition is an integer dot product
 compared by cross-multiplying or by its sign; nothing is rounded.  `solve`
-re-checks every certificate it emits on the integer rows it solved, every
-materialized row included, and raises `CertificateError` if its own output
-fails (which would be a bug, never a property of the input).
+re-checks every certificate it emits, and an optimum's value against c . x*,
+on the integer rows it solved, every materialized row included, and raises
+`CertificateError` if its own output fails (which would be a bug, never a
+property of the input).
 """
 
 from __future__ import annotations
@@ -284,21 +285,24 @@ def _combine(rows: list[IntRow], z: Mapping[int, int], nvars: int) -> tuple[list
 
 # The checks on integer rows, as `solve` runs them on the rows it solved.
 
-def _proves_optimality(lp: LinearProgram, rows: list[IntRow], primal, dual) -> bool:
+def _proven_value(lp: LinearProgram, rows: list[IntRow], primal, dual) -> tuple[int, int] | None:
+    """The objective value at `primal` as integers (N, D), D > 0, when `dual`
+    proves `primal` optimal; None when it does not."""
     x, d = _over_one_denominator(_point(lp, primal))
     if not _satisfies(rows, x, d):
-        return False
+        return None
     z, e = _weights_over_rows(rows, dual, "dual")
     # Z[i] has the sign of dual[i]: for min, >= 0 on >= rows and <= 0 on <= rows
     geq_sign = 1 if lp.sense == "min" else -1
     if any(geq_sign * _ORIENTATION[rows[i][1]] * zi < 0 for i, zi in z.items()):
-        return False
+        return None
     combined, dual_value = _combine(rows, z, len(lp.variables))
     c, g = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
     # combined / e == c / g componentwise, and (c . x) / (g * d) == dual_value / e
     if any(cz * g != cj * e for cz, cj in zip(combined, c)):
-        return False
-    return sum(cj * xj for cj, xj in zip(c, x)) * e == dual_value * g * d
+        return None
+    primal_value = sum(cj * xj for cj, xj in zip(c, x))
+    return (primal_value, g * d) if primal_value * e == dual_value * g * d else None
 
 
 def _proves_infeasibility(lp: LinearProgram, rows: list[IntRow], farkas) -> bool:
@@ -341,7 +345,7 @@ def verify_optimality(lp: LinearProgram, primal: Mapping[str, Fraction], dual: M
     coincide.  A True result proves optimality of the primal point.
     """
     lp.validate()
-    return _proves_optimality(lp, _integer_rows(lp), primal, dual)
+    return _proven_value(lp, _integer_rows(lp), primal, dual) is not None
 
 
 def verify_infeasibility(lp: LinearProgram, farkas: Mapping[int, Fraction]) -> bool:
@@ -675,7 +679,10 @@ def _certified(lp: LinearProgram, rows: list[IntRow], outcome: LpOutcome, t: _Ta
     against `rows`, the integer rows of `lp`; `t` is the final tableau."""
     verifying = time.perf_counter()
     if isinstance(outcome, Optimal):
-        ok, what = _proves_optimality(lp, rows, outcome.assignment, outcome.dual), "optimality certificate"
+        # the value is what gets printed: it must be c . x = N / D, cross-multiplied
+        proven = _proven_value(lp, rows, outcome.assignment, outcome.dual)
+        ok = proven is not None and outcome.value.numerator * proven[1] == proven[0] * outcome.value.denominator
+        what = "optimality certificate"
     elif isinstance(outcome, Infeasible):
         ok, what = _proves_infeasibility(lp, rows, outcome.farkas), "farkas certificate"
     else:

@@ -103,15 +103,24 @@ def family(n: int, sets: Iterable[Iterable[int]]) -> SetFamily:
 # closure and frequency structure
 # ---------------------------------------------------------------------------
 
+def _closing(masks: Iterable[Mask]) -> Iterator[set[Mask]]:
+    """The union closure of `masks`, lazily, as the sets each step adds.  By
+    size, a mask g outside the closure C of the masks before it adds {g} and
+    {g | c : c in C} minus C, a step of |C| work; C stays union-closed."""
+    closed: set[Mask] = set()
+    for g in sorted(masks, key=int.bit_count):
+        if g not in closed:
+            new = {g | c for c in closed}
+            new.add(g)
+            new -= closed
+            closed |= new
+            yield new
+
+
 def is_union_closed(fam: SetFamily) -> bool:
     """True iff A, B in the family implies A | B is too."""
     members = fam.member_set()
-    sets = fam.sets
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            if a | b not in members:
-                return False
-    return True
+    return all(new <= members for new in _closing(fam.sets))
 
 
 def union_closure(generators: SetFamily) -> SetFamily:
@@ -122,17 +131,7 @@ def union_closure(generators: SetFamily) -> SetFamily:
     """
     if not generators.sets:
         raise ValueError("union_closure requires at least one generator")
-    closed = set(generators.sets)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(closed):
-                u = a | b
-                if u not in closed:
-                    closed.add(u)
-                    nxt.append(u)
-        frontier = nxt
+    closed = (u for new in _closing(generators.sets) for u in new)
     return SetFamily(generators.n, tuple(sorted(closed, key=elements_of)))
 
 

@@ -4,8 +4,9 @@ and the three `fraction_verify_*`), the split-tableau simplex, the presolved
 simplex with its presolve and tableau in `Fraction`s
 (`fraction_presolve_bounds`, `fraction_tableau_solve`), the shift loop of
 `elements_of`, the subset scan for minimal transversals, the pairwise scans
-for minimal elements and antichains, the recursive union-closed enumerator
-with its f_2 check, and the cover-law suite on `SetFamily` values.
+for minimal elements, antichains and union closure, the frontier union
+closure, the recursive union-closed enumerator with its f_2 check, and the
+cover-law suite on `SetFamily` values.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -835,6 +836,44 @@ def scan_is_antichain(masks) -> bool:
             if a & ~b == 0 or b & ~a == 0:
                 return False
     return True
+
+
+def pairwise_is_union_closed(fam: SetFamily) -> bool:
+    """True iff the union of every pair of members is a member, each pair tried.
+
+    This is the body `setfam.is_union_closed` had before it shared the
+    incremental closure of `setfam.union_closure`; it stays as the reference.
+    """
+    members = fam.member_set()
+    sets = fam.sets
+    for i, a in enumerate(sets):
+        for b in sets[i:]:
+            if a | b not in members:
+                return False
+    return True
+
+
+def frontier_union_closure(generators: SetFamily) -> SetFamily:
+    """Union closure grown from a frontier, each new set joined with every
+    set found so far, in canonical order.
+
+    This is the body `setfam.union_closure` had before it took the
+    generators fewest elements first; it stays as the reference.
+    """
+    if not generators.sets:
+        raise ValueError("union_closure requires at least one generator")
+    closed = set(generators.sets)
+    frontier = list(closed)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(closed):
+                u = a | b
+                if u not in closed:
+                    closed.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return SetFamily(generators.n, tuple(sorted(closed, key=elements_of)))
 
 
 # The enumerator and the f_2 check as they were before `search` walked the

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ucfreq import setfam
+from ucfreq import cli, setfam
 from ucfreq.cli import MAX_OUTPUT, main
 from ucfreq.setfam import family, family_to_json, family_to_text, union_closure
 
@@ -171,6 +171,12 @@ class TestSolveCommands:
     def test_min_objective_bad_term(self, capsys):
         assert main(["min-objective", "--s", "4", "--objective", "q_abcde"]) == 1
 
+    def test_min_objective_refuses_a_value_off_its_certificate(self, capsys, off_by_one_value):
+        assert main(["min-objective", "--s", "4", "--objective", "q_singleton"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ucfreq: internal consistency failure: produced optimality certificate failed verification\n"
+
 
 class TestAnalyze:
     def test_chain_family(self, chain_family_json, capsys):
@@ -250,6 +256,18 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.endswith("minimal 2-good sets:\n  {24} incidence=2\n")
+
+    def test_singleton_closure_is_fast(self, tmp_path, capsys):
+        # 16 383 members, all unions of the 14 singletons: the closure check
+        # is |F| per singleton, not one test per pair of members
+        path = tmp_path / "singletons14.txt"
+        path.write_text(family_to_text(union_closure(family(14, [[e] for e in range(1, 15)]))))
+        start = time.perf_counter()
+        assert main(["analyze", str(path)]) == 0
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out
+        assert out.startswith("m = 16383\nfrequencies: 1=8192 ")
+        assert out.endswith("minimal 2-good sets:\n  {2,3,4,5,6,7,8,9,10,11,12,13,14} incidence=106496\n")
 
     def test_output_cap(self, tmp_path, capsys):
         # the unions of nine disjoint 4-blocks have 3 * 4^8 minimal 2-good sets
@@ -349,6 +367,24 @@ class TestFamilyFileInput:
         assert captured.out == ""
         assert captured.err.startswith(f"ucfreq: cannot read {path}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "covers", "check-lemmas --base 2"])
+    def test_member_cap_refuses_before_other_work(self, tmp_path, capsys, monkeypatch, command):
+        # four singletons: not union-closed, and {2} is not 2-good, so only
+        # the cap can be the refusal
+        monkeypatch.setattr(cli, "MAX_OUTPUT", 3)
+        path = tmp_path / "four.txt"
+        path.write_text("1\n2\n3\n4\n")
+        name, *flags = command.split()
+        assert main([name, str(path), *flags]) == 2
+        assert capsys.readouterr() == ("", f"ucfreq: {path}: more than 3 member sets\n")
+
+    def test_member_cap_admits_a_file_at_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_OUTPUT", 3)
+        path = tmp_path / "three.txt"
+        path.write_text("1\n2\n1 2\n")
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("m = 3\n")
 
     @pytest.fixture(scope="class")
     def folder(self, tmp_path_factory):

@@ -38,6 +38,7 @@ from oracle_models import (
 import ucfreq
 from ucfreq import lpmodel, ratlp
 from ucfreq.ratlp import (
+    CertificateError,
     Infeasible,
     LinearConstraint,
     LinearProgram,
@@ -481,6 +482,13 @@ class TestSolveStats:
         assert out == bare
         assert repr(out) == repr(bare) and "stats" not in repr(out)
         assert format_certificate(lp, out) == format_certificate(lp, bare)
+
+
+def test_solve_refuses_a_value_off_its_certificate(off_by_one_value):
+    # the assignment and dual still prove the optimum: only the value is wrong
+    for lp in (lp_min_x_ge_1(), PAPER_PROGRAMS["s4_min_objective"]):
+        with pytest.raises(CertificateError, match="optimality certificate"):
+            solve(lp)
 
 
 def test_reimport_releases_the_previous_module(monkeypatch):

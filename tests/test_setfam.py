@@ -7,11 +7,19 @@ library implementations) and frozen into the assertions.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
-from oracle_models import scan_is_antichain, scan_minimal_elements, scan_minimal_transversals, shift_elements_of
+from oracle_models import (
+    frontier_union_closure,
+    pairwise_is_union_closed,
+    scan_is_antichain,
+    scan_minimal_elements,
+    scan_minimal_transversals,
+    shift_elements_of,
+)
 
 from ucfreq.setfam import (
     FlexibleWitness,
@@ -177,6 +185,17 @@ class TestUnionClosed:
     def test_closure_output_is_union_closed(self, f):
         assert is_union_closed(f)
 
+    @given(raw_families())
+    def test_agrees_with_the_pairwise_check(self, f):
+        assert is_union_closed(f) == pairwise_is_union_closed(f)
+
+    def test_stops_at_the_first_missing_union(self):
+        # the closure of 63 singletons has 2^63 - 1 sets; {1,2} is missing at once
+        f = SetFamily(63, tuple(1 << i for i in range(63)))
+        start = time.perf_counter()
+        assert not is_union_closed(f)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestUnionClosure:
     def test_two_singletons(self):
@@ -197,6 +216,10 @@ class TestUnionClosure:
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             union_closure(SetFamily(1, ()))
+
+    @given(raw_families())
+    def test_agrees_with_the_frontier_closure(self, f):
+        assert union_closure(f) == frontier_union_closure(f)
 
     @given(raw_families())
     def test_idempotent_and_contains_generators(self, f):
