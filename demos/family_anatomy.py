@@ -33,7 +33,7 @@ print()
 
 print("Minimal 2-good sets (hit every member except {} and {1}, avoid 1):")
 for s in minimal_two_good_sets(fam):
-    print(f"  {format_mask(s)} with incidence {incidence(fam, s)}")
+    print(f"  {format_mask(s)} with incidence {incidence(freqs, s)}")
 print()
 
 base = mask_of([2, 3, 4])

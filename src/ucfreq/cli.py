@@ -190,7 +190,7 @@ def _cmd_analyze(args) -> int:
         raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal 2-good sets")
     lines.append("minimal 2-good sets:")
     for s in good:
-        lines.append(f"  {setfam.format_mask(s)} incidence={setfam.incidence(fam, s)}")
+        lines.append(f"  {setfam.format_mask(s)} incidence={setfam.incidence(freqs, s)}")
     if args.base is not None:
         base = _parse_base(args.base, fam.n)
         if 1 << base.bit_count() > MAX_OUTPUT:
@@ -211,9 +211,10 @@ def _cmd_covers(args) -> int:
         raise FamilyInputError(f"{args.family}: {exc}") from exc
     if len(mc) > MAX_OUTPUT:
         raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal covers")
-    if setfam.minimal_covers(mc) != setfam.minimal_elements(fam):
+    low = setfam.minimal_elements(fam)
+    if setfam.minimal_covers(mc) != low:
         raise CertificateError("MC(MC(F)) differs from the minimal elements of F")
-    antichain = setfam.is_antichain(fam)
+    antichain = len(low) == len(fam)
     lines = ["minimal covers:"]
     lines.extend(f"  {setfam.format_mask(s)}" for s in mc.sets)
     lines.append(f"input is antichain: {'yes' if antichain else 'no'}")
@@ -237,6 +238,8 @@ def _cmd_search_nagel(args) -> int:
 def _cmd_check_lemmas(args) -> int:
     fam = _load_family(args.family, args.format, args.add_empty)
     base = _parse_base(args.base, fam.n)
+    if len(setfam.minimal_two_good_sets(fam, limit=MAX_OUTPUT)) > MAX_OUTPUT:
+        raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal 2-good sets")
     try:
         report = search.spot_check_lemmas(fam, base)
     except ValueError as exc:

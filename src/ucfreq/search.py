@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
+from .lpmodel import INCIDENCE_EXTRA, frequency_cap_constant
 from .setfam import (
     Mask,
     SetFamily,
@@ -37,6 +38,7 @@ from .setfam import (
     is_two_good,
     is_union_closed,
     kth_frequency,
+    mask_of,
     minimal_covers,
     minimal_transversals,
     minimal_two_good_sets,
@@ -320,12 +322,13 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
     * q_T >= 2 whenever a is in T and T avoids C;
     * q_T >= 2 whenever T meets C twice, provided no pair b, c of C
       leaves s + x - b - c 2-good (the witness-set condition);
-    * frequency(x) >= 2^|S| - 2^(|S|-1-|C|) + sum of covered singleton
-      traces - |C|;
+    * frequency(x) >= `lpmodel.frequency_cap_constant(|S|, |C|)` plus the
+      covered singleton traces (the count behind `frequency_cap_constraint`);
     * with exactly one covered element b, |S| >= 4 and s of maximal
-      incidence among its size class: frequency(b) >= frequency(x) and
-      the three member counts (trace size >= 2, 3, 4 with b but not x)
-      of at least 2^(|S|-2), 2^(|S|-2)-1, 2^(|S|-3)-1.
+      incidence among its size class: frequency(b) >= frequency(x), and for
+      j = 2, 3, 4 at least `lpmodel.INCIDENCE_EXTRA[j](|S|)` members with b
+      but not x whose trace has size >= j (the batch behind
+      `incidence_count_constraints`).
 
     Violations signal implementation bugs; all bounds are proved for
     admissible inputs.
@@ -346,9 +349,7 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
         if w.x not in covered_by_x:
             covered_by_x[w.x] = covered_set(fam, s, w.x)
         cov = covered_by_x[w.x]
-        cov_mask = 0
-        for c in cov:
-            cov_mask |= 1 << (c - 1)
+        cov_mask, xbit = mask_of(cov), 1 << (w.x - 1)
 
         def complain(text: str) -> None:
             report.violations.append(f"(a={w.a}, x={w.x}): {text}")
@@ -361,7 +362,6 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
 
         # doubled traces, second pattern (needs the witness-set condition)
         if len(cov) >= 2:
-            xbit = 1 << (w.x - 1)
             pairs_blocked = all(
                 not is_two_good(fam, (s | xbit) & ~(1 << (b - 1)) & ~(1 << (c - 1)))
                 for i, b in enumerate(cov)
@@ -373,38 +373,26 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
                         complain(f"q_{format_mask(t)} = {counts[t]} < 2 (pair pattern)")
 
         # frequency floor for x
-        floor = (
-            2**size
-            - 2 ** (size - 1 - len(cov))
-            + sum(counts[1 << (c - 1)] for c in cov)
-            - len(cov)
-        )
+        floor = frequency_cap_constant(size, len(cov)) + sum(counts[1 << (c - 1)] for c in cov)
         if freqs[w.x] < floor:
             complain(f"frequency({w.x}) = {freqs[w.x]} < {floor}")
 
         # incidence-driven counts for a single covered element
         if len(cov) == 1 and size >= 4:
             if maximal_incidence is None:
-                same_size = [
-                    t for t in minimal_two_good_sets(fam) if t.bit_count() == size
-                ]
-                maximal_incidence = max(incidence(fam, t) for t in same_size)
-            if incidence(fam, s) == maximal_incidence:
+                maximal_incidence = max(
+                    incidence(freqs, t) for t in minimal_two_good_sets(fam) if t.bit_count() == size
+                )
+            if incidence(freqs, s) == maximal_incidence:
                 b = cov[0]
                 if freqs[b] < freqs[w.x]:
                     complain(f"frequency({b}) < frequency({w.x})")
-                bbit, xbit = 1 << (b - 1), 1 << (w.x - 1)
-                tallies = {2: 0, 3: 0, 4: 0}
-                for member in fam.sets:
-                    if member & bbit and not member & xbit:
-                        hits = (member & s).bit_count()
-                        for j in tallies:
-                            if hits >= j:
-                                tallies[j] += 1
-                needs = {2: 2 ** (size - 2), 3: 2 ** (size - 2) - 1, 4: 2 ** (size - 3) - 1}
-                for j, need in needs.items():
-                    if tallies[j] < need:
-                        complain(f"count(trace >= {j}, with {b}, without {w.x}) = {tallies[j]} < {need}")
+                bbit = 1 << (b - 1)
+                hits = [(m & s).bit_count() for m in fam.sets if m & bbit and not m & xbit]
+                for j, extra in INCIDENCE_EXTRA.items():
+                    have, need = sum(h >= j for h in hits), extra(size)
+                    if have < need:
+                        complain(f"count(trace >= {j}, with {b}, without {w.x}) = {have} < {need}")
     return report
 
 

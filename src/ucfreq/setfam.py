@@ -330,9 +330,10 @@ def is_minimal_two_good(fam: SetFamily, s: Mask) -> bool:
     return s & ~allowed == 0 and is_minimal_transversal(s, targets)
 
 
-def incidence(fam: SetFamily, s: Mask) -> int:
-    """Total intersection weight: the sum of |A & s| over members A."""
-    return sum((a & s).bit_count() for a in fam.sets)
+def incidence(freqs: dict[int, int], s: Mask) -> int:
+    """Total intersection weight, the sum of |A & s| over members A, from the
+    family's `element_frequencies`: that sum is the sum of freq(e) over e in s."""
+    return sum(freqs[e] for e in elements_of(s))
 
 
 def trace_counts(fam: SetFamily, s: Mask) -> dict[Mask, int]:

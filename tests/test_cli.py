@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ucfreq import cli, setfam
+from ucfreq import cli, search, setfam
 from ucfreq.cli import MAX_OUTPUT, main
 from ucfreq.setfam import family, family_to_json, family_to_text, union_closure
 
@@ -44,6 +44,18 @@ TABLE_CSV = (
     "4,81,81,114,infeasible\n"
     "5,237/2,231/2,122,114\n"
 )
+
+
+def block_family_file(tmp_path, k):
+    """The k-block family and its base S = {2, 5, ..., 3k - 1}: the union
+    closure of the 3-blocks {3i+2, 3i+3, 3i+4} for i < k, with x = 3k + 2
+    added to the second block, and of {2, x}.  S meets every block once."""
+    x = 3 * k + 2
+    blocks = [[3 * i + 2, 3 * i + 3, 3 * i + 4] for i in range(k)]
+    blocks[1].append(x)
+    path = tmp_path / f"blocks{k}.txt"
+    path.write_text(family_to_text(union_closure(family(x, blocks + [[2, x]]))))
+    return str(path), ",".join(str(3 * i + 2) for i in range(k))
 
 
 def assert_one_line_error(capsys):
@@ -279,6 +291,17 @@ class TestAnalyze:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", f"ucfreq: {path}: more than {MAX_OUTPUT} minimal 2-good sets\n")
 
+    def test_block_family_is_fast(self, tmp_path, capsys):
+        # 1 791 members and 39 366 minimal 2-good sets: each incidence is
+        # read from the frequencies, not from a pass over the members
+        path, _ = block_family_file(tmp_path, 10)
+        start = time.perf_counter()
+        assert main(["analyze", path]) == 0
+        assert time.perf_counter() - start < 1.5
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "m = 1791"
+        assert len(lines) == 5 + 39366
+
 
 class TestCovers:
     def test_two_edges(self, tmp_path, capsys):
@@ -483,6 +506,31 @@ class TestCheckLemmas:
 
     def test_bad_base(self, flex_family_text, capsys):
         assert main(["check-lemmas", flex_family_text, "--base", "2"]) == 2
+
+    def test_block_family_is_fast(self, tmp_path, capsys):
+        # |S| = 10 with one covered element: the incidence block ranks S
+        # among the 39 366 minimal 2-good sets
+        path, base = block_family_file(tmp_path, 10)
+        start = time.perf_counter()
+        assert main(["check-lemmas", path, "--base", base]) == 0
+        assert time.perf_counter() - start < 1.5
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_output_cap(self, tmp_path, capsys):
+        # 118 098 minimal 2-good sets
+        path, base = block_family_file(tmp_path, 11)
+        start = time.perf_counter()
+        assert main(["check-lemmas", path, "--base", base]) == 2
+        assert time.perf_counter() - start < 1.5
+        assert capsys.readouterr() == ("", f"ucfreq: {path}: more than {MAX_OUTPUT} minimal 2-good sets\n")
+
+    def test_output_cap_refuses_before_the_spot_check(self, tmp_path, capsys, monkeypatch):
+        # the 5-block family has 162 minimal 2-good sets
+        path, base = block_family_file(tmp_path, 5)
+        monkeypatch.setattr(cli, "MAX_OUTPUT", 100)
+        monkeypatch.setattr(search, "spot_check_lemmas", lambda fam, s: pytest.fail("spot check ran"))
+        assert main(["check-lemmas", path, "--base", base]) == 2
+        assert capsys.readouterr() == ("", f"ucfreq: {path}: more than 100 minimal 2-good sets\n")
 
 
 class TestUsage:

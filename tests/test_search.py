@@ -18,7 +18,7 @@ from oracle_models import (
     setfamily_verify_cover_theorem,
 )
 
-from ucfreq import search, setfam
+from ucfreq import lpmodel, search, setfam
 from ucfreq.search import (
     EnumerationSpec,
     VerificationReport,
@@ -281,6 +281,94 @@ class TestSpotCheck:
             if s.bit_count() >= 2:
                 assert spot_check_lemmas(fam, s).passed
                 break
+
+
+# Instances from the seed-7 lemma corpus, each given by its join-irreducible
+# members.  Floor-tight: frequency(x) equals the floor, without and with a
+# covered element.
+FLOOR_TIGHT = [
+    (union_closure(family(4, [[2], [2, 3], [4]])), mask_of([2, 4]), "(a=2, x=3): frequency(3) = 2 < 3"),
+    (union_closure(family(5, [[2], [2, 3], [2, 3, 5], [3, 4, 5]])), mask_of([2, 4]), "(a=2, x=5): frequency(5) = 3 < 4"),
+]
+# |S| = 4 with one covered element b = 2 for (a, x) = (7, 8), and S of
+# maximal incidence: the incidence block runs
+INCIDENCE_CASE = (
+    union_closure(family(8, [
+        [1, 2, 3, 6], [1, 2, 5, 6, 7], [1, 4, 5, 6, 7, 8], [1, 4, 7, 8],
+        [2, 3, 8], [2, 4, 5, 6], [3, 4, 5], [4, 6], [7],
+    ])),
+    mask_of([2, 5, 6, 7]),
+)
+# C = {3, 6} for (a, x) = (4, 5), and no pair of C leaves S + x - pair 2-good
+PAIR_CASE = (
+    union_closure(family(6, [[1, 2, 3, 5], [1, 4, 5], [1, 5, 6], [2, 3, 4], [2, 3, 4, 5, 6], [3, 6], [4]])),
+    mask_of([3, 4, 6]),
+)
+
+
+def with_trace_count(t, value):
+    """`trace_counts` with the count of trace `t` replaced by `value`."""
+    def counted(fam, s):
+        counts = setfam.trace_counts(fam, s)
+        counts[t] = value
+        return counts
+    return counted
+
+
+class TestSpotCheckFaults:
+    """Each recount block, with its bound moved one past what the instance
+    has, reports exactly that: a check weakened by one would stay silent."""
+
+    def test_bounds_come_from_lpmodel(self):
+        assert search.frequency_cap_constant is lpmodel.frequency_cap_constant
+        assert search.INCIDENCE_EXTRA is lpmodel.INCIDENCE_EXTRA
+
+    @pytest.mark.parametrize("fam, s, violation", FLOOR_TIGHT, ids=["uncovered", "covered"])
+    def test_frequency_floor(self, monkeypatch, fam, s, violation):
+        assert spot_check_lemmas(fam, s).passed
+        monkeypatch.setattr(search, "frequency_cap_constant", lambda size, c: lpmodel.frequency_cap_constant(size, c) + 1)
+        assert spot_check_lemmas(fam, s).violations == [violation]
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_incidence_counts(self, monkeypatch, j):
+        fam, s = INCIDENCE_CASE
+        b, x = mask_of([2]), mask_of([8])
+        have = sum(1 for a in fam.sets if a & b and not a & x and (a & s).bit_count() >= j)
+        monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have)
+        assert spot_check_lemmas(fam, s).passed
+        monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have + 1)
+        assert spot_check_lemmas(fam, s).violations == [
+            f"(a=7, x=8): count(trace >= {j}, with 2, without 8) = {have} < {have + 1}"
+        ]
+
+    @pytest.mark.parametrize("excess, violations", [
+        (0, []),
+        (1, ["(a=7, x=8): frequency(2) < frequency(8)"]),
+    ], ids=["tight", "over"])
+    def test_incidence_frequency_order(self, monkeypatch, excess, violations):
+        fam, s = INCIDENCE_CASE
+
+        def frequencies(fam):
+            freqs = setfam.element_frequencies(fam)
+            freqs[8] = freqs[2] + excess
+            return freqs
+
+        monkeypatch.setattr(search, "element_frequencies", frequencies)
+        # every set ties for maximal incidence, so the block runs whatever
+        # the frequencies
+        monkeypatch.setattr(search, "incidence", lambda freqs, t: 0)
+        assert spot_check_lemmas(fam, s).violations == violations
+
+    def test_doubled_trace(self, monkeypatch):
+        monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([2]), 1))
+        assert spot_check_lemmas(FLEX_FIXTURE, mask_of([2, 3])).violations == ["(a=2, x=4): q_{2} = 1 < 2"]
+
+    def test_doubled_trace_pair_pattern(self, monkeypatch):
+        fam, s = PAIR_CASE
+        monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([3, 6]), 1))
+        got = spot_check_lemmas(fam, s).violations
+        assert "(a=4, x=5): q_{3,6} = 1 < 2 (pair pattern)" in got
+        assert all(v.endswith(": q_{3,6} = 1 < 2 (pair pattern)") for v in got)
 
 
 class TestLemmaCorpus:

@@ -364,9 +364,15 @@ class TestMinimalTransversals:
 
 class TestIncidenceAndTraces:
     def test_incidence_examples(self):
-        assert incidence(family(2, [[], [1], [1, 2]]), mask_of([2])) == 1
-        assert incidence(family(3, [[1, 2], [2, 3]]), mask_of([2])) == 2
-        assert incidence(family(3, [[1, 2], [2, 3]]), 0) == 0
+        assert incidence(element_frequencies(family(2, [[], [1], [1, 2]])), mask_of([2])) == 1
+        assert incidence(element_frequencies(family(3, [[1, 2], [2, 3]])), mask_of([2])) == 2
+        assert incidence(element_frequencies(family(3, [[1, 2], [2, 3]])), 0) == 0
+
+    @given(raw_families(), st.integers(0, 31))
+    def test_incidence_is_the_member_sum(self, f, s):
+        # oracle: the definition, one pass over the members
+        s &= f.ground
+        assert incidence(element_frequencies(f), s) == sum((a & s).bit_count() for a in f.sets)
 
     def test_trace_counts_examples(self):
         assert trace_counts(family(2, [[], [1], [2], [1, 2]]), mask_of([2])) == {0: 2, 0b10: 2}
@@ -380,7 +386,7 @@ class TestIncidenceAndTraces:
         tc = trace_counts(f, s)
         assert len(tc) == 1 << s.bit_count()
         assert sum(tc.values()) == len(f)
-        assert sum(q * t.bit_count() for t, q in tc.items()) == incidence(f, s)
+        assert sum(q * t.bit_count() for t, q in tc.items()) == incidence(element_frequencies(f), s)
 
 
 # fixture with a covered element: closure of {2,5},{3},{4},{1}
