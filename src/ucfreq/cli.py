@@ -252,7 +252,16 @@ def _cmd_check_lemmas(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built on the first call and shared
+    by every later one, so `main` pays for it once per process.
+
+    It reads two values while it builds: `search.ENUMERATION_LIMIT` and
+    `_SCENARIOS`, both module constants, so the shared parser cannot go
+    stale.  Each handler reads `MAX_OUTPUT` and reaches `lpmodel`, `search`
+    and `setfam` through module attributes when it runs, not when it is
+    bound, so patching any of them still takes effect."""
     parser = _Parser(prog="ucfreq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

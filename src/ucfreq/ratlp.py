@@ -234,9 +234,13 @@ IntRow = tuple[dict[int, int], str, int, int]
 def _integer_rows(lp: LinearProgram) -> list[IntRow]:
     out: list[IntRow] = []
     for coeffs, rel, rhs in materialized_rows(lp):
-        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        out.append(({j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()},
-                    rel, rhs.numerator * (scale // rhs.denominator), scale))
+        # numerator and denominator are properties: read each one once
+        nums = {j: c.numerator for j, c in coeffs.items()}
+        dens = [c.denominator for c in coeffs.values()]
+        scale = lcm(rhs.denominator, *dens)
+        if scale > 1:
+            nums = {j: a * (scale // d) for (j, a), d in zip(nums.items(), dens)}
+        out.append((nums, rel, rhs.numerator * (scale // rhs.denominator), scale))
     return out
 
 

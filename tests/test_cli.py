@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -38,6 +41,12 @@ def flex_family_text(tmp_path):
 DUMP_LP_PINNED = Path(__file__).resolve().parent / "demo_output" / "dump_lp"
 # `search-nagel --n N` reports, byte for byte
 SEARCH_NAGEL_PINNED = Path(__file__).resolve().parent / "demo_output" / "search_nagel"
+# `--help` of the top level (ucfreq.txt) and of each subcommand at COLUMNS=80
+HELP_PINNED = Path(__file__).resolve().parent / "demo_output" / "help"
+SUBCOMMANDS = (
+    "table", "solve-case", "solve-base", "min-objective",
+    "analyze", "covers", "search-nagel", "check-lemmas",
+)
 
 TABLE_CSV = (
     "s,|C|=0,|C|=1,|C|=2,|C|=3+\n"
@@ -545,3 +554,76 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ("ucfreq",) + SUBCOMMANDS)
+    def test_help_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["--help"] if command == "ucfreq" else [command, "--help"]) == 0
+        assert capsys.readouterr() == ((HELP_PINNED / f"{command}.txt").read_text(), "")
+
+
+def run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+class TestRepeatedCalls:
+    """`main` shares one parser across calls; no call may leave anything
+    behind that changes the next one's output or exit code."""
+
+    @pytest.mark.parametrize("first, first_code, second, expected", [
+        (["table", "--format", "json"], 0, ["table"], (0, TABLE_CSV)),
+        (["solve-case", "--s", "5", "--c", "0", "--approx"], 0, ["solve-case", "--s", "5", "--c", "0"], (0, "237/2\n")),
+        (["table", "--jobs", "2"], 1, ["solve-base", "--s", "4"], (0, "45\n")),
+    ])
+    def test_second_call_is_unaffected(self, capsys, first, first_code, second, expected):
+        assert run(capsys, second) == expected
+        assert run(capsys, first)[0] == first_code
+        assert run(capsys, second) == expected
+
+    def test_add_empty_does_not_stick(self, flex_family_text, capsys):
+        alone = run(capsys, ["analyze", flex_family_text])
+        with_empty = run(capsys, ["analyze", "--add-empty", flex_family_text])
+        assert alone[0] == with_empty[0] == 0 and alone[1] != with_empty[1]
+        assert run(capsys, ["analyze", flex_family_text]) == alone
+
+    def test_help_twice_is_identical(self, capsys):
+        first = run(capsys, ["--help"])
+        assert first[0] == 0 and first[1].startswith("usage: ucfreq")
+        assert run(capsys, ["--help"]) == first
+
+
+# Counts parsers built: importing cli must build none, and five `main` calls
+# one parser's worth, the top level and its eight subparsers.
+BUILD_COUNT_SCRIPT = """
+import argparse, contextlib, io
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from ucfreq import cli
+print(built)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["solve-base", "--s", "4"], ["--help"], ["table", "--jobs", "2"],
+        ["solve-case", "--s", "5", "--c", "0", "--approx"], ["table"],
+    )]
+print(codes, built)
+"""
+
+
+def test_parser_is_built_once_per_process():
+    # in a fresh interpreter, so no other test's imports or calls count
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-c", BUILD_COUNT_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0", f"[0, 0, 1, 0, 0] {1 + len(SUBCOMMANDS)}"]
