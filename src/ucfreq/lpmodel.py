@@ -26,7 +26,8 @@ results; everything is exact rational arithmetic end to end.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
@@ -58,6 +59,7 @@ def subset_name(t: Iterable[str]) -> str:
     return f"q_{letters}" if letters else "q_empty"
 
 
+@functools.cache  # s is 4 or 5: a bad size raises and is not cached
 def all_subsets(s: int) -> tuple[Subset, ...]:
     """Every subset of the s roles, smallest first, alphabetical within a size."""
     letters = role_letters(s)
@@ -226,7 +228,20 @@ class CaseResult:
 
 
 def case_program(spec: CaseSpec) -> LinearProgram:
-    """The exact program attached to one cell of the case analysis."""
+    """The exact program attached to one cell of the case analysis.
+
+    Its rows are built once per process and shared read-only between the
+    programs this returns; each call gives a fresh `LinearProgram` with its
+    own `constraints` list and `objective` dict, so appending a row or
+    replacing the objective changes no other program.
+    """
+    shared = _shared_program(spec)
+    # constructing a `LinearProgram` copies its objective and bound dicts
+    return replace(shared, constraints=list(shared.constraints))
+
+
+@functools.cache  # bounded: `CaseSpec` admits 11 specs and refuses the rest
+def _shared_program(spec: CaseSpec) -> LinearProgram:
     s, scenario = spec.s, spec.scenario
     covered = scenario.covered_roles
     targets = ()
@@ -264,7 +279,7 @@ def bounds_table() -> tuple[CaseResult, ...]:
 
 def min_objective(s: int, objective: Mapping[str, Fraction]) -> LpOutcome:
     """Solve the base program under a custom objective (e.g. one trace count)."""
-    lp = build_base(s)
+    lp = case_program(CaseSpec(s, Scenario.BASE))
     lp.objective = {v: Fraction(c) for v, c in objective.items()}
     return solve(lp)
 
@@ -324,8 +339,12 @@ def table_to_json(results: Iterable[CaseResult], certificates: bool = False) -> 
 
 
 def recheck(result: CaseResult) -> bool:
-    """Re-verify a case result's certificate against its reconstructed
-    program, and an optimum's value against the objective at its point."""
+    """Re-verify a case result's certificate against the program of its
+    spec, and an optimum's value against the objective at its point.
+
+    The program comes from `case_program`, whose rows are built once per
+    process and shared read-only, so a recheck costs the check alone.
+    """
     lp = case_program(result.spec)
     if isinstance(result.outcome, Optimal):
         x = result.outcome.assignment

@@ -91,7 +91,8 @@ class LinearConstraint:
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
-        clean = {v: _rat(c) for v, c in self.coeffs.items() if c != 0}
+        # convert before the zero test, so a zero given as text ("0") goes too
+        clean = {v: q for v, c in self.coeffs.items() if (q := _rat(c))}
         if not clean:
             raise ValueError("constraint needs at least one nonzero coefficient")
         object.__setattr__(self, "coeffs", clean)

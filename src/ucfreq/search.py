@@ -27,6 +27,7 @@ from .setfam import (
     Mask,
     SetFamily,
     _minimal_masks,
+    canonical_key,
     covered_set,
     element_frequencies,
     elements_of,
@@ -264,7 +265,7 @@ def _check_cover_laws(n: int, sets: tuple[Mask, ...], memo: dict, report: Verifi
     low = _minimal_masks(sets)
     key = (n, tuple(sorted(low)))
     if key not in memo:
-        anti = SetFamily(n, tuple(sorted(low, key=elements_of)))
+        anti = SetFamily(n, tuple(sorted(low, key=canonical_key)))
         mc_anti = minimal_covers(anti)
         memo[key] = (anti.sets, mc_anti.sets, is_antichain(mc_anti), minimal_covers(mc_anti) == anti)
     canon, mc_anti, antichain, involution = memo[key]

@@ -38,6 +38,22 @@ def elements_of(mask: Mask) -> tuple[int, ...]:
     return tuple(out)
 
 
+_KEY_LETTERS = str.maketrans("10", "ab")
+
+
+def canonical_key(mask: Mask) -> str:
+    """A sort key that orders masks exactly as `elements_of` does.
+
+    Character i is ``a`` when element i + 1 is in the set and ``b`` when it
+    is not, up to the largest element; the empty set is ``""``.  Two keys
+    first differ at the smallest element in only one of the two sets, where
+    the set holding it has the smaller tuple and reads ``a`` against ``b``
+    or against the end of the other key.  A string compares in C, where the
+    tuple key costs a Python loop per mask.
+    """
+    return bin(mask)[:1:-1].translate(_KEY_LETTERS) if mask else ""
+
+
 def format_mask(mask: Mask) -> str:
     """Render a set as '{2,3}' ('{}' for the empty set)."""
     return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
@@ -87,7 +103,7 @@ class SetFamily:
 
     def sorted(self) -> "SetFamily":
         """The same family with members in canonical order."""
-        return SetFamily(self.n, tuple(sorted(self.sets, key=elements_of)))
+        return SetFamily(self.n, tuple(sorted(self.sets, key=canonical_key)))
 
     def __repr__(self) -> str:
         body = ", ".join(format_mask(s) for s in self.sets)
@@ -132,7 +148,7 @@ def union_closure(generators: SetFamily) -> SetFamily:
     if not generators.sets:
         raise ValueError("union_closure requires at least one generator")
     closed = (u for new in _closing(generators.sets) for u in new)
-    return SetFamily(generators.n, tuple(sorted(closed, key=elements_of)))
+    return SetFamily(generators.n, tuple(sorted(closed, key=canonical_key)))
 
 
 def element_frequencies(fam: SetFamily) -> dict[int, int]:
@@ -287,7 +303,7 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
                     if len(out) == stop:
                         return tuple(out)
             cand |= e
-    return tuple(sorted(out, key=elements_of))
+    return tuple(sorted(out, key=canonical_key))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +416,7 @@ def flexible_pairs(fam: SetFamily, s: Mask) -> tuple[FlexibleWitness, ...]:
             with_x = [f for f in fam.sets if f & sx == abit | xbit]
             if plain and with_x:
                 out.append(
-                    FlexibleWitness(a, x, min(plain, key=elements_of), min(with_x, key=elements_of))
+                    FlexibleWitness(a, x, min(plain, key=canonical_key), min(with_x, key=canonical_key))
                 )
     return tuple(out)
 
@@ -422,7 +438,7 @@ def minimal_covers(fam: SetFamily, limit: int | None = None) -> SetFamily:
 
 def minimal_elements(fam: SetFamily) -> SetFamily:
     """Members with no proper subset in the family, in canonical order."""
-    return SetFamily(fam.n, tuple(sorted(_minimal_masks(fam.sets), key=elements_of)))
+    return SetFamily(fam.n, tuple(sorted(_minimal_masks(fam.sets), key=canonical_key)))
 
 
 def is_antichain(fam: SetFamily) -> bool:

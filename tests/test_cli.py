@@ -577,6 +577,9 @@ class TestRepeatedCalls:
         (["table", "--format", "json"], 0, ["table"], (0, TABLE_CSV)),
         (["solve-case", "--s", "5", "--c", "0", "--approx"], 0, ["solve-case", "--s", "5", "--c", "0"], (0, "237/2\n")),
         (["table", "--jobs", "2"], 1, ["solve-base", "--s", "4"], (0, "45\n")),
+        (["table"], 0, ["solve-case", "--s", "5", "--c", "2", "--dump-lp"],
+         (0, (DUMP_LP_PINNED / "s5_c2.txt").read_text())),
+        (["solve-base", "--s", "4"], 0, ["min-objective", "--s", "4", "--objective", "q_singleton"], (0, "8\n")),
     ])
     def test_second_call_is_unaffected(self, capsys, first, first_code, second, expected):
         assert run(capsys, second) == expected
@@ -617,13 +620,46 @@ print(codes, built)
 """
 
 
-def test_parser_is_built_once_per_process():
-    # in a fresh interpreter, so no other test's imports or calls count
+def run_fresh(script: str) -> list[str]:
+    """The stdout lines of `script` run in a fresh interpreter, so no other
+    test's imports or calls count."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     done = subprocess.run(
-        [sys.executable, "-c", BUILD_COUNT_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["0", f"[0, 0, 1, 0, 0] {1 + len(SUBCOMMANDS)}"]
+    return done.stdout.splitlines()
+
+
+def test_parser_is_built_once_per_process():
+    assert run_fresh(BUILD_COUNT_SCRIPT) == ["0", f"[0, 0, 1, 0, 0] {1 + len(SUBCOMMANDS)}"]
+
+
+# Counts base programs built over the six commands behind the 13 published
+# numbers: one per distinct program (eight cells, aux and the two bases), as
+# `table`'s recheck and `min-objective` reuse the rows `case_program` built.
+BASE_COUNT_SCRIPT = """
+import contextlib, io
+from ucfreq import cli, lpmodel
+built = 0
+build_base = lpmodel.build_base
+def counting(*args):
+    global built
+    built += 1
+    return build_base(*args)
+lpmodel.build_base = counting
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["table", "--format", "json", "--certificates"],
+        ["solve-base", "--s", "4"], ["solve-base", "--s", "5"], ["solve-case", "--s", "5", "--c", "aux"],
+        ["min-objective", "--s", "4", "--objective", "q_singleton"],
+        ["min-objective", "--s", "5", "--objective", "sum_singletons"],
+    )]
+print(codes, built)
+"""
+
+
+def test_each_paper_program_is_built_once_per_process():
+    assert run_fresh(BASE_COUNT_SCRIPT) == ["[0, 0, 0, 0, 0, 0] 11"]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from oracle_models import reduced_full_symmetry, reduced_one_marked_role
 
+from ucfreq import lpmodel
 from ucfreq.lpmodel import (
     CaseResult,
     CaseSpec,
@@ -268,6 +269,64 @@ class TestCases:
         stats = solve_case(CaseSpec(5, scenario)).outcome.stats
         assert stats.rows <= 10 and stats.columns <= 50 and stats.artificials <= 8
 
+
+VALID_SPECS = [CaseSpec(s, sc) for s in (4, 5) for sc in Scenario if s == 5 or sc is not Scenario.PAIR_CAP]
+
+
+def uncached_program(spec: CaseSpec):
+    """The program of `spec` built afresh, past the per-process cache."""
+    return lpmodel._shared_program.__wrapped__(spec)
+
+
+class TestCaseProgramCache:
+    """`case_program` builds each spec's rows once per process and hands out
+    fresh programs over them."""
+
+    def test_calls_give_equal_programs_with_their_own_list_and_dict(self):
+        for spec in VALID_SPECS:
+            first, second = case_program(spec), case_program(spec)
+            assert first == second == uncached_program(spec)
+            assert first.constraints is not second.constraints
+            assert first.objective is not second.objective
+            assert all(a is b for a, b in zip(first.constraints, second.constraints))
+
+    def test_changing_one_program_leaves_the_next_call_unchanged(self):
+        spec = CaseSpec(4, Scenario.C1)
+        lp = case_program(spec)
+        lp.constraints.append(covered_pair_cap_constraint(5))
+        lp.objective = {"q_a": F(1)}
+        other = case_program(spec)
+        other.objective["q_b"] = F(7)
+        assert case_program(spec) == uncached_program(spec)
+        assert solve_case(spec).bound == 81
+
+    def test_rows_are_unchanged_by_the_paper_workload(self):
+        for res in bounds_table():
+            assert recheck(res)
+        assert min_objective(4, {"q_a": F(1)}).value == 8
+        assert min_objective(5, {f"q_{y}": F(1) for y in "abcde"}).value == F(85, 2)
+        for spec in VALID_SPECS:
+            assert lpmodel._shared_program(spec) == uncached_program(spec)
+        assert case_program(CaseSpec(4, Scenario.BASE)).objective == dict.fromkeys(build_base(4).variables, 1)
+
+    def test_cache_holds_one_entry_per_valid_spec(self):
+        assert len(VALID_SPECS) == 11
+        for spec in VALID_SPECS:
+            case_program(spec)
+        assert lpmodel._shared_program.cache_info().currsize == 11
+        for s, scenario in ((3, Scenario.BASE), (6, Scenario.C0), (4, Scenario.PAIR_CAP)):
+            with pytest.raises(ValueError):
+                case_program(CaseSpec(s, scenario))
+        # a spec that skipped its own check is refused by the builders
+        unchecked = object.__new__(CaseSpec)
+        object.__setattr__(unchecked, "s", 4)
+        object.__setattr__(unchecked, "scenario", Scenario.PAIR_CAP)
+        with pytest.raises(ValueError, match="s = 5 only"):
+            case_program(unchecked)
+        assert lpmodel._shared_program.cache_info().currsize == 11
+        with pytest.raises(ValueError):
+            all_subsets(3)
+        assert all_subsets.cache_info().currsize <= 2
 
 class TestMinObjective:
     def test_single_trace_s4(self):

@@ -204,6 +204,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonzero"):
             LinearConstraint({"x": F(0)}, ">=", F(0))
 
+    def test_zero_given_as_text_is_dropped(self):
+        # the zero test comes after the conversion, so "0" is a zero too
+        lp = LinearProgram(("x",), "min", {"x": 1}, lower={"x": 0})
+        with pytest.raises(ValueError, match="at least one nonzero coefficient"):
+            lp.add({"x": "0"}, "<=", 0)
+        assert LinearConstraint({"x": "0", "y": 1}, "<=", 0).coeffs == {"y": F(1)}
+
     def test_bad_relation_rejected(self):
         with pytest.raises(ValueError):
             LinearConstraint({"x": F(1)}, "<", F(0))

@@ -25,6 +25,7 @@ from ucfreq.setfam import (
     FlexibleWitness,
     SetFamily,
     _minimal_masks,
+    canonical_key,
     covered_set,
     element_frequencies,
     elements_of,
@@ -108,6 +109,12 @@ def closed_families(max_n: int = 5, max_gens: int = 5):
     return raw_families(max_n, max_gens).map(union_closure)
 
 
+def wide_masks():
+    """Masks up to the widest ground: random ones, and sparse ones that often
+    share their low elements."""
+    return st.integers(0, (1 << 63) - 1) | st.sets(st.integers(1, 63), max_size=4).map(mask_of)
+
+
 def transversal_problems(max_n: int = 6, max_targets: int = 8):
     """(targets, allowed) over {1..n}: targets may repeat or be empty, there
     may be none, and `allowed` may leave out part of the ground set."""
@@ -150,6 +157,19 @@ class TestSetFamily:
     @example(1 << 62)
     def test_elements_of_matches_the_shift_loop_on_wide_masks(self, mask):
         assert elements_of(mask) == shift_elements_of(mask)
+
+    def test_canonical_key_orders_every_small_mask_as_elements_of(self):
+        masks = list(range(1 << 10))[::-1]
+        assert sorted(masks, key=canonical_key) == sorted(masks, key=elements_of)
+        assert canonical_key(0) == "" and canonical_key(mask_of([1, 3])) == "aba"
+
+    @given(st.lists(wide_masks(), max_size=40), wide_masks())
+    @example([], 0)
+    @example([(1 << 63) - 1, 1 << 62, 0], 1)
+    def test_canonical_key_orders_wide_masks_as_elements_of(self, masks, other):
+        assert sorted(masks, key=canonical_key) == sorted(masks, key=elements_of)
+        for mask in masks:
+            assert (canonical_key(mask) < canonical_key(other)) == (elements_of(mask) < elements_of(other))
 
     def test_mask_of_rejects_elements_off_the_widest_ground(self):
         for bad in (0, 64, 10**12):
