@@ -238,10 +238,11 @@ def _cmd_search_nagel(args) -> int:
 def _cmd_check_lemmas(args) -> int:
     fam = _load_family(args.family, args.format, args.add_empty)
     base = _parse_base(args.base, fam.n)
-    if len(setfam.minimal_two_good_sets(fam, limit=MAX_OUTPUT)) > MAX_OUTPUT:
+    good = setfam.minimal_two_good_sets(fam, limit=MAX_OUTPUT)
+    if len(good) > MAX_OUTPUT:
         raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal 2-good sets")
     try:
-        report = search.spot_check_lemmas(fam, base)
+        report = search.spot_check_lemmas(fam, base, good)
     except ValueError as exc:
         raise FamilyInputError(f"{args.family}: {exc}") from exc
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)

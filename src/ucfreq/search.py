@@ -8,7 +8,10 @@ Three independent checks live here:
   MC(MC(F)) = F on antichains, and MC(F) = MC(minimal elements));
 * per-instance recounts of the doubled-trace, frequency-cap and
   incidence-count lower bounds on concrete families, via
-  `spot_check_lemmas`.
+  `spot_check_lemmas`: covered sets, the witness-set condition and the
+  incidence batch are read from one grouping of the members by their
+  trace on S (`setfam.members_by_trace`), and the caller passes the
+  family's minimal 2-good sets, which it has enumerated already.
 
 A reported violation is an implementation-bug signal, never a
 mathematical discovery: every checked statement is proved for the inputs
@@ -28,7 +31,6 @@ from .setfam import (
     SetFamily,
     _minimal_masks,
     canonical_key,
-    covered_set,
     element_frequencies,
     elements_of,
     flexible_pairs,
@@ -36,10 +38,11 @@ from .setfam import (
     incidence,
     is_antichain,
     is_minimal_two_good,
-    is_two_good,
     is_union_closed,
+    keeps_two_good,
     kth_frequency,
     mask_of,
+    members_by_trace,
     minimal_covers,
     minimal_transversals,
     minimal_two_good_sets,
@@ -314,11 +317,13 @@ def verify_cover_theorem(
 # lemma spot checks on concrete families
 # ---------------------------------------------------------------------------
 
-def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
+def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> VerificationReport:
     """Recount every counting bound for each flexible pair of (fam, s).
 
-    `s` must be a minimal 2-good set of the union-closed `fam`.  For each
-    flexible pair (a, x) with covered set C this checks:
+    `s` must be a minimal 2-good set of the union-closed `fam`, and `good`
+    the family's minimal 2-good sets (`minimal_two_good_sets`).  The groups
+    of `members_by_trace(fam, s)` give each flexible pair (a, x) its covered
+    set C, witness-set condition and incidence batch.  This checks:
 
     * q_T >= 2 whenever a is in T and T avoids C;
     * q_T >= 2 whenever T meets C twice, provided no pair b, c of C
@@ -330,9 +335,6 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
       j = 2, 3, 4 at least `lpmodel.INCIDENCE_EXTRA[j](|S|)` members with b
       but not x whose trace has size >= j (the batch behind
       `incidence_count_constraints`).
-
-    Violations signal implementation bugs; all bounds are proved for
-    admissible inputs.
     """
     if not is_union_closed(fam):
         raise ValueError("family must be union-closed")
@@ -340,38 +342,30 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
         raise ValueError(f"base set {format_mask(s)} is not minimal 2-good")
     report = VerificationReport(families_checked=1)
     size = s.bit_count()
+    groups = members_by_trace(fam, s)
     counts = trace_counts(fam, s)
     freqs = element_frequencies(fam)
 
     maximal_incidence = None
-    witnesses = flexible_pairs(fam, s)
-    covered_by_x: dict[int, tuple[int, ...]] = {}
-    for w in witnesses:
-        if w.x not in covered_by_x:
-            covered_by_x[w.x] = covered_set(fam, s, w.x)
-        cov = covered_by_x[w.x]
-        cov_mask, xbit = mask_of(cov), 1 << (w.x - 1)
+    for w in flexible_pairs(fam, s):
+        xbit = 1 << (w.x - 1)
+        cov = tuple(y for y in elements_of(s) if keeps_two_good(groups, 1 << (y - 1), xbit))
+        cov_mask = mask_of(cov)
 
         def complain(text: str) -> None:
             report.violations.append(f"(a={w.a}, x={w.x}): {text}")
 
         # doubled traces, first pattern
         for t in submasks(s):
-            if t & (1 << (w.a - 1)) and not t & cov_mask:
-                if counts[t] < 2:
-                    complain(f"q_{format_mask(t)} = {counts[t]} < 2")
+            if t & (1 << (w.a - 1)) and not t & cov_mask and counts[t] < 2:
+                complain(f"q_{format_mask(t)} = {counts[t]} < 2")
 
         # doubled traces, second pattern (needs the witness-set condition)
-        if len(cov) >= 2:
-            pairs_blocked = all(
-                not is_two_good(fam, (s | xbit) & ~(1 << (b - 1)) & ~(1 << (c - 1)))
-                for i, b in enumerate(cov)
-                for c in cov[i + 1:]
-            )
-            if pairs_blocked:
-                for t in submasks(s):
-                    if (t & cov_mask).bit_count() >= 2 and counts[t] < 2:
-                        complain(f"q_{format_mask(t)} = {counts[t]} < 2 (pair pattern)")
+        pairs = [p for p in submasks(cov_mask) if p.bit_count() == 2]
+        if pairs and not any(keeps_two_good(groups, p, xbit) for p in pairs):
+            for t in submasks(s):
+                if (t & cov_mask).bit_count() >= 2 and counts[t] < 2:
+                    complain(f"q_{format_mask(t)} = {counts[t]} < 2 (pair pattern)")
 
         # frequency floor for x
         floor = frequency_cap_constant(size, len(cov)) + sum(counts[1 << (c - 1)] for c in cov)
@@ -381,15 +375,12 @@ def spot_check_lemmas(fam: SetFamily, s: int) -> VerificationReport:
         # incidence-driven counts for a single covered element
         if len(cov) == 1 and size >= 4:
             if maximal_incidence is None:
-                maximal_incidence = max(
-                    incidence(freqs, t) for t in minimal_two_good_sets(fam) if t.bit_count() == size
-                )
+                maximal_incidence = max(incidence(freqs, t) for t in good if t.bit_count() == size)
             if incidence(freqs, s) == maximal_incidence:
                 b = cov[0]
                 if freqs[b] < freqs[w.x]:
                     complain(f"frequency({b}) < frequency({w.x})")
-                bbit = 1 << (b - 1)
-                hits = [(m & s).bit_count() for m in fam.sets if m & bbit and not m & xbit]
+                hits = [t.bit_count() for t in submasks(s) if t & cov_mask for m in groups[t] if not m & xbit]
                 for j, extra in INCIDENCE_EXTRA.items():
                     have, need = sum(h >= j for h in hits), extra(size)
                     if have < need:
@@ -445,12 +436,13 @@ def run_lemma_corpus(
             )
         draws += 1
         fam = random_union_closed(rng, rng.randint(n_low, n_high))
-        for s in minimal_two_good_sets(fam):
+        good = minimal_two_good_sets(fam)
+        for s in good:
             if report.families_checked >= instances:
                 break
             if s.bit_count() < 2 or not flexible_pairs(fam, s):
                 continue
-            sub = spot_check_lemmas(fam, s)
+            sub = spot_check_lemmas(fam, s, good)
             report.families_checked += 1
             report.violations.extend(
                 f"{fam!r} S={format_mask(s)}: {v}" for v in sub.violations

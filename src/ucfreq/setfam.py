@@ -352,13 +352,27 @@ def incidence(freqs: dict[int, int], s: Mask) -> int:
     return sum(freqs[e] for e in elements_of(s))
 
 
+def members_by_trace(fam: SetFamily, s: Mask) -> dict[Mask, list[Mask]]:
+    """Group the members by their trace on `s` in one pass: T -> the members
+    A with A & s == T, in family order, for every subset T of `s` (2^|s|
+    entries; at most |F| + 1 for a minimal 2-good `s` of a union-closed F)."""
+    groups: dict[Mask, list[Mask]] = {t: [] for t in submasks(s)}
+    for a in fam.sets:
+        groups[a & s].append(a)
+    return groups
+
+
 def trace_counts(fam: SetFamily, s: Mask) -> dict[Mask, int]:
     """Count members by their trace on `s`: T -> #{A in F : A & s == T}, with
     an entry for every subset T of `s`."""
-    counts = {t: 0 for t in submasks(s)}
-    for a in fam.sets:
-        counts[a & s] += 1
-    return counts
+    return {t: len(group) for t, group in members_by_trace(fam, s).items()}
+
+
+def keeps_two_good(groups: dict[Mask, list[Mask]], r: Mask, xbit: Mask) -> bool:
+    """True iff S + x - R is 2-good, from the `members_by_trace` groups of a
+    2-good S, for R inside S and x (bit `xbit`) outside S + {1}: every member
+    with a nonempty trace inside R, so missing S - R, must hold x."""
+    return all(a & xbit for t in submasks(r) if t for a in groups[t])
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +391,8 @@ def covered_set(fam: SetFamily, s: Mask, x: int) -> tuple[int, ...]:
         raise ValueError(f"x must avoid the base set and element 1, got x={x}")
     if not is_two_good(fam, s):
         raise ValueError(f"base set {format_mask(s)} is not 2-good")
-    sx = s | xbit
-    return tuple(y for y in elements_of(s) if is_two_good(fam, sx & ~(1 << (y - 1))))
+    groups = members_by_trace(fam, s)
+    return tuple(y for y in elements_of(s) if keeps_two_good(groups, 1 << (y - 1), xbit))
 
 
 @dataclass(frozen=True)
@@ -404,20 +418,17 @@ def flexible_pairs(fam: SetFamily, s: Mask) -> tuple[FlexibleWitness, ...]:
     """
     if not is_two_good(fam, s):
         raise ValueError(f"base set {format_mask(s)} is not 2-good")
+    groups = members_by_trace(fam, s)
+    outside = elements_of(fam.ground & ~s & ~1)
     out = []
     for a in elements_of(s):
-        abit = 1 << (a - 1)
-        for x in range(2, fam.n + 1):
+        alone = sorted(groups[1 << (a - 1)], key=canonical_key)  # all nonempty
+        for x in outside:
             xbit = 1 << (x - 1)
-            if s & xbit:
-                continue
-            sx = s | xbit
-            plain = [f for f in fam.sets if f & sx == abit]
-            with_x = [f for f in fam.sets if f & sx == abit | xbit]
+            plain = next((f for f in alone if not f & xbit), 0)
+            with_x = next((f for f in alone if f & xbit), 0)
             if plain and with_x:
-                out.append(
-                    FlexibleWitness(a, x, min(plain, key=canonical_key), min(with_x, key=canonical_key))
-                )
+                out.append(FlexibleWitness(a, x, plain, with_x))
     return tuple(out)
 
 

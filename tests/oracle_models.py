@@ -5,8 +5,9 @@ simplex with its presolve and tableau in `Fraction`s
 (`fraction_presolve_bounds`, `fraction_tableau_solve`), the shift loop of
 `elements_of`, the subset scan for minimal transversals, the pairwise scans
 for minimal elements, antichains and union closure, the frontier union
-closure, the recursive union-closed enumerator with its f_2 check, and the
-cover-law suite on `SetFamily` values.
+closure, the member scans for covered sets and flexible pairs, the
+recursive union-closed enumerator with its f_2 check, and the cover-law
+suite on `SetFamily` values.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -47,8 +48,10 @@ from ucfreq.search import (
     VerificationReport,
 )
 from ucfreq.setfam import (
+    FlexibleWitness,
     SetFamily,
     elements_of,
+    is_two_good,
     kth_frequency,
     minimal_covers,
     minimal_elements,
@@ -879,6 +882,40 @@ def frontier_union_closure(generators: SetFamily) -> SetFamily:
 # The enumerator and the f_2 check as they were before `search` walked the
 # families with one explicit-stack DFS and incremental element counts; they
 # stay as the reference for its families, their order and its reports.
+
+def scan_covered_set(fam: SetFamily, s: int, x: int) -> tuple[int, ...]:
+    """The y of the 2-good `s` with s + x - y 2-good, one `is_two_good`
+    scan of the members per y.
+
+    This is the body `setfam.covered_set` had before it read the members
+    grouped by trace; it stays as the reference.
+    """
+    sx = s | 1 << (x - 1)
+    return tuple(y for y in elements_of(s) if is_two_good(fam, sx & ~(1 << (y - 1))))
+
+
+def scan_flexible_pairs(fam: SetFamily, s: int) -> tuple[FlexibleWitness, ...]:
+    """The flexible pairs (a, x) of the 2-good `s`, in (a, x) order, each
+    with its least member of trace {a} and of trace {a, x} on s + x, both
+    found by scanning all members.
+
+    This is the body `setfam.flexible_pairs` had before it read the members
+    grouped by trace; it stays as the reference.
+    """
+    out = []
+    for a in elements_of(s):
+        abit = 1 << (a - 1)
+        for x in range(2, fam.n + 1):
+            xbit = 1 << (x - 1)
+            if s & xbit:
+                continue
+            sx = s | xbit
+            plain = [f for f in fam.sets if f & sx == abit]
+            with_x = [f for f in fam.sets if f & sx == abit | xbit]
+            if plain and with_x:
+                out.append(FlexibleWitness(a, x, min(plain, key=elements_of), min(with_x, key=elements_of)))
+    return tuple(out)
+
 
 def recursive_enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
     """Every nonempty union-closed family matching the spec, exactly once.

@@ -18,6 +18,8 @@ from ucfreq import cli, search, setfam
 from ucfreq.cli import MAX_OUTPUT, main
 from ucfreq.setfam import family, family_to_json, family_to_text, union_closure
 
+from test_search import INCIDENCE_CASE
+
 
 @pytest.fixture
 def chain_family_json(tmp_path):
@@ -537,9 +539,27 @@ class TestCheckLemmas:
         # the 5-block family has 162 minimal 2-good sets
         path, base = block_family_file(tmp_path, 5)
         monkeypatch.setattr(cli, "MAX_OUTPUT", 100)
-        monkeypatch.setattr(search, "spot_check_lemmas", lambda fam, s: pytest.fail("spot check ran"))
+        monkeypatch.setattr(search, "spot_check_lemmas", lambda fam, s, good: pytest.fail("spot check ran"))
         assert main(["check-lemmas", path, "--base", base]) == 2
         assert capsys.readouterr() == ("", f"ucfreq: {path}: more than 100 minimal 2-good sets\n")
+
+    def test_minimal_two_good_sets_enumerated_once(self, tmp_path, capsys, monkeypatch):
+        # the incidence block runs here, and ranks S among the sets that the
+        # output cap already enumerated
+        fam, s = INCIDENCE_CASE
+        path = tmp_path / "incidence.txt"
+        path.write_text(family_to_text(fam))
+        enumerate_sets, calls = setfam.minimal_two_good_sets, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_sets(*args, **kwargs)
+
+        monkeypatch.setattr(setfam, "minimal_two_good_sets", counted)
+        monkeypatch.setattr(search, "minimal_two_good_sets", counted)
+        assert main(["check-lemmas", str(path), "--base", setfam.format_mask(s)[1:-1]]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(calls) == 1
 
 
 class TestUsage:

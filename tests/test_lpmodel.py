@@ -262,6 +262,13 @@ class TestCases:
     def test_base_scenario(self):
         assert solve_case(CaseSpec(4, Scenario.BASE)).bound == 45
 
+    @pytest.mark.parametrize("s, doubled", [(4, 4), (5, 8)])
+    def test_published_tally_of_the_one_covered_cell(self, s, doubled):
+        # the paper's extra constraints for |C| = 1: 4 + 3 at s = 4, 8 + 3 at s = 5
+        rows = case_program(CaseSpec(s, Scenario.C1)).constraints
+        assert sum(c.label.startswith("floor_") and c.rhs == 2 for c in rows) == doubled
+        assert sum(c.label.startswith("count_b_ge") for c in rows) == 3
+
     @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda sc: sc.value)
     def test_presolve_shrinks_the_s5_tableau(self, scenario):
         # the split tableau of these programs was 38-41 rows x 134-140

@@ -259,27 +259,29 @@ COVER_FIXTURE = union_closure(family(5, [[2, 5], [3], [4], [1]]))
 
 class TestSpotCheck:
     def test_fixture_passes(self):
-        rep = spot_check_lemmas(FLEX_FIXTURE, mask_of([2, 3]))
+        rep = spot_check_lemmas(FLEX_FIXTURE, mask_of([2, 3]), minimal_two_good_sets(FLEX_FIXTURE))
         assert rep.families_checked == 1
         assert rep.passed
 
     def test_vacuous_without_flexible_pairs(self):
-        rep = spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4]))
+        rep = spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4]), minimal_two_good_sets(COVER_FIXTURE))
         assert rep.passed
 
     def test_rejects_non_union_closed(self):
+        fam = family(2, [[1], [2]])
         with pytest.raises(ValueError, match="union-closed"):
-            spot_check_lemmas(family(2, [[1], [2]]), mask_of([2]))
+            spot_check_lemmas(fam, mask_of([2]), minimal_two_good_sets(fam))
 
     def test_rejects_non_minimal_base(self):
         with pytest.raises(ValueError, match="minimal"):
-            spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4, 5]))
+            spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4, 5]), minimal_two_good_sets(COVER_FIXTURE))
 
     def test_larger_seeded_example(self):
         fam = random_union_closed(__import__("random").Random(123), 7)
-        for s in minimal_two_good_sets(fam):
+        good = minimal_two_good_sets(fam)
+        for s in good:
             if s.bit_count() >= 2:
-                assert spot_check_lemmas(fam, s).passed
+                assert spot_check_lemmas(fam, s, good).passed
                 break
 
 
@@ -305,6 +307,16 @@ PAIR_CASE = (
     mask_of([3, 4, 6]),
 )
 
+# C = {3, 5} for (a, x) = (2, 4), and that pair leaves S + x - 3 - 5 = {2, 4}
+# 2-good, so the pair pattern does not apply
+WITNESS_SET_CASE = (
+    union_closure(family(8, [
+        [1, 2, 3, 4, 8], [1, 2, 4, 7], [1, 2, 6], [1, 3, 4], [1, 4, 5, 6],
+        [2, 4, 5, 6, 7, 8], [3, 4], [3, 4, 5, 7, 8], [3, 4, 6, 7],
+    ])),
+    mask_of([2, 3, 5]),
+)
+
 
 def with_trace_count(t, value):
     """`trace_counts` with the count of trace `t` replaced by `value`."""
@@ -325,9 +337,9 @@ class TestSpotCheckFaults:
 
     @pytest.mark.parametrize("fam, s, violation", FLOOR_TIGHT, ids=["uncovered", "covered"])
     def test_frequency_floor(self, monkeypatch, fam, s, violation):
-        assert spot_check_lemmas(fam, s).passed
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).passed
         monkeypatch.setattr(search, "frequency_cap_constant", lambda size, c: lpmodel.frequency_cap_constant(size, c) + 1)
-        assert spot_check_lemmas(fam, s).violations == [violation]
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations == [violation]
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     def test_incidence_counts(self, monkeypatch, j):
@@ -335,9 +347,9 @@ class TestSpotCheckFaults:
         b, x = mask_of([2]), mask_of([8])
         have = sum(1 for a in fam.sets if a & b and not a & x and (a & s).bit_count() >= j)
         monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have)
-        assert spot_check_lemmas(fam, s).passed
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).passed
         monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have + 1)
-        assert spot_check_lemmas(fam, s).violations == [
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations == [
             f"(a=7, x=8): count(trace >= {j}, with 2, without 8) = {have} < {have + 1}"
         ]
 
@@ -357,18 +369,28 @@ class TestSpotCheckFaults:
         # every set ties for maximal incidence, so the block runs whatever
         # the frequencies
         monkeypatch.setattr(search, "incidence", lambda freqs, t: 0)
-        assert spot_check_lemmas(fam, s).violations == violations
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations == violations
 
     def test_doubled_trace(self, monkeypatch):
         monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([2]), 1))
-        assert spot_check_lemmas(FLEX_FIXTURE, mask_of([2, 3])).violations == ["(a=2, x=4): q_{2} = 1 < 2"]
+        got = spot_check_lemmas(FLEX_FIXTURE, mask_of([2, 3]), minimal_two_good_sets(FLEX_FIXTURE)).violations
+        assert got == ["(a=2, x=4): q_{2} = 1 < 2"]
 
     def test_doubled_trace_pair_pattern(self, monkeypatch):
         fam, s = PAIR_CASE
         monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([3, 6]), 1))
-        got = spot_check_lemmas(fam, s).violations
+        got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations
         assert "(a=4, x=5): q_{3,6} = 1 < 2 (pair pattern)" in got
         assert all(v.endswith(": q_{3,6} = 1 < 2 (pair pattern)") for v in got)
+
+    def test_pair_pattern_needs_the_witness_set_condition(self, monkeypatch):
+        fam, s = WITNESS_SET_CASE
+        assert setfam.covered_set(fam, s, 4) == (3, 5)
+        assert setfam.is_two_good(fam, mask_of([2, 4]))
+        monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([3, 5]), 1))
+        # only the first pattern of (a, x) = (3, 7), whose C is empty, sees q_{3,5}
+        got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations
+        assert got == ["(a=3, x=7): q_{3,5} = 1 < 2"]
 
 
 class TestLemmaCorpus:

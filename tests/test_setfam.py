@@ -15,6 +15,8 @@ from hypothesis import example, given, strategies as st
 from oracle_models import (
     frontier_union_closure,
     pairwise_is_union_closed,
+    scan_covered_set,
+    scan_flexible_pairs,
     scan_is_antichain,
     scan_minimal_elements,
     scan_minimal_transversals,
@@ -42,8 +44,10 @@ from ucfreq.setfam import (
     is_minimal_two_good,
     is_two_good,
     is_union_closed,
+    keeps_two_good,
     kth_frequency,
     mask_of,
+    members_by_trace,
     minimal_covers,
     minimal_elements,
     minimal_transversals,
@@ -53,6 +57,8 @@ from ucfreq.setfam import (
     trace_counts,
     union_closure,
 )
+
+from test_search import WITNESS_SET_CASE
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +500,33 @@ class TestFlexiblePairs:
         for w in flexible_pairs(COVER_FIXTURE, s):
             if w.x == 5:
                 assert w.a not in covered
+
+
+class TestMembersByTrace:
+    def test_example(self):
+        f = family(3, [[1, 2], [2, 3], [3], [], [2]])
+        assert members_by_trace(f, mask_of([2, 3])) == {
+            0: [0], 0b010: [0b011, 0b010], 0b100: [0b100], 0b110: [0b110],
+        }
+
+    @given(closed_families(max_n=7, max_gens=6))
+    @example(WITNESS_SET_CASE[0])  # a pair b, c of S with S + x - b - c 2-good
+    def test_grouped_reads_match_the_scans(self, f):
+        # every minimal 2-good set of a union closure, and every x and pair
+        # b, c of it: the grouped reads against the member scans
+        for s in minimal_two_good_sets(f):
+            groups = members_by_trace(f, s)
+            assert trace_counts(f, s) == {t: sum(a & s == t for a in f.sets) for t in submasks(s)}
+            assert flexible_pairs(f, s) == scan_flexible_pairs(f, s)
+            # witnesses are the least members, whatever the member order
+            backwards = SetFamily(f.n, f.sets[::-1])
+            assert flexible_pairs(backwards, s) == scan_flexible_pairs(backwards, s)
+            for x in elements_of(f.ground & ~s & ~1):
+                xbit = 1 << (x - 1)
+                assert covered_set(f, s, x) == scan_covered_set(f, s, x)
+                for pair in submasks(s):
+                    if pair.bit_count() == 2:
+                        assert keeps_two_good(groups, pair, xbit) == is_two_good(f, (s | xbit) & ~pair)
 
 
 class TestCovers:
