@@ -12,8 +12,8 @@ Extra constraint families tighten the base program per case, indexed by
 the set C of covered roles (role ``a`` is the flexible element, covered
 roles follow by position):
 
-* doubled trace floors: q_T >= 2 where a repeated witness is forced
-  (a in T disjoint from C, or T meeting C twice);
+* doubled trace floors: q_T >= 2 where `doubled_pattern` forces a
+  repeated witness;
 * a frequency cap on the auxiliary element x counted through C;
 * incidence-driven counting rows when exactly one role is covered;
 * the covered-pair cap, whose optimum certifies the bound used to rule
@@ -70,7 +70,7 @@ def all_subsets(s: int) -> tuple[Subset, ...]:
     return tuple(out)
 
 
-# shared by every coefficient and right-hand side `build_base` writes
+# shared by the coefficients and right-hand sides that the row builders write
 _ONE, _TWO, _MINUS_ONE = Fraction(1), Fraction(2), Fraction(-1)
 
 
@@ -101,26 +101,28 @@ def build_base(s: int, doubled: Iterable[Subset] = ()) -> LinearProgram:
 # constraint generators
 # ---------------------------------------------------------------------------
 
-def doubled_trace_targets(
-    s: int, a: str = "a", covered: Iterable[str] = ()
-) -> tuple[Subset, ...]:
-    """Subsets whose trace count is forced to at least 2.
+def doubled_pattern(t: int, a: int, cov: int) -> str | None:
+    """The pattern forcing q_T >= 2, on bitmasks over one ground: ``"first"``
+    when T holds the flexible `a` and avoids the covered `cov`, ``"pair"``
+    when T meets `cov` twice, else None.  Each admits a second member with
+    trace T, differing in the auxiliary element."""
+    if t & a and not t & cov:
+        return "first"
+    return "pair" if (t & cov).bit_count() >= 2 else None
 
-    These are the T with the flexible role inside and no covered role, plus
-    the T meeting the covered roles at least twice; both patterns admit a
-    second member with the same trace, differing in the auxiliary element.
-    """
+
+def doubled_trace_targets(s: int, a: str = "a", covered: Iterable[str] = ()) -> tuple[Subset, ...]:
+    """Subsets whose trace count is forced to at least 2 (`doubled_pattern`
+    over the role bits)."""
     letters = role_letters(s)
     cov = frozenset(covered)
     if a not in letters or not cov <= set(letters):
         raise ValueError(f"roles must come from {letters!r}")
     if a in cov:
         raise ValueError("the flexible role cannot be covered")
-    return tuple(
-        t
-        for t in all_subsets(s)
-        if (a in t and not t & cov) or len(t & cov) >= 2
-    )
+    bit = {r: 1 << i for i, r in enumerate(letters)}
+    a_bit, cov_bits = bit[a], sum(map(bit.get, cov))
+    return tuple(t for t in all_subsets(s) if doubled_pattern(sum(map(bit.get, t)), a_bit, cov_bits))
 
 
 def frequency_cap_constant(s: int, covered_size: int) -> int:
@@ -130,20 +132,22 @@ def frequency_cap_constant(s: int, covered_size: int) -> int:
     return 2**s - 2 ** (s - 1 - covered_size) - covered_size
 
 
-def frequency_cap_constraint(s: int, covered: Iterable[str]) -> LinearConstraint:
-    """Cleared form of: the auxiliary element's frequency is at most m/3.
+def _aux_frequency_row(s: int, const: int, forced: Iterable[str], label: str) -> LinearConstraint:
+    """Cleared form of: the auxiliary element lies in at least `const` +
+    sum(q_T : T forced) and at most m/3 members, so
+    sum q_T - 3 * sum(q_T : T forced) >= 3 * const."""
+    coeffs = {subset_name(t): _ONE for t in all_subsets(s)}
+    for t in forced:
+        coeffs[subset_name(t)] -= 3
+    return LinearConstraint(coeffs, ">=", 3 * const, label=label)
 
-    Its frequency is at least the constant plus the covered singleton
-    traces, so  sum q_T - 3 * sum(q_{c} : c covered) >= 3 * constant.
-    """
+
+def frequency_cap_constraint(s: int, covered: Iterable[str]) -> LinearConstraint:
+    """The auxiliary element's frequency cap, forced through the covered singletons."""
     cov = sorted(set(covered))
     if not set(cov) <= set(role_letters(s)) or "a" in cov:
         raise ValueError("covered roles must be non-a roles")
-    const = frequency_cap_constant(s, len(cov))
-    coeffs = {subset_name(t): Fraction(1) for t in all_subsets(s)}
-    for c in cov:
-        coeffs[subset_name({c})] -= 3
-    return LinearConstraint(coeffs, ">=", 3 * const, label="freq_cap")
+    return _aux_frequency_row(s, frequency_cap_constant(s, len(cov)), cov, "freq_cap")
 
 
 INCIDENCE_EXTRA = {2: lambda s: 2 ** (s - 2), 3: lambda s: 2 ** (s - 2) - 1, 4: lambda s: 2 ** (s - 3) - 1}
@@ -177,10 +181,7 @@ def covered_pair_cap_constraint(s: int = 5) -> LinearConstraint:
     """
     if s != 5:
         raise ValueError("the covered-pair cap applies to s = 5 only")
-    coeffs = {subset_name(t): Fraction(1) for t in all_subsets(5)}
-    for t in ({"b"}, {"c"}, {"b", "c"}):
-        coeffs[subset_name(t)] -= 3
-    return LinearConstraint(coeffs, ">=", 75, label="pair_cap")
+    return _aux_frequency_row(5, 25, ("b", "c", "bc"), "pair_cap")
 
 
 # ---------------------------------------------------------------------------

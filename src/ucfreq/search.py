@@ -8,8 +8,9 @@ Three independent checks live here:
   MC(MC(F)) = F on antichains, and MC(F) = MC(minimal elements));
 * per-instance recounts of the doubled-trace, frequency-cap and
   incidence-count lower bounds on concrete families, via
-  `spot_check_lemmas`: covered sets, the witness-set condition and the
-  incidence batch are read from one grouping of the members by their
+  `spot_check_lemmas`, whose doubled traces come from the LP model's
+  `lpmodel.doubled_pattern`: covered sets, the witness-set condition and
+  the incidence batch are read from one grouping of the members by their
   trace on S (`setfam.members_by_trace`), and the caller passes the
   family's minimal 2-good sets, which it has enumerated already.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .lpmodel import INCIDENCE_EXTRA, frequency_cap_constant
+from .lpmodel import INCIDENCE_EXTRA, doubled_pattern, frequency_cap_constant
 from .setfam import (
     Mask,
     SetFamily,
@@ -325,9 +326,9 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> Verific
     of `members_by_trace(fam, s)` give each flexible pair (a, x) its covered
     set C, witness-set condition and incidence batch.  This checks:
 
-    * q_T >= 2 whenever a is in T and T avoids C;
-    * q_T >= 2 whenever T meets C twice, provided no pair b, c of C
-      leaves s + x - b - c 2-good (the witness-set condition);
+    * q_T >= 2 for each T of `lpmodel.doubled_pattern`, taking its
+      ``"pair"`` pattern only when no pair b, c of C leaves s + x - b - c
+      2-good (the witness-set condition);
     * frequency(x) >= `lpmodel.frequency_cap_constant(|S|, |C|)` plus the
       covered singleton traces (the count behind `frequency_cap_constraint`);
     * with exactly one covered element b, |S| >= 4 and s of maximal
@@ -355,17 +356,14 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> Verific
         def complain(text: str) -> None:
             report.violations.append(f"(a={w.a}, x={w.x}): {text}")
 
-        # doubled traces, first pattern
-        for t in submasks(s):
-            if t & (1 << (w.a - 1)) and not t & cov_mask and counts[t] < 2:
-                complain(f"q_{format_mask(t)} = {counts[t]} < 2")
-
-        # doubled traces, second pattern (needs the witness-set condition)
+        # doubled traces; the pair pattern needs the witness-set condition
         pairs = [p for p in submasks(cov_mask) if p.bit_count() == 2]
-        if pairs and not any(keeps_two_good(groups, p, xbit) for p in pairs):
-            for t in submasks(s):
-                if (t & cov_mask).bit_count() >= 2 and counts[t] < 2:
-                    complain(f"q_{format_mask(t)} = {counts[t]} < 2 (pair pattern)")
+        witness_set = not any(keeps_two_good(groups, p, xbit) for p in pairs)
+        for t in submasks(s):
+            pattern = doubled_pattern(t, 1 << (w.a - 1), cov_mask)
+            if counts[t] < 2 and (pattern == "first" or pattern == "pair" and witness_set):
+                tag = " (pair pattern)" if pattern == "pair" else ""
+                complain(f"q_{format_mask(t)} = {counts[t]} < 2{tag}")
 
         # frequency floor for x
         floor = frequency_cap_constant(size, len(cov)) + sum(counts[1 << (c - 1)] for c in cov)

@@ -1,4 +1,5 @@
-"""Shared test oracles: symmetry-reduced LP models, random program generators,
+"""Shared test oracles: symmetry-reduced LP models, the letter-set rule for
+doubled traces, random program generators,
 the certificate checks in `Fraction` arithmetic (`fraction_check_feasible`
 and the three `fraction_verify_*`), the split-tableau simplex, the presolved
 simplex with its presolve and tableau in `Fraction`s
@@ -22,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterator, Mapping, NamedTuple
 
@@ -95,6 +97,24 @@ def reduced_one_marked_role(s: int) -> LinearProgram:
         lp.add({z: 1}, ">=", 1)
     lp.add({"z00": 1}, "<=", 2)
     return lp
+
+
+def letter_set_doubled_targets(s: int, a: str, covered) -> tuple[frozenset, ...]:
+    """The subsets T of the s roles with q_T >= 2 forced: the flexible role
+    in T and no covered role, or T meeting the covered roles twice.
+
+    This is the rule `lpmodel.doubled_trace_targets` stated on letter sets
+    before both it and the recount read `lpmodel.doubled_pattern`; it stays
+    as the reference.
+    """
+    letters = "abcde"[:s]
+    cov = frozenset(covered)
+    return tuple(
+        frozenset(t)
+        for k in range(s + 1)
+        for t in combinations(letters, k)
+        if (a in t and not set(t) & cov) or len(set(t) & cov) >= 2
+    )
 
 
 def random_box_program(rng: random.Random) -> LinearProgram:

@@ -43,6 +43,8 @@ def flex_family_text(tmp_path):
 DUMP_LP_PINNED = Path(__file__).resolve().parent / "demo_output" / "dump_lp"
 # `search-nagel --n N` reports, byte for byte
 SEARCH_NAGEL_PINNED = Path(__file__).resolve().parent / "demo_output" / "search_nagel"
+# `table --format json --certificates`: every cell's certificate byte for byte
+TABLE_JSON_PINNED = Path(__file__).resolve().parent / "demo_output" / "table_certificates.json"
 # `--help` of the top level (ucfreq.txt) and of each subcommand at COLUMNS=80
 HELP_PINNED = Path(__file__).resolve().parent / "demo_output" / "help"
 SUBCOMMANDS = (
@@ -88,10 +90,12 @@ class TestTable:
 
     def test_json_with_certificates(self, capsys):
         assert main(["table", "--format", "json", "--certificates"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert doc["schema"] == 1
         assert len(doc["cells"]) == 8
         assert all("certificate" in cell for cell in doc["cells"])
+        assert out == TABLE_JSON_PINNED.read_text()
 
     def test_approx_csv(self, capsys):
         assert main(["table", "--approx"]) == 0

@@ -10,9 +10,10 @@ agree on the value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from oracle_models import reduced_full_symmetry, reduced_one_marked_role
+from oracle_models import letter_set_doubled_targets, reduced_full_symmetry, reduced_one_marked_role
 
 from ucfreq import lpmodel
 from ucfreq.lpmodel import (
@@ -24,6 +25,7 @@ from ucfreq.lpmodel import (
     build_base,
     case_program,
     covered_pair_cap_constraint,
+    doubled_pattern,
     doubled_trace_targets,
     frequency_cap_constant,
     frequency_cap_constraint,
@@ -121,6 +123,25 @@ class TestDoubledTraceTargets:
     def test_covered_flexible_conflict(self):
         with pytest.raises(ValueError):
             doubled_trace_targets(4, "a", {"a"})
+
+    @pytest.mark.parametrize("s", [4, 5])
+    def test_matches_the_letter_set_rule(self, s):
+        # every flexible role, and every covered set of the other roles
+        letters = "abcde"[:s]
+        for a in letters:
+            others = letters.replace(a, "")
+            for k in range(len(others) + 1):
+                for covered in combinations(others, k):
+                    got = doubled_trace_targets(s, a, covered)
+                    assert got == letter_set_doubled_targets(s, a, covered), (a, covered)
+
+    @pytest.mark.parametrize("t, pattern", [
+        (0b0001, "first"), (0b1001, "first"), (0b0110, "pair"), (0b0111, "pair"),
+        (0b1110, "pair"), (0b0011, None), (0b1010, None), (0b0000, None),
+    ])
+    def test_pattern_names(self, t, pattern):
+        # flexible bit 0, covered bits 1 and 2
+        assert doubled_pattern(t, 0b0001, 0b0110) == pattern
 
 
 class TestRaiseTraceFloors:
@@ -266,7 +287,12 @@ class TestCases:
     def test_published_tally_of_the_one_covered_cell(self, s, doubled):
         # the paper's extra constraints for |C| = 1: 4 + 3 at s = 4, 8 + 3 at s = 5
         rows = case_program(CaseSpec(s, Scenario.C1)).constraints
-        assert sum(c.label.startswith("floor_") and c.rhs == 2 for c in rows) == doubled
+        by_label = {c.label: c for c in rows}
+        # role a is bit 0 and the covered role b is bit 1
+        floors = {t: by_label[f"floor_{subset_name(t)}"] for t in all_subsets(s)}
+        raised = [t for t in floors if doubled_pattern(sum(1 << "abcde".index(r) for r in t), 0b01, 0b10)]
+        assert len(raised) == doubled
+        assert all(row.rhs == (2 if t in raised else 1) for t, row in floors.items())
         assert sum(c.label.startswith("count_b_ge") for c in rows) == 3
 
     @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda sc: sc.value)

@@ -383,6 +383,31 @@ class TestSpotCheckFaults:
         assert "(a=4, x=5): q_{3,6} = 1 < 2 (pair pattern)" in got
         assert all(v.endswith(": q_{3,6} = 1 < 2 (pair pattern)") for v in got)
 
+    def test_doubled_traces_are_the_lp_targets(self, monkeypatch):
+        # every trace counted once: for each flexible pair (a, x) the recount
+        # flags the LP model's doubled targets carried from the roles a, b, c, d
+        # to S in ascending order, the pair pattern where the witness-set
+        # condition holds
+        fam, s = INCIDENCE_CASE
+        role = dict(zip(setfam.elements_of(s), "abcd"))
+        monkeypatch.setattr(search, "trace_counts", lambda fam, s: dict.fromkeys(setfam.trace_counts(fam, s), 1))
+        got = [v for v in spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations if ": q_" in v]
+        want, unmet = [], []
+        for w in setfam.flexible_pairs(fam, s):
+            cov = setfam.covered_set(fam, s, w.x)
+            sx = s | mask_of([w.x])
+            if any(setfam.is_two_good(fam, sx & ~mask_of(p)) for p in itertools.combinations(cov, 2)):
+                unmet.append((w.a, w.x))
+            for t in lpmodel.doubled_trace_targets(4, role[w.a], [role[c] for c in cov]):
+                t_mask = mask_of([e for e in role if role[e] in t])
+                pair = lpmodel.doubled_pattern(t_mask, mask_of([w.a]), mask_of(cov)) == "pair"
+                if not (pair and (w.a, w.x) in unmet):
+                    tag = " (pair pattern)" if pair else ""
+                    want.append(f"(a={w.a}, x={w.x}): q_{setfam.format_mask(t_mask)} = 1 < 2{tag}")
+        assert sorted(got) == sorted(want)
+        # C = {5, 6} for (a, x) = (7, 4), and that pair leaves {2, 4, 7} 2-good
+        assert unmet == [(7, 4)] and len(want) == 6
+
     def test_pair_pattern_needs_the_witness_set_condition(self, monkeypatch):
         fam, s = WITNESS_SET_CASE
         assert setfam.covered_set(fam, s, 4) == (3, 5)
