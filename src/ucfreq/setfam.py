@@ -155,8 +155,9 @@ def element_frequencies(fam: SetFamily) -> dict[int, int]:
     """For each element of 1..n, the number of member sets containing it."""
     freqs = dict.fromkeys(range(1, fam.n + 1), 0)
     for s in fam.sets:
-        for e in elements_of(s):
-            freqs[e] += 1
+        while s:  # one step per set bit, lowest first
+            freqs[(s & -s).bit_length()] += 1
+            s &= s - 1
     return freqs
 
 
@@ -245,7 +246,8 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
 
     No targets give `(0,)` (the empty set meets them all); a target with no
     element in `allowed` gives `()`.  The search branches on an unmet
-    target with the fewest candidates left, adding each of them in turn,
+    target with the fewest candidates left, adding each of them in turn
+    (the root, with every target unmet, branches on a smallest target),
     and keeps a branch only while every chosen element has a private target
     (Murakami & Uno 2014, "Efficient algorithms for dualizing large-scale
     hypergraphs", the MMCS algorithm).  Once tried, a candidate is released
@@ -272,21 +274,9 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
     out: list[Mask] = []
     stop = -1 if limit is None else limit + 1
     # a branch: (chosen, private, cand, unmet), where private[j] holds the
-    # targets met only by the j-th chosen element
-    stack = [(0, [], allowed, bit - 1)]
-    while stack:
-        chosen, private, cand, unmet = stack.pop()
-        pick, fewest = 0, cand.bit_count() + 1
-        rest = unmet
-        while rest:
-            low = rest & -rest
-            c = edges[low.bit_length() - 1] & cand
-            k = c.bit_count()
-            if k < fewest:
-                pick, fewest = c, k
-                if k <= 1:
-                    break
-            rest ^= low
+    # targets met only by the j-th chosen element; the root is expanded first
+    stack, chosen, private, cand, unmet, pick = [], 0, [], allowed, bit - 1, edges[0]
+    while True:
         cand &= ~pick
         while pick:
             e = pick & -pick
@@ -303,7 +293,21 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
                     if len(out) == stop:
                         return tuple(out)
             cand |= e
-    return tuple(sorted(out, key=canonical_key))
+        if not stack:
+            break
+        chosen, private, cand, unmet = stack.pop()
+        pick, fewest = 0, cand.bit_count() + 1
+        rest = unmet
+        while rest:
+            low = rest & -rest
+            c = edges[low.bit_length() - 1] & cand
+            k = c.bit_count()
+            if k < fewest:
+                pick, fewest = c, k
+                if k <= 1:
+                    break
+            rest ^= low
+    return tuple(out) if len(out) < 2 else tuple(sorted(out, key=canonical_key))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ the certificate checks in `Fraction` arithmetic (`fraction_check_feasible`
 and the three `fraction_verify_*`), the split-tableau simplex, the presolved
 simplex with its presolve and tableau in `Fraction`s
 (`fraction_presolve_bounds`, `fraction_tableau_solve`), the shift loop of
-`elements_of`, the subset scan for minimal transversals, the pairwise scans
-for minimal elements, antichains and union closure, the frontier union
-closure, the member scans for covered sets and flexible pairs, the
-recursive union-closed enumerator with its f_2 check, and the cover-law
-suite on `SetFamily` values.
+`elements_of`, the element scan for frequencies, the subset scan for
+minimal transversals, the pairwise scans for minimal elements, antichains
+and union closure, the frontier union closure, the member scans for
+covered sets and flexible pairs, the recursive union-closed enumerator
+with its f_2 check, and the cover-law suite on `SetFamily` values.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -814,6 +814,20 @@ def shift_elements_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         e += 1
     return tuple(out)
+
+
+def scan_element_frequencies(fam: SetFamily) -> dict[int, int]:
+    """For each element of 1..n, the number of members containing it, read
+    off each member's `elements_of` tuple.
+
+    This is the body `setfam.element_frequencies` had before it stepped over
+    each member's set bits inline; it stays as the reference.
+    """
+    freqs = dict.fromkeys(range(1, fam.n + 1), 0)
+    for s in fam.sets:
+        for e in elements_of(s):
+            freqs[e] += 1
+    return freqs
 
 
 def scan_minimal_transversals(targets, allowed: int) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ import pytest
 from oracle_models import (
     recursive_enumerate_union_closed,
     recursive_verify_nagel_k2,
+    setfamily_nonempty_subfamilies,
     setfamily_verify_cover_theorem,
 )
 
@@ -195,6 +196,15 @@ class TestCoverTheorem:
     def test_guard(self):
         with pytest.raises(ValueError):
             verify_cover_theorem(n_max=5, n5_samples=0)
+
+    def test_halves_merge_gives_every_family_and_its_minimal_members(self):
+        # all 32 902 families of n = 1..4, in the oracle's order, each with
+        # min F as one reduction of the whole family gives it
+        for n in range(1, 5):
+            pairs = zip(search._cover_families(n), setfamily_nonempty_subfamilies(n), strict=True)
+            for (sets, least), fam in pairs:
+                assert sets == fam.sets
+                assert least == tuple(sorted(setfam._minimal_masks(sets)))
 
     @pytest.mark.parametrize("seed", [1, 2024])
     def test_matches_setfamily_oracle(self, seed):

@@ -16,6 +16,7 @@ from oracle_models import (
     frontier_union_closure,
     pairwise_is_union_closed,
     scan_covered_set,
+    scan_element_frequencies,
     scan_flexible_pairs,
     scan_is_antichain,
     scan_minimal_elements,
@@ -268,6 +269,11 @@ class TestFrequencies:
     def test_empty_set_only(self):
         assert element_frequencies(family(1, [[]])) == {1: 0}
 
+    @given(raw_families(max_n=8, max_sets=12) | st.lists(wide_masks(), min_size=1, max_size=8, unique=True).map(
+        lambda sets: SetFamily(63, tuple(sets))))
+    def test_matches_element_scan(self, f):
+        assert list(element_frequencies(f).items()) == list(scan_element_frequencies(f).items())
+
     def test_kth(self):
         f = family(2, [[], [1], [1, 2]])
         assert kth_frequency(f, 1) == (1, 2, Fraction(2, 3))
@@ -386,6 +392,16 @@ class TestMinimalTransversals:
         assert minimal_transversals([0b01, 0], 0b11) == ()
         assert minimal_transversals([0b10], 0b01) == ()
         assert minimal_transversals([0b011, 0b110], 0b111) == (0b101, 0b010)
+        # a limit reached among the root's children, and one level below them,
+        # answers in the order found
+        assert minimal_transversals([0b110], 0b111, 0) == (0b010,)
+        assert minimal_transversals([0b110, 0b011], 0b111, 1) == (0b010, 0b101)
+        # one answer comes back as a 1-tuple, with or without a limit
+        assert minimal_transversals([0b100, 0b110], 0b111) == (0b100,)
+        assert minimal_transversals([0b100, 0b110], 0b111, 3) == (0b100,)
+        # root children that meet every target at once, and one that does not
+        assert minimal_transversals([0b011, 0b111], 0b111) == (0b001, 0b010)
+        assert minimal_transversals([0b0011, 0b0110, 0b1011], 0b1111) == (0b0101, 0b0010)
 
 
 class TestIncidenceAndTraces:
