@@ -313,9 +313,10 @@ def verify_cover_theorem(
     rng = random.Random(seed)
     for _ in range(n5_samples):
         sets = _random_nonempty_family(rng, 5)
-        anti = _check_cover_laws(5, sets, tuple(sorted(_minimal_masks(sets))), memo, report)
-        # exercise the involution on the derived antichain as well
-        _check_cover_laws(5, anti, tuple(sorted(_minimal_masks(anti))), memo, report)
+        least = tuple(sorted(_minimal_masks(sets)))
+        anti = _check_cover_laws(5, sets, least, memo, report)
+        # exercise the involution on the derived antichain, whose minimal members are the sample's
+        _check_cover_laws(5, anti, least, memo, report)
     return report
 
 

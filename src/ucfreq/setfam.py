@@ -184,20 +184,9 @@ def normalize(fam: SetFamily) -> SetFamily:
     are preserved.
     """
     top, _, _ = kth_frequency(fam, 1)
-    if top == 1:
-        return fam
-    bit1, bitt = 1, 1 << (top - 1)
-
-    def swap(mask: Mask) -> Mask:
-        has1, hast = bool(mask & bit1), bool(mask & bitt)
-        mask &= ~(bit1 | bitt)
-        if has1:
-            mask |= bitt
-        if hast:
-            mask |= bit1
-        return mask
-
-    return SetFamily(fam.n, tuple(swap(s) for s in fam.sets))
+    d = top - 1
+    # delta swap of bits 0 and d: flip both exactly when they differ (d = 0 flips none)
+    return SetFamily(fam.n, tuple(s ^ ((s ^ s >> d) & 1) * (1 | 1 << d) for s in fam.sets))
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +303,16 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
 # 2-good sets, traces, incidence
 # ---------------------------------------------------------------------------
 
-def is_two_good(fam: SetFamily, s: Mask) -> bool:
-    """True iff `s` avoids element 1 and meets every member other than the
-    empty set and {1}."""
-    if s & 1:
-        return False
-    for a in fam.sets:
-        if a == 0 or a == 1:
-            continue
-        if a & s == 0:
-            return False
-    return True
-
-
 def _two_good_problem(fam: SetFamily) -> tuple[list[Mask], Mask]:
     """The 2-good sets as transversals: targets {A - {1}} over the members A
     outside {empty, {1}}, candidates all elements but 1."""
     return [t for a in fam.sets if (t := a & ~1)], fam.ground & ~1
+
+
+def is_two_good(fam: SetFamily, s: Mask) -> bool:
+    """True iff `s` lies in 2..n and meets every member but the empty set and {1}."""
+    targets, allowed = _two_good_problem(fam)
+    return s & ~allowed == 0 and all(t & s for t in targets)
 
 
 def minimal_two_good_sets(fam: SetFamily, limit: int | None = None) -> tuple[Mask, ...]:
@@ -388,15 +370,14 @@ def covered_set(fam: SetFamily, s: Mask, x: int) -> tuple[int, ...]:
 
     (Equivalently: every member whose trace on `s` is exactly {y} contains
     x; the equivalence needs `s` 2-good, which is why it is a precondition.)
-    Requires x outside `s` and x != 1.
+    Requires x in 2..n outside `s`.
     """
-    xbit = 1 << (x - 1)
-    if x == 1 or s & xbit:
-        raise ValueError(f"x must avoid the base set and element 1, got x={x}")
+    if not 2 <= x <= fam.n or s >> (x - 1) & 1:
+        raise ValueError(f"x must be in 2..{fam.n} outside the base set, got x={x}")
     if not is_two_good(fam, s):
         raise ValueError(f"base set {format_mask(s)} is not 2-good")
     groups = members_by_trace(fam, s)
-    return tuple(y for y in elements_of(s) if keeps_two_good(groups, 1 << (y - 1), xbit))
+    return tuple(y for y in elements_of(s) if keeps_two_good(groups, 1 << (y - 1), 1 << (x - 1)))
 
 
 @dataclass(frozen=True)
@@ -423,16 +404,20 @@ def flexible_pairs(fam: SetFamily, s: Mask) -> tuple[FlexibleWitness, ...]:
     if not is_two_good(fam, s):
         raise ValueError(f"base set {format_mask(s)} is not 2-good")
     groups = members_by_trace(fam, s)
-    outside = elements_of(fam.ground & ~s & ~1)
     out = []
     for a in elements_of(s):
-        alone = sorted(groups[1 << (a - 1)], key=canonical_key)  # all nonempty
-        for x in outside:
+        alone = groups[1 << (a - 1)]
+        some, every = 0, -1
+        for f in alone:
+            some |= f
+            every &= f
+        alone.sort(key=canonical_key)
+        # x is in some member of the group and missing from another; no bit of s is
+        for x in elements_of(some & ~every & ~1):
             xbit = 1 << (x - 1)
-            plain = next((f for f in alone if not f & xbit), 0)
-            with_x = next((f for f in alone if f & xbit), 0)
-            if plain and with_x:
-                out.append(FlexibleWitness(a, x, plain, with_x))
+            plain = next(f for f in alone if not f & xbit)
+            with_x = next(f for f in alone if f & xbit)
+            out.append(FlexibleWitness(a, x, plain, with_x))
     return tuple(out)
 
 
@@ -504,7 +489,6 @@ def family_from_text(text: str) -> SetFamily:
     The ground-set size is the largest element mentioned (at least 1).
     """
     sets = []
-    top = 1
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -517,7 +501,7 @@ def family_from_text(text: str) -> SetFamily:
         except ValueError as exc:
             raise ValueError(f"bad family line {line!r}") from exc
         sets.append(mask_of(els))
-        top = max(top, max(els))
     if not sets:
         raise ValueError("no sets in family input")
-    return SetFamily(top, tuple(sets))
+    # the largest mask holds the largest element
+    return SetFamily(max(max(sets).bit_length(), 1), tuple(sets))

@@ -7,7 +7,8 @@ simplex with its presolve and tableau in `Fraction`s
 `elements_of`, the element scan for frequencies, the subset scan for
 minimal transversals, the pairwise scans for minimal elements, antichains
 and union closure, the frontier union closure, the member scans for
-covered sets and flexible pairs, the recursive union-closed enumerator
+2-goodness, covered sets and flexible pairs, the two-bit swap of
+`normalize`, the recursive union-closed enumerator
 with its f_2 check, and the cover-law suite on `SetFamily` values.
 
 The reduced models are companions to the full base program, solved only by
@@ -53,7 +54,7 @@ from ucfreq.setfam import (
     FlexibleWitness,
     SetFamily,
     elements_of,
-    is_two_good,
+    format_mask,
     kth_frequency,
     minimal_covers,
     minimal_elements,
@@ -917,15 +918,38 @@ def frontier_union_closure(generators: SetFamily) -> SetFamily:
 # families with one explicit-stack DFS and incremental element counts; they
 # stay as the reference for its families, their order and its reports.
 
+def scan_is_two_good(fam: SetFamily, s: int) -> bool:
+    """True iff `s` avoids element 1 and meets every member other than the
+    empty set and {1}, one member at a time.
+
+    This is the body `setfam.is_two_good` had before it read the targets of
+    `_two_good_problem`; it stays as the reference for `s` inside 2..n.
+    """
+    if s & 1:
+        return False
+    for a in fam.sets:
+        if a == 0 or a == 1:
+            continue
+        if a & s == 0:
+            return False
+    return True
+
+
+def _require_two_good(fam: SetFamily, s: int) -> None:
+    if not scan_is_two_good(fam, s):
+        raise ValueError(f"base set {format_mask(s)} is not 2-good")
+
+
 def scan_covered_set(fam: SetFamily, s: int, x: int) -> tuple[int, ...]:
-    """The y of the 2-good `s` with s + x - y 2-good, one `is_two_good`
+    """The y of the 2-good `s` with s + x - y 2-good, one `scan_is_two_good`
     scan of the members per y.
 
     This is the body `setfam.covered_set` had before it read the members
     grouped by trace; it stays as the reference.
     """
+    _require_two_good(fam, s)
     sx = s | 1 << (x - 1)
-    return tuple(y for y in elements_of(s) if is_two_good(fam, sx & ~(1 << (y - 1))))
+    return tuple(y for y in elements_of(s) if scan_is_two_good(fam, sx & ~(1 << (y - 1))))
 
 
 def scan_flexible_pairs(fam: SetFamily, s: int) -> tuple[FlexibleWitness, ...]:
@@ -936,6 +960,7 @@ def scan_flexible_pairs(fam: SetFamily, s: int) -> tuple[FlexibleWitness, ...]:
     This is the body `setfam.flexible_pairs` had before it read the members
     grouped by trace; it stays as the reference.
     """
+    _require_two_good(fam, s)
     out = []
     for a in elements_of(s):
         abit = 1 << (a - 1)
@@ -949,6 +974,30 @@ def scan_flexible_pairs(fam: SetFamily, s: int) -> tuple[FlexibleWitness, ...]:
             if plain and with_x:
                 out.append(FlexibleWitness(a, x, min(plain, key=elements_of), min(with_x, key=elements_of)))
     return tuple(out)
+
+
+def swap_normalize(fam: SetFamily) -> SetFamily:
+    """Swap the labels of element 1 and the most frequent element (smallest
+    id on ties), one bit at a time.
+
+    This is the body `setfam.normalize` had before it swapped the two bits
+    with one delta swap; it stays as the reference.
+    """
+    top, _, _ = kth_frequency(fam, 1)
+    if top == 1:
+        return fam
+    bit1, bitt = 1, 1 << (top - 1)
+
+    def swap(mask: int) -> int:
+        has1, hast = bool(mask & bit1), bool(mask & bitt)
+        mask &= ~(bit1 | bitt)
+        if has1:
+            mask |= bitt
+        if hast:
+            mask |= bit1
+        return mask
+
+    return SetFamily(fam.n, tuple(swap(s) for s in fam.sets))
 
 
 def recursive_enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:

@@ -225,6 +225,25 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "trace counts for S = {2}:\n  {} -> 2\n  {2} -> 1\n" in out
 
+    def test_normalize_relabels_the_top_element(self, tmp_path, capsys):
+        # element 3 is in every member; --normalize swaps labels 1 and 3
+        path = tmp_path / "f.txt"
+        path.write_text("3\n2 3\n3 4\n2 3 4\n1 2 3 4\n")
+        assert main(["analyze", str(path), "--normalize", "--base", "2,4"]) == 0
+        assert capsys.readouterr().out == (
+            "m = 5\n"
+            "frequencies: 1=5 2=3 3=1 4=3\n"
+            "f_1 = 1\n"
+            "f_2 = 3/5\n"
+            "minimal 2-good sets:\n"
+            "  {2,4} incidence=6\n"
+            "trace counts for S = {2,4}:\n"
+            "  {} -> 1\n"
+            "  {2} -> 1\n"
+            "  {4} -> 1\n"
+            "  {2,4} -> 2\n"
+        )
+
     def test_rejects_non_union_closed(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("1\n2\n")

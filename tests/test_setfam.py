@@ -19,9 +19,11 @@ from oracle_models import (
     scan_element_frequencies,
     scan_flexible_pairs,
     scan_is_antichain,
+    scan_is_two_good,
     scan_minimal_elements,
     scan_minimal_transversals,
     shift_elements_of,
+    swap_normalize,
 )
 
 from ucfreq.setfam import (
@@ -297,6 +299,13 @@ class TestFrequencies:
             element_frequencies(f).values()
         )
 
+    @given(closed_families(max_n=7))
+    @example(family(3, [[], [1], [1, 2]]))  # top = 1
+    @example(family(4, [[4], [1, 4], [2, 3, 4]]))  # top = n
+    @example(family(1, [[], [1]]))
+    def test_normalize_matches_the_bit_swap(self, f):
+        assert normalize(f) == swap_normalize(f)
+
     @given(closed_families())
     def test_normalize_preserves_f2(self, f):
         if f.n < 2:
@@ -320,6 +329,24 @@ class TestTwoGood:
     def test_contains_distinguished(self):
         f = family(2, [[], [1], [2], [1, 2]])
         assert not is_two_good(f, mask_of([1, 2]))
+
+    @given(closed_families(max_n=6))
+    def test_matches_the_member_scan(self, f):
+        for s in submasks(f.ground & ~1):
+            assert is_two_good(f, s) == scan_is_two_good(f, s)
+
+    def test_refuses_elements_above_n(self):
+        # {2} is 2-good; {2, 4} reaches outside the ground set {1, 2, 3}
+        f = family(3, [[], [1], [2], [1, 2], [2, 3], [1, 2, 3]])
+        s = mask_of([2])
+        assert is_two_good(f, s) and is_minimal_two_good(f, s)
+        for out in (s | 1 << f.n, 1 << f.n, s | 1 << 62):
+            assert not is_two_good(f, out)
+            assert not is_minimal_two_good(f, out)
+            with pytest.raises(ValueError, match="not 2-good"):
+                flexible_pairs(f, out)
+            with pytest.raises(ValueError, match="not 2-good"):
+                covered_set(f, out, 3)
 
     @given(closed_families(max_n=5))
     def test_monotone_under_supersets(self, f):
@@ -469,6 +496,12 @@ class TestCoveredSet:
             covered_set(COVER_FIXTURE, s, 3)
         with pytest.raises(ValueError, match="not 2-good"):
             covered_set(COVER_FIXTURE, mask_of([2]), 5)
+
+    @pytest.mark.parametrize("x", [0, -1, 6])
+    def test_x_outside_the_ground_set(self, x):
+        assert COVER_FIXTURE.n == 5
+        with pytest.raises(ValueError, match=f"x must be in 2..5 outside the base set, got x={x}"):
+            covered_set(COVER_FIXTURE, mask_of([2, 3, 4]), x)
 
     @given(closed_families(max_n=5))
     def test_dual_characterization_everywhere(self, f):
