@@ -107,6 +107,13 @@ def _parse_objective(text: str, s: int) -> dict[str, Fraction]:
     return objective
 
 
+def _rechecked(res: lpmodel.CaseResult) -> lpmodel.CaseResult:
+    """`res`, once its certificate re-verifies against its spec's program."""
+    if not lpmodel.recheck(res):
+        raise CertificateError(f"certificate for {res.spec} failed re-verification")
+    return res
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -116,13 +123,9 @@ def _cmd_table(args) -> int:
         raise UsageError("--certificates needs --format json")
     if args.approx and args.format == "json":
         raise UsageError("--approx needs --format csv")
-    results = lpmodel.bounds_table()
-    for res in results:
-        if not lpmodel.recheck(res):
-            raise CertificateError(f"certificate for {res.spec} failed re-verification")
+    results = [_rechecked(res) for res in lpmodel.bounds_table()]
     if args.format == "csv":
-        render = functools.partial(lpmodel.render_bound, approx=args.approx)
-        _emit(lpmodel.table_to_csv(results, render=render), args.out)
+        _emit(lpmodel.table_to_csv(results, args.approx), args.out)
     else:
         doc = lpmodel.table_to_json(results, certificates=args.certificates)
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -144,9 +147,7 @@ def _cmd_solve_case(args) -> int:
     if args.approx and args.dump_lp:
         raise UsageError("--approx does not apply to --dump-lp")
     spec = lpmodel.CaseSpec(args.s, _SCENARIOS[args.c])
-    res = lpmodel.solve_case(spec)
-    if not lpmodel.recheck(res):
-        raise CertificateError(f"certificate for {spec} failed re-verification")
+    res = _rechecked(lpmodel.solve_case(spec))
     if args.dump_lp:
         lp = lpmodel.case_program(spec)
         _emit(format_lp(lp) + "\n" + format_certificate(lp, res.outcome), args.out)
@@ -156,9 +157,7 @@ def _cmd_solve_case(args) -> int:
 
 
 def _cmd_solve_base(args) -> int:
-    res = lpmodel.solve_case(lpmodel.CaseSpec(args.s, lpmodel.Scenario.BASE))
-    if not lpmodel.recheck(res):
-        raise CertificateError("base certificate failed re-verification")
+    res = _rechecked(lpmodel.solve_case(lpmodel.CaseSpec(args.s, lpmodel.Scenario.BASE)))
     _emit(lpmodel.render_bound(res.bound, args.approx) + "\n", args.out)
     return OK
 
@@ -238,6 +237,8 @@ def _cmd_search_nagel(args) -> int:
 def _cmd_check_lemmas(args) -> int:
     fam = _load_family(args.family, args.format, args.add_empty)
     base = _parse_base(args.base, fam.n)
+    if not setfam.is_union_closed(fam):
+        raise FamilyInputError(f"{args.family}: family is not union-closed")
     good = setfam.minimal_two_good_sets(fam, limit=MAX_OUTPUT)
     if len(good) > MAX_OUTPUT:
         raise FamilyInputError(f"{args.family}: more than {MAX_OUTPUT} minimal 2-good sets")

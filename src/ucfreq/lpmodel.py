@@ -30,7 +30,7 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .ratlp import (
     LinearConstraint,
@@ -296,22 +296,19 @@ def render_bound(value: Fraction | None, approx: bool = False) -> str:
     return repr(float(value)) if approx else str(value)
 
 
-def table_to_csv(
-    results: Iterable[CaseResult],
-    render: Callable[[Fraction | None], str] = render_bound,
-) -> str:
+def table_to_csv(results: Iterable[CaseResult], approx: bool = False) -> str:
     cells: dict[tuple[int, Scenario], CaseResult] = {
         (r.spec.s, r.spec.scenario): r for r in results
     }
     lines = ["s," + ",".join(f"|C|={k}" for k in COLUMN_KEYS)]
     for s in (4, 5):
-        row = [render(cells[(s, sc)].bound) for sc in GRID]
+        row = [render_bound(cells[(s, sc)].bound, approx) for sc in GRID]
         lines.append(f"{s}," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def _rat_map(m: Mapping, keyfmt=str) -> dict[str, str]:
-    return {keyfmt(k): str(v) for k, v in sorted(m.items())}
+def _rat_map(m: Mapping) -> dict[str, str]:
+    return {str(k): str(v) for k, v in sorted(m.items())}
 
 
 def table_to_json(results: Iterable[CaseResult], certificates: bool = False) -> dict:

@@ -215,7 +215,7 @@ def verify_nagel_k2(spec: EnumerationSpec) -> VerificationReport:
             witnesses.append(tuple(reversed(chosen)))
         if c2 * floor_size < floor * size:
             fam = SetFamily(n, tuple(reversed(chosen)))
-            report.violations.append(f"f_2 = {Fraction(c2, size)} < 1/3 for {fam!r}")
+            report.violations.append(f"f_2 = {Fraction(c2, size)} < {F2_FLOOR} for {fam!r}")
     report.families_checked = checked
     if witnesses:
         report.min_f2 = Fraction(low, low_size)

@@ -447,13 +447,8 @@ def is_antichain(fam: SetFamily) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# family file readers
 # ---------------------------------------------------------------------------
-
-def family_to_json(fam: SetFamily) -> str:
-    """Canonical JSON: {"n": n, "sets": [[sorted ints], ...]}."""
-    return json.dumps({"n": fam.n, "sets": [list(elements_of(s)) for s in fam.sets]})
-
 
 def family_from_json(text: str) -> SetFamily:
     try:
@@ -473,14 +468,6 @@ def family_from_json(text: str) -> SetFamily:
     if not sets:
         raise ValueError("no sets in family input")
     return SetFamily(n, tuple(mask_of(s) for s in sets))
-
-
-def family_to_text(fam: SetFamily) -> str:
-    """Plain text: one set per line, elements ascending, '-' for the empty set."""
-    lines = []
-    for s in fam.sets:
-        lines.append(" ".join(str(e) for e in elements_of(s)) if s else "-")
-    return "\n".join(lines) + "\n"
 
 
 def family_from_text(text: str) -> SetFamily:

@@ -8,8 +8,8 @@ simplex with its presolve and tableau in `Fraction`s
 minimal transversals, the pairwise scans for minimal elements, antichains
 and union closure, the frontier union closure, the member scans for
 2-goodness, covered sets and flexible pairs, the two-bit swap of
-`normalize`, the recursive union-closed enumerator
-with its f_2 check, and the cover-law suite on `SetFamily` values.
+`normalize`, the family JSON and text writers, the recursive
+union-closed enumerator with its f_2 check, and the cover-law suite on `SetFamily` values.
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration), never by the simplex path,
@@ -21,6 +21,7 @@ feasibility and objective, so some optimum is orbit-constant.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -815,6 +816,19 @@ def shift_elements_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         e += 1
     return tuple(out)
+
+
+def family_to_json(fam: SetFamily) -> str:
+    """Canonical JSON: {"n": n, "sets": [[sorted ints], ...]}."""
+    return json.dumps({"n": fam.n, "sets": [list(elements_of(s)) for s in fam.sets]})
+
+
+def family_to_text(fam: SetFamily) -> str:
+    """Plain text: one set per line, elements ascending, '-' for the empty set."""
+    lines = []
+    for s in fam.sets:
+        lines.append(" ".join(str(e) for e in elements_of(s)) if s else "-")
+    return "\n".join(lines) + "\n"
 
 
 def scan_element_frequencies(fam: SetFamily) -> dict[int, int]:

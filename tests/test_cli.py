@@ -9,16 +9,18 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ucfreq import cli, search, setfam
+from ucfreq import cli, lpmodel, search, setfam
 from ucfreq.cli import MAX_OUTPUT, main
-from ucfreq.setfam import family, family_to_json, family_to_text, union_closure
+from ucfreq.setfam import family, union_closure
 
-from test_search import INCIDENCE_CASE
+from oracle_models import family_to_json, family_to_text
+from test_search import FLOOR_TIGHT, INCIDENCE_CASE
 
 
 @pytest.fixture
@@ -566,6 +568,27 @@ class TestCheckLemmas:
         assert main(["check-lemmas", path, "--base", base]) == 2
         assert capsys.readouterr() == ("", f"ucfreq: {path}: more than 100 minimal 2-good sets\n")
 
+    def test_non_union_closed_is_refused_like_analyze(self, tmp_path, capsys, monkeypatch):
+        # 11 disjoint 3-blocks {2,3,4}, ..., {32,33,34}: not union-closed, and
+        # with 3^11 minimal 2-good sets, which the refusal comes before
+        path = tmp_path / "blocks.txt"
+        path.write_text("".join(f"{3 * i + 2} {3 * i + 3} {3 * i + 4}\n" for i in range(11)))
+        monkeypatch.setattr(setfam, "minimal_two_good_sets", lambda *a, **kw: pytest.fail("enumerated"))
+        for argv in (["analyze"], ["check-lemmas", "--base", "2,5"]):
+            assert main(argv + [str(path)]) == 2
+            assert capsys.readouterr() == ("", f"ucfreq: {path}: family is not union-closed\n")
+
+    def test_floor_fault_exits_3_with_the_report(self, tmp_path, capsys, monkeypatch):
+        fam, s, violation = FLOOR_TIGHT[0]
+        path = tmp_path / "tight.txt"
+        path.write_text(family_to_text(fam))
+        monkeypatch.setattr(search, "frequency_cap_constant", lambda size, c: lpmodel.frequency_cap_constant(size, c) + 1)
+        assert main(["check-lemmas", str(path), "--base", setfam.format_mask(s)[1:-1]]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["passed"] is False and doc["violations"] == [violation]
+
     def test_minimal_two_good_sets_enumerated_once(self, tmp_path, capsys, monkeypatch):
         # the incidence block runs here, and ranks S among the sets that the
         # output cap already enumerated
@@ -583,6 +606,68 @@ class TestCheckLemmas:
         assert main(["check-lemmas", str(path), "--base", setfam.format_mask(s)[1:-1]]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert len(calls) == 1
+
+
+class TestBaseSet:
+    """A --base that is not a set of 1..n is refused in one line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["analyze", "check-lemmas"])
+    @pytest.mark.parametrize("base, message", [
+        ("x", "bad base set 'x'"),
+        # the fixture's text file mentions elements 1..4 only
+        ("2,5", "base set '2,5' leaves the ground set 1..4"),
+    ])
+    def test_refused(self, flex_family_text, capsys, command, base, message):
+        assert main([command, flex_family_text, "--base", base]) == 2
+        assert capsys.readouterr() == ("", f"ucfreq: {message}\n")
+
+
+class TestConsistencyFaults:
+    """Each internal check that can fail a command does so with exit 3."""
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["table"], "CaseSpec(s=4, scenario=<Scenario.C0: 'c0'>)"),
+        (["table", "--format", "json"], "CaseSpec(s=4, scenario=<Scenario.C0: 'c0'>)"),
+        (["solve-case", "--s", "4", "--c", "0"], "CaseSpec(s=4, scenario=<Scenario.C0: 'c0'>)"),
+        (["solve-base", "--s", "4"], "CaseSpec(s=4, scenario=<Scenario.BASE: 'base'>)"),
+    ])
+    def test_recheck_failure(self, capsys, monkeypatch, argv, spec):
+        monkeypatch.setattr(lpmodel, "recheck", lambda res: False)
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "", f"ucfreq: internal consistency failure: certificate for {spec} failed re-verification\n"
+        )
+
+    def test_cover_involution_failure(self, tmp_path, capsys, monkeypatch):
+        # the covers of the two edges are right; only the covers of those
+        # covers, the involution re-check, lose their last member
+        path = tmp_path / "edges.txt"
+        path.write_text("1 2\n2 3\n")
+        real, calls = setfam.minimal_covers, []
+
+        def second_call_short(fam, limit=None):
+            calls.append(fam)
+            out = real(fam, limit)
+            return setfam.SetFamily(out.n, out.sets[:-1]) if len(calls) == 2 else out
+
+        monkeypatch.setattr(setfam, "minimal_covers", second_call_short)
+        assert main(["covers", str(path)]) == 3
+        assert len(calls) == 2
+        assert capsys.readouterr() == (
+            "", "ucfreq: internal consistency failure: MC(MC(F)) differs from the minimal elements of F\n"
+        )
+
+    def test_census_floor_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "F2_FLOOR", Fraction(1, 2))
+        assert main(["search-nagel", "--n", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["passed"] is False and doc["families_checked"] == 8
+        assert doc["violations"] == [
+            "f_2 = 1/3 < 1/2 for SetFamily(n=2, {{}, {1}, {1,2}})",
+            "f_2 = 1/3 < 1/2 for SetFamily(n=2, {{}, {2}, {1,2}})",
+        ]
 
 
 class TestUsage:

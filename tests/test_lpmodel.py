@@ -124,6 +124,12 @@ class TestDoubledTraceTargets:
         with pytest.raises(ValueError):
             doubled_trace_targets(4, "a", {"a"})
 
+    @pytest.mark.parametrize("a, covered", [("e", ()), ("a", {"e"})])
+    def test_unknown_role(self, a, covered):
+        with pytest.raises(ValueError) as info:
+            doubled_trace_targets(4, a, covered)
+        assert str(info.value) == "roles must come from 'abcd'"
+
     @pytest.mark.parametrize("s", [4, 5])
     def test_matches_the_letter_set_rule(self, s):
         # every flexible role, and every covered set of the other roles
@@ -180,6 +186,12 @@ class TestFrequencyCap:
     def test_constant_bounds(self):
         with pytest.raises(ValueError):
             frequency_cap_constant(4, 4)
+
+    @pytest.mark.parametrize("covered", [{"a"}, {"a", "b"}, {"e"}])
+    def test_constraint_refuses_a_and_unknown_roles(self, covered):
+        with pytest.raises(ValueError) as info:
+            frequency_cap_constraint(4, covered)
+        assert str(info.value) == "covered roles must be non-a roles"
 
     def test_constraint_shape(self):
         con = frequency_cap_constraint(4, {"b", "c"})

@@ -200,6 +200,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="undeclared"):
             solve(lp)
 
+    @pytest.mark.parametrize("lp, message", [
+        (LinearProgram(("x",), "minimize", {"x": F(1)}), "sense must be 'min' or 'max', got 'minimize'"),
+        (LinearProgram(("x", "x"), "min", {"x": F(1)}), "duplicate variable names"),
+        (LinearProgram(("x",), "min", {"x": F(1)}, upper={"y": F(1)}), "bound on undeclared variable 'y'"),
+    ], ids=["sense", "duplicate", "bound"])
+    def test_program_errors(self, lp, message):
+        with pytest.raises(ValueError) as info:
+            lp.validate()
+        assert str(info.value) == message
+
     def test_empty_constraint_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             LinearConstraint({"x": F(0)}, ">=", F(0))
@@ -328,6 +338,15 @@ class TestTextFormats:
         text = format_certificate(lp, out)
         assert text.startswith("status: infeasible\n")
         assert "farkas" in text
+
+
+    def test_format_certificate_unbounded(self):
+        lp = lp_free_unbounded()
+        out = solve(lp)
+        assert out == Unbounded(ray={"x": F(1), "y": F(1)})
+        assert format_certificate(lp, out) == "status: unbounded\nray x = 1\nray y = 1\n"
+        # zero and missing ray entries are left out
+        assert format_certificate(lp, Unbounded(ray={"x": F(0), "y": F(3, 2)})) == "status: unbounded\nray y = 3/2\n"
 
 
 # ---------------------------------------------------------------------------

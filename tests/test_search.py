@@ -7,6 +7,7 @@ miniature here; the full-scale runs live in the acceptance module.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import re
 from fractions import Fraction
@@ -146,6 +147,17 @@ class TestNagelK2:
         assert rep.violations[0].startswith("f_2 = 1/2 for witness SetFamily(n=2")
         assert not rep.passed
 
+    def test_floor_violations_are_reported(self, monkeypatch):
+        # no family of the census falls below 1/3, so the floor branch is
+        # reached only with the floor raised
+        monkeypatch.setattr(search, "F2_FLOOR", Fraction(1, 2))
+        rep = verify_nagel_k2(EnumerationSpec(2, require_ground_coverage=True))
+        assert rep.families_checked == 8
+        assert rep.violations == [
+            "f_2 = 1/3 < 1/2 for SetFamily(n=2, {{}, {1}, {1,2}})",
+            "f_2 = 1/3 < 1/2 for SetFamily(n=2, {{}, {2}, {1,2}})",
+        ]
+
 
 def all_specs(n: int):
     for require_empty, coverage, cap in itertools.product(
@@ -196,6 +208,36 @@ class TestCoverTheorem:
     def test_guard(self):
         with pytest.raises(ValueError):
             verify_cover_theorem(n_max=5, n5_samples=0)
+
+    @staticmethod
+    def n5_families(monkeypatch, seed, samples=200):
+        """The families `_check_cover_laws` receives at n = 5: each draw,
+        then its derived antichain."""
+        seen, check = [], search._check_cover_laws
+
+        def recorded(n, sets, *rest):
+            if n == 5:
+                seen.append(sets)
+            return check(n, sets, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_check_cover_laws", recorded)
+            verify_cover_theorem(n_max=1, n5_samples=samples, seed=seed)
+        return seen
+
+    def test_sampled_families_follow_the_seed(self, monkeypatch):
+        # the report shows only counts and violations, so it cannot tell two
+        # draws apart; the checked families can
+        first = self.n5_families(monkeypatch, 1)
+        assert len(first) == 400
+        assert first != self.n5_families(monkeypatch, 2)
+        assert first == self.n5_families(monkeypatch, 1)
+
+    def test_sampled_families_are_pinned(self, monkeypatch):
+        seen = self.n5_families(monkeypatch, 2024)
+        assert seen[:4] == [(6, 24, 19, 10, 7, 30, 14, 23), (19, 6, 10, 24), (18, 8, 21, 27, 24), (21, 18, 8)]
+        digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+        assert digest == "44cb636d0e39f90791ee1f901fbcbbee119f27b52ab1c6ba0029848147391e84"
 
     def test_halves_merge_gives_every_family_and_its_minimal_members(self):
         # all 32 902 families of n = 1..4, in the oracle's order, each with

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 from oracle_models import (
+    family_to_json,
+    family_to_text,
     frontier_union_closure,
     pairwise_is_union_closed,
     scan_covered_set,
@@ -37,8 +39,6 @@ from ucfreq.setfam import (
     family,
     family_from_json,
     family_from_text,
-    family_to_json,
-    family_to_text,
     flexible_pairs,
     format_mask,
     incidence,
@@ -290,6 +290,11 @@ class TestFrequencies:
     def test_kth_out_of_range(self):
         with pytest.raises(ValueError):
             kth_frequency(family(1, [[1]]), 2)
+
+    def test_kth_of_empty_family(self):
+        with pytest.raises(ValueError) as info:
+            kth_frequency(SetFamily(2, ()), 1)
+        assert str(info.value) == "kth_frequency of an empty family"
 
     def test_normalize_moves_top_to_one(self):
         f = family(3, [[2], [2, 3], [1, 2, 3]])
@@ -695,6 +700,16 @@ class TestFileFormats:
         text = family_to_text(f)
         assert text == "-\n1\n1 3\n"
         assert family_from_text(text) == f
+
+    @given(raw_families(max_n=63, max_sets=8))
+    def test_json_roundtrip_property(self, f):
+        assert family_from_json(family_to_json(f)) == f
+
+    @given(raw_families(max_n=63, max_sets=8))
+    def test_text_roundtrip_property(self, f):
+        # the text form does not record n: it is read back as the largest element
+        n = max(max(f.sets).bit_length(), 1)
+        assert family_from_text(family_to_text(f)) == SetFamily(n, f.sets)
 
     def test_text_skips_comments(self):
         f = family_from_text("# header\n\n2 3\n-\n")
