@@ -132,13 +132,7 @@ def _cmd_table(args) -> int:
     return OK
 
 
-_SCENARIOS = {
-    "0": lpmodel.Scenario.C0,
-    "1": lpmodel.Scenario.C1,
-    "2": lpmodel.Scenario.C2,
-    "3": lpmodel.Scenario.C3PLUS,
-    "aux": lpmodel.Scenario.PAIR_CAP,
-}
+_SCENARIOS = {**{str(c): sc for c, sc in enumerate(lpmodel.GRID)}, "aux": lpmodel.Scenario.PAIR_CAP}
 
 
 def _cmd_solve_case(args) -> int:

@@ -172,15 +172,12 @@ def incidence_count_constraints(s: int, b: str = "b") -> tuple[LinearConstraint,
     return tuple(out)
 
 
-def covered_pair_cap_constraint(s: int = 5) -> LinearConstraint:
+def covered_pair_cap_constraint() -> LinearConstraint:
     """Frequency cap when a covered pair's joint trace also forces the
-    auxiliary element:  sum q_T - 3 (q_b + q_c + q_bc) >= 75.
+    auxiliary element, over s = 5:  sum q_T - 3 (q_b + q_c + q_bc) >= 75.
 
-    Only meaningful for s = 5 (for s = 4 the configuration is ruled out by
-    a size-3 2-good set instead).
+    For s = 4 the configuration is ruled out by a size-3 2-good set instead.
     """
-    if s != 5:
-        raise ValueError("the covered-pair cap applies to s = 5 only")
     return _aux_frequency_row(5, 25, ("b", "c", "bc"), "pair_cap")
 
 
@@ -250,7 +247,9 @@ def _shared_program(spec: CaseSpec) -> LinearProgram:
         targets = doubled_trace_targets(s, "a", covered)
     lp = build_base(s, targets)
     if scenario is Scenario.PAIR_CAP:
-        lp.constraints.append(covered_pair_cap_constraint(s))
+        if s != 5:  # a spec built past `CaseSpec`'s own check
+            raise ValueError("the covered-pair cap applies to s = 5 only")
+        lp.constraints.append(covered_pair_cap_constraint())
     if scenario is Scenario.C1:
         lp.constraints.extend(incidence_count_constraints(s, "b"))
     if scenario in (Scenario.C2, Scenario.C3PLUS):

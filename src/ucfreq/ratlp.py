@@ -45,15 +45,14 @@ rows, combine the left-hand sides to zero, and combine the right-hand
 sides to a negative number: 0 <= negative, a contradiction.
 
 `verify_optimality` and `verify_infeasibility` check exactly these
-conditions and are independent of the solver internals.  Like
-`check_feasible` and `verify_ray` they run on the integer rows, with a point
-or ray as integers over one positive denominator and each weight y_i / L_i
-over one common denominator, so every condition is an integer dot product
-compared by cross-multiplying or by its sign; nothing is rounded.  `solve`
-re-checks every certificate it emits, and an optimum's value against c . x*,
-on the integer rows it solved, every materialized row included, and raises
-`CertificateError` if its own output fails (which would be a bug, never a
-property of the input).
+conditions and are independent of the solver internals.  They run on the
+integer rows, with a point or ray as integers over one positive denominator
+and each weight y_i / L_i over one common denominator, so every condition is
+an integer dot product compared by cross-multiplying or by its sign; nothing
+is rounded.  `solve` re-checks every certificate it emits, and an optimum's
+value against c . x*, on the integer rows it solved, every materialized row
+included, and raises `CertificateError` if its own output fails (which would
+be a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -331,15 +330,6 @@ def _is_ray(lp: LinearProgram, rows: list[IntRow], ray) -> bool:
     c, _ = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
     gain = sum(cj * xj for cj, xj in zip(c, x))
     return gain < 0 if lp.sense == "min" else gain > 0
-
-
-def check_feasible(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> bool:
-    """True iff every constraint and declared bound holds exactly.
-
-    The assignment must be total over the declared variables.
-    """
-    lp.validate()
-    return _satisfies(_integer_rows(lp), *_over_one_denominator(_point(lp, assignment)))
 
 
 def verify_optimality(lp: LinearProgram, primal: Mapping[str, Fraction], dual: Mapping[int, Fraction]) -> bool:
@@ -701,49 +691,6 @@ def _certified(lp: LinearProgram, rows: list[IntRow], outcome: LpOutcome, t: _Ta
     else:
         stats = SolveStats(t.nrows, t.ncols, len(t.artificials), *t.pivots, wall_ms, verify_ms, t.max_bits())
     return replace(outcome, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# reference oracle
-# ---------------------------------------------------------------------------
-
-def _solve_square(rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int) -> list[Fraction] | None:
-    mat = [[rows[i].get(j, ZERO) for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [v / pv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][n] for i in range(n)]
-
-
-def brute_force_optimum(lp: LinearProgram) -> Fraction | None:
-    """Best objective value over all basic feasible points, or None if there are none.
-
-    Independent reference oracle: intersect every size-n subset of rows as
-    equalities (Gaussian elimination) and keep the feasible points.  Sound
-    whenever the feasible region is a polytope (every nonempty bounded
-    polyhedron attains its optimum at such a point), e.g. box-constrained
-    programs.  Exponential; intended for small programs only.
-    """
-    lp.validate()
-    rows = materialized_rows(lp)
-    n = len(lp.variables)
-    best: Fraction | None = None
-    for subset in combinations(range(len(rows)), n):
-        point = _solve_square([rows[i][0] for i in subset], [rows[i][2] for i in subset], n)
-        if point is None or not all(_holds(_row_value(coeffs, point), rel, rhs) for coeffs, rel, rhs in rows):
-            continue
-        val = sum((lp.objective.get(name, ZERO) * point[j] for j, name in enumerate(lp.variables)), ZERO)
-        if best is None or (val < best if lp.sense == "min" else val > best):
-            best = val
-    return best
 
 
 # ---------------------------------------------------------------------------

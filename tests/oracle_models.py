@@ -1,7 +1,8 @@
 """Shared test oracles: symmetry-reduced LP models, the letter-set rule for
 doubled traces, random program generators,
 the certificate checks in `Fraction` arithmetic (`fraction_check_feasible`
-and the three `fraction_verify_*`), the split-tableau simplex, the presolved
+and the three `fraction_verify_*`), the basic-point enumerator
+`brute_force_optimum`, the split-tableau simplex, the presolved
 simplex with its presolve and tableau in `Fraction`s
 (`fraction_presolve_bounds`, `fraction_tableau_solve`), the shift loop of
 `elements_of`, the element scan for frequencies, the subset scan for
@@ -12,11 +13,11 @@ and union closure, the frontier union closure, the member scans for
 union-closed enumerator with its f_2 check, and the cover-law suite on `SetFamily` values.
 
 The reduced models are companions to the full base program, solved only by
-`brute_force_optimum` (basic-point enumeration), never by the simplex path,
-so agreement between the two is a genuine cross-check.  The reduction is
-sound because program and objective are invariant under permuting the
-collapsed roles: averaging an optimal point over the orbit preserves
-feasibility and objective, so some optimum is orbit-constant.
+`brute_force_optimum` (basic-point enumeration, in this file), never by the
+simplex path, so agreement between the two is a genuine cross-check.  The
+reduction is sound because program and objective are invariant under
+permuting the collapsed roles: averaging an optimal point over the orbit
+preserves feasibility and objective, so some optimum is orbit-constant.
 """
 
 from __future__ import annotations
@@ -233,6 +234,49 @@ def fraction_verify_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
             return False
     gain = sum((lp.objective.get(name, ZERO) * d[j] for j, name in enumerate(lp.variables)), ZERO)
     return gain < 0 if lp.sense == "min" else gain > 0
+
+
+# The basic-point enumerator, the reference optimum for small polytopes.
+# It tests rows with this module's `_holds` and `_row_value`, so no code of
+# the solver or of its certificate checks decides its answers.
+
+def _solve_square(rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int) -> list[Fraction] | None:
+    mat = [[rows[i].get(j, ZERO) for j in range(n)] + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        pv = mat[col][col]
+        mat[col] = [v / pv for v in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return [mat[i][n] for i in range(n)]
+
+
+def brute_force_optimum(lp: LinearProgram) -> Fraction | None:
+    """Best objective value over all basic feasible points, or None if there are none.
+
+    Independent reference oracle: intersect every size-n subset of rows as
+    equalities (Gaussian elimination) and keep the feasible points.  Sound
+    whenever the feasible region is a polytope (every nonempty bounded
+    polyhedron attains its optimum at such a point), e.g. box-constrained
+    programs.  Exponential; intended for small programs only.
+    """
+    lp.validate()
+    rows = materialized_rows(lp)
+    n = len(lp.variables)
+    best: Fraction | None = None
+    for subset in combinations(range(len(rows)), n):
+        point = _solve_square([rows[i][0] for i in subset], [rows[i][2] for i in subset], n)
+        if point is None or not all(_holds(_row_value(coeffs, point), rel, rhs) for coeffs, rel, rhs in rows):
+            continue
+        val = sum((lp.objective.get(name, ZERO) * point[j] for j, name in enumerate(lp.variables)), ZERO)
+        if best is None or (val < best if lp.sense == "min" else val > best):
+            best = val
+    return best
 
 
 # The exact simplex as it was before `ratlp.solve` folded one-variable rows

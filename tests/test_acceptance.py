@@ -13,6 +13,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from oracle_models import (
+    brute_force_optimum,
+    fraction_check_feasible as check_feasible,
     random_box_program,
     reduced_full_symmetry,
     reduced_one_marked_role,
@@ -33,8 +35,6 @@ from ucfreq.lpmodel import (
 from ucfreq.ratlp import (
     Infeasible,
     Optimal,
-    brute_force_optimum,
-    check_feasible,
     solve,
     verify_infeasibility,
     verify_optimality,

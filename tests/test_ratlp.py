@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import pytest
 from oracle_models import (
+    brute_force_optimum,
     fraction_check_feasible,
     fraction_tableau_solve,
     fraction_verify_infeasibility,
@@ -45,8 +46,6 @@ from ucfreq.ratlp import (
     Optimal,
     SolveStats,
     Unbounded,
-    brute_force_optimum,
-    check_feasible,
     format_certificate,
     format_lp,
     materialized_rows,
@@ -122,20 +121,6 @@ class TestTrivialPrograms:
         out = solve(lp)
         assert out.value == 2
         assert out.dual == {0: F(1)}
-
-
-class TestCheckFeasible:
-    def test_holds(self):
-        assert check_feasible(lp_min_x_ge_1(), {"x": F(1)})
-
-    def test_violated(self):
-        assert not check_feasible(lp_min_x_ge_1(), {"x": F(1, 2)})
-
-    def test_requires_total_assignment(self):
-        with pytest.raises(ValueError):
-            check_feasible(lp_min_x_ge_1(), {})
-        with pytest.raises(ValueError):
-            check_feasible(lp_min_x_ge_1(), {"x": F(1), "y": F(0)})
 
 
 class TestVerifyOptimality:
@@ -235,7 +220,7 @@ def assert_matches_oracle(lp: LinearProgram) -> None:
     expect = brute_force_optimum(lp)
     if isinstance(out, Optimal):
         assert expect == out.value
-        assert check_feasible(lp, out.assignment)
+        assert fraction_check_feasible(lp, out.assignment)
         assert verify_optimality(lp, out.assignment, out.dual)
     elif isinstance(out, Infeasible):
         assert expect is None
@@ -669,8 +654,7 @@ def verdict(check, *args):
 def check_pairs(lp: LinearProgram, out):
     """(integer check, `Fraction` check, arguments) for each check of `out`."""
     if isinstance(out, Optimal):
-        return [(check_feasible, fraction_check_feasible, (lp, out.assignment)),
-                (verify_optimality, fraction_verify_optimality, (lp, out.assignment, out.dual))]
+        return [(verify_optimality, fraction_verify_optimality, (lp, out.assignment, out.dual))]
     if isinstance(out, Infeasible):
         return [(verify_infeasibility, fraction_verify_infeasibility, (lp, out.farkas))]
     return [(verify_ray, fraction_verify_ray, (lp, out.ray))]
