@@ -8,6 +8,7 @@ immutable and safe to share.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,24 +235,41 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
     those found, unsorted, so `len(result) > limit` means there are more.
 
     No targets give `(0,)` (the empty set meets them all); a target with no
-    element in `allowed` gives `()`.  The search branches on an unmet
-    target with the fewest candidates left, adding each of them in turn
-    (the root, with every target unmet, branches on a smallest target),
-    and keeps a branch only while every chosen element has a private target
-    (Murakami & Uno 2014, "Efficient algorithms for dualizing large-scale
-    hypergraphs", the MMCS algorithm).  Once tried, a candidate is released
-    to the later branches, so a set holding several candidates of the target
-    is reached only in the branch of the last of them.  Each minimal
-    transversal is reached once and the work grows with the output, not
-    with 2^|allowed|.
+    element in `allowed` gives `()`.  Every call reduces the targets to the
+    inclusion-minimal ones inside `allowed` (meeting one meets its
+    supersets), and `_mmcs` searches that edge list.  The search is pure, so
+    over a ground set of at most 4 elements it is memoized: there its input
+    is an antichain of a 4-set in one of its listing orders, one of at most
+    2 435 edge lists, and a repeated edge list is answered from the memo.
+    Wider inputs are searched every time.
     """
-    # Only the inclusion-minimal targets matter: meeting one meets its supersets.
-    edges = _minimal_masks(t & allowed for t in targets)
+    edges = tuple(_minimal_masks(t & allowed for t in targets))
+    if 0 <= allowed < 1 << 4:
+        # a 4-set has at most 6 minimal transversals (an antichain, Sperner),
+        # so a limit below 0 or of 6 or more stops nothing: one key for all
+        return _small_mmcs(edges, allowed, limit if limit is not None and 0 <= limit < 6 else None)
+    return _mmcs(edges, allowed, limit)
+
+
+def _mmcs(edges: tuple[Mask, ...], allowed: Mask, limit: int | None) -> tuple[Mask, ...]:
+    """`minimal_transversals` of the inclusion-minimal targets `edges`, fewest
+    elements first.
+
+    The search branches on an unmet edge with the fewest candidates left,
+    adding each of them in turn (the root, with every edge unmet, branches
+    on a smallest edge), and keeps a branch only while every chosen element
+    has a private edge (Murakami & Uno 2014, "Efficient algorithms for
+    dualizing large-scale hypergraphs", the MMCS algorithm).  Once tried, a
+    candidate is released to the later branches, so a set holding several
+    candidates of the edge is reached only in the branch of the last of
+    them.  Each minimal transversal is reached once and the work grows with
+    the output, not with 2^|allowed|.
+    """
     if not edges:
         return (0,)
     if not edges[0]:
         return ()
-    # hits[e]: the targets that contain element bit e, as a set of index bits
+    # hits[e]: the edges that contain element bit e, as a set of index bits
     hits: dict[Mask, int] = {}
     bit = 1
     for t in edges:
@@ -263,7 +281,7 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
     out: list[Mask] = []
     stop = -1 if limit is None else limit + 1
     # a branch: (chosen, private, cand, unmet), where private[j] holds the
-    # targets met only by the j-th chosen element; the root is expanded first
+    # edges met only by the j-th chosen element; the root is expanded first
     stack, chosen, private, cand, unmet, pick = [], 0, [], allowed, bit - 1, edges[0]
     while True:
         cand &= ~pick
@@ -297,6 +315,11 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
                     break
             rest ^= low
     return tuple(out) if len(out) < 2 else tuple(sorted(out, key=canonical_key))
+
+
+# bounded: at most 2 435 edge lists times 7 limits, the only inputs
+# `minimal_transversals` passes it
+_small_mmcs = functools.cache(_mmcs)
 
 
 # ---------------------------------------------------------------------------

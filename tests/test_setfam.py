@@ -28,6 +28,7 @@ from oracle_models import (
     swap_normalize,
 )
 
+from ucfreq import search, setfam
 from ucfreq.setfam import (
     FlexibleWitness,
     SetFamily,
@@ -434,6 +435,44 @@ class TestMinimalTransversals:
         # root children that meet every target at once, and one that does not
         assert minimal_transversals([0b011, 0b111], 0b111) == (0b001, 0b010)
         assert minimal_transversals([0b0011, 0b0110, 0b1011], 0b1111) == (0b0101, 0b0010)
+
+    def test_memo_answers_as_a_cold_search(self, monkeypatch):
+        """Every edge list the exhaustive cover suite gives the kernel, with
+        each limit before and after an unlimited call: a warm answer is the
+        cold search's, so the memo keeps `limit` in its key."""
+        kernel, listings = setfam.minimal_transversals, {}
+
+        def record(targets, allowed, limit=None):
+            targets = tuple(targets)
+            listings.setdefault((tuple(_minimal_masks(t & allowed for t in targets)), allowed), targets)
+            return kernel(targets, allowed, limit)
+
+        monkeypatch.setattr(setfam, "minimal_transversals", record)
+        monkeypatch.setattr(search, "minimal_transversals", record)
+        search.verify_cover_theorem(4, 0)
+        monkeypatch.undo()
+        assert len(listings) == 262
+        memo = setfam._small_mmcs
+        for (edges, allowed), targets in listings.items():
+            for limit in (0, 1, 2, 5):
+                for order in ((limit, None), (None, limit)):
+                    memo.cache_clear()
+                    for lim in order + order:  # cold, then warm
+                        assert minimal_transversals(targets, allowed, lim) == memo.__wrapped__(edges, allowed, lim)
+            assert minimal_transversals(targets, allowed) == scan_minimal_transversals(targets, allowed)
+            # a limit that stops nothing on a 4-set shares the unlimited entry
+            memo.cache_clear()
+            for lim in (None, -1, 6, 100_000):
+                assert minimal_transversals(targets, allowed, lim) == memo.__wrapped__(edges, allowed, lim)
+            assert memo.cache_info().currsize == 1
+
+    def test_wide_calls_leave_the_memo_alone(self):
+        memo = setfam._small_mmcs
+        before = memo.cache_info().currsize
+        blocks = SetFamily(12, (0b111, 0b111 << 3, 0b111 << 6, 0b111 << 9))
+        assert len(minimal_covers(blocks)) == 3**4
+        assert minimal_two_good_sets(family(20, [[1], [20], [1, 20]])) == (mask_of([20]),)
+        assert memo.cache_info().currsize == before
 
 
 class TestIncidenceAndTraces:
