@@ -265,10 +265,11 @@ def _check_cover_laws(
 ) -> tuple[Mask, ...]:
     """Check the cover laws on a family F of distinct nonempty subsets of {1..n},
     given its minimal members A ascending, and return A in canonical order.
-    The kernel is called for MC(F) on every family; at n <= 4 it answers a
-    repeated edge list from its memo.  `memo` holds, under (n, A), what is
-    worked out once per A through `minimal_covers`: (A, MC(A), MC(A) is an
-    antichain, MC(MC(A)) == A); it stands for MC(F) only where MC(F) == MC(A)."""
+    The kernel is called for MC(F) on every family; at n <= 4 it reduces F
+    to the antichain word of A and answers a repeated one from its memo.
+    `memo` holds, under (n, A), what is worked out once per A through
+    `minimal_covers`: (A, MC(A), MC(A) is an antichain, MC(MC(A)) == A); it
+    stands for MC(F) only where MC(F) == MC(A)."""
     report.families_checked += 1
     mc = minimal_transversals(sets, (1 << n) - 1)
     key = (n, least)

@@ -214,13 +214,13 @@ def is_minimal_transversal(s: Mask, targets: Iterable[Mask]) -> bool:
 
 def _minimal_masks(masks: Iterable[Mask]) -> list[Mask]:
     """The inclusion-minimal masks among `masks`, without repeats, fewest
-    elements first.
+    elements first and ties by value, whatever order `masks` come in.
 
     In that order a mask can contain only masks that come before it, so one
     pass against the masks kept so far decides each.
     """
     kept: list[Mask] = []
-    for t in sorted(set(masks), key=int.bit_count):
+    for t in sorted(sorted(set(masks)), key=int.bit_count):
         for e in kept:
             if t & e == e:
                 break
@@ -235,20 +235,37 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
     those found, unsorted, so `len(result) > limit` means there are more.
 
     No targets give `(0,)` (the empty set meets them all); a target with no
-    element in `allowed` gives `()`.  Every call reduces the targets to the
-    inclusion-minimal ones inside `allowed` (meeting one meets its
-    supersets), and `_mmcs` searches that edge list.  The search is pure, so
-    over a ground set of at most 4 elements it is memoized: there its input
-    is an antichain of a 4-set in one of its listing orders, one of at most
-    2 435 edge lists, and a repeated edge list is answered from the memo.
-    Wider inputs are searched every time.
+    element in `allowed` gives `()`.  Meeting a target meets its supersets,
+    so `_mmcs` searches only the inclusion-minimal targets inside `allowed`,
+    fewest elements first and ties by value, and the answer does not depend
+    on the order or repeats of `targets`.  Over a ground set of at most 4
+    elements one pass folds the targets into a 16-bit word, the antichain
+    of minimal ones (bit m for mask m), and the search is memoized on that
+    word: one of at most 168 antichains.  Wider inputs reduce the targets
+    with `_minimal_masks` and are searched every time.
     """
-    edges = tuple(_minimal_masks(t & allowed for t in targets))
     if 0 <= allowed < 1 << 4:
+        present = above = 0
+        for t in targets:
+            t &= allowed
+            present |= 1 << t
+            above |= _ABOVE[t]
         # a 4-set has at most 6 minimal transversals (an antichain, Sperner),
         # so a limit below 0 or of 6 or more stops nothing: one key for all
-        return _small_mmcs(edges, allowed, limit if limit is not None and 0 <= limit < 6 else None)
-    return _mmcs(edges, allowed, limit)
+        return _small_mmcs(present & ~above, allowed, limit if limit is not None and 0 <= limit < 6 else None)
+    return _mmcs(tuple(_minimal_masks(t & allowed for t in targets)), allowed, limit)
+
+
+# _ABOVE[m]: the proper supersets of m among the subsets of {1..4}, bit s for mask s
+_ABOVE = tuple(sum(1 << s for s in range(16) if s & m == m != s) for m in range(16))
+
+
+@functools.cache  # bounded: at most 168 antichains of a 4-set times 16 `allowed` times 7 limits
+def _small_mmcs(antichain: int, allowed: Mask, limit: int | None) -> tuple[Mask, ...]:
+    """`_mmcs` of the masks marked in `antichain` (bit m for mask m), fewest
+    elements first and ties by value."""
+    edges = sorted((m for m in range(16) if antichain >> m & 1), key=int.bit_count)
+    return _mmcs(tuple(edges), allowed, limit)
 
 
 def _mmcs(edges: tuple[Mask, ...], allowed: Mask, limit: int | None) -> tuple[Mask, ...]:
@@ -315,11 +332,6 @@ def _mmcs(edges: tuple[Mask, ...], allowed: Mask, limit: int | None) -> tuple[Ma
                     break
             rest ^= low
     return tuple(out) if len(out) < 2 else tuple(sorted(out, key=canonical_key))
-
-
-# bounded: at most 2 435 edge lists times 7 limits, the only inputs
-# `minimal_transversals` passes it
-_small_mmcs = functools.cache(_mmcs)
 
 
 # ---------------------------------------------------------------------------

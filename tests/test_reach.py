@@ -9,9 +9,9 @@ its parent) must be exactly `ALLOWLIST`, each with its reason.  A function
 that only tests call fails here: it belongs in `oracle_models`.
 
 The run needs its own process because `functools.cache` on `build_parser`,
-`all_subsets`, `_shared_program` and the small-input `setfam._mmcs` hides
-the calls that earlier tests have already cached.  `python
-tests/test_reach.py` prints the full ledger.
+`all_subsets`, `_shared_program` and the small-input search memo
+`setfam._small_mmcs` hides the calls that earlier tests have already
+cached.  `python tests/test_reach.py` prints the full ledger.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from ucfreq.setfam import (
     FlexibleWitness,
     SetFamily,
     _minimal_masks,
+    _mmcs,
     canonical_key,
     covered_set,
     element_frequencies,
@@ -396,6 +397,19 @@ class TestMinimalTwoGood:
         assert minimal_two_good_sets(family(63, [[1], [63], [1, 63]])) == (mask_of([63]),)
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """Every (edges, allowed, limit) that `setfam._mmcs` is asked to search."""
+    seen = []
+
+    def record(edges, allowed, limit):
+        seen.append((edges, allowed, limit))
+        return _mmcs(edges, allowed, limit)
+
+    monkeypatch.setattr(setfam, "_mmcs", record)
+    return seen
+
+
 class TestMinimalTransversals:
     @given(transversal_problems())
     @example(([0b011, 0b011, 0b110], 0b111))  # duplicate targets
@@ -436,35 +450,68 @@ class TestMinimalTransversals:
         assert minimal_transversals([0b011, 0b111], 0b111) == (0b001, 0b010)
         assert minimal_transversals([0b0011, 0b0110, 0b1011], 0b1111) == (0b0101, 0b0010)
 
-    def test_memo_answers_as_a_cold_search(self, monkeypatch):
-        """Every edge list the exhaustive cover suite gives the kernel, with
-        each limit before and after an unlimited call: a warm answer is the
-        cold search's, so the memo keeps `limit` in its key."""
-        kernel, listings = setfam.minimal_transversals, {}
+    def test_tie_order_does_not_depend_on_the_targets(self):
+        # one antichain {0b0101, 0b1010} in two listings, on the small and the
+        # wide path: a limited answer is the first transversal of one search
+        for allowed in (0b1111, 0b11111):
+            assert minimal_transversals([5, 10, 13, 13, 7, 10], allowed, 0) == (0b0110,)
+            assert minimal_transversals([13, 5, 10, 10, 13, 7], allowed, 0) == (0b0110,)
 
-        def record(targets, allowed, limit=None):
-            targets = tuple(targets)
-            listings.setdefault((tuple(_minimal_masks(t & allowed for t in targets)), allowed), targets)
-            return kernel(targets, allowed, limit)
+    @given(transversal_problems(max_n=9, max_targets=12), st.randoms(use_true_random=False))
+    def test_answer_ignores_target_order_and_repeats(self, problem, rnd):
+        targets, allowed = problem
+        listed = targets + [rnd.choice(targets) for _ in range(len(targets) // 2)]
+        rnd.shuffle(listed)
+        for limit in range(7):
+            assert minimal_transversals(listed, allowed, limit) == minimal_transversals(targets, allowed, limit)
 
-        monkeypatch.setattr(setfam, "minimal_transversals", record)
-        monkeypatch.setattr(search, "minimal_transversals", record)
-        search.verify_cover_theorem(4, 0)
-        monkeypatch.undo()
-        assert len(listings) == 262
+    def test_above_lists_proper_supersets(self):
+        for m in range(16):
+            for s in range(16):
+                assert (setfam._ABOVE[m] >> s & 1) == (s != m and s & m == m)
+
+    def test_memo_answers_as_a_cold_search(self, searches):
+        """Every antichain of subsets of {1..4} under every `allowed`, listed
+        as itself ascending and as its up-set descending, with each limit
+        before and after an unlimited call: a warm answer is the cold search
+        of the canonical edge list, so the memo keeps `limit` in its key and
+        is keyed on the antichain, not on how the targets are listed."""
+        antichains = [()]
+        for m in range(16):
+            antichains += [a + (m,) for a in antichains if all(x & m not in (x, m) for x in a)]
+        assert len(antichains) == 168
         memo = setfam._small_mmcs
-        for (edges, allowed), targets in listings.items():
-            for limit in (0, 1, 2, 5):
-                for order in ((limit, None), (None, limit)):
-                    memo.cache_clear()
-                    for lim in order + order:  # cold, then warm
-                        assert minimal_transversals(targets, allowed, lim) == memo.__wrapped__(edges, allowed, lim)
-            assert minimal_transversals(targets, allowed) == scan_minimal_transversals(targets, allowed)
-            # a limit that stops nothing on a 4-set shares the unlimited entry
-            memo.cache_clear()
-            for lim in (None, -1, 6, 100_000):
-                assert minimal_transversals(targets, allowed, lim) == memo.__wrapped__(edges, allowed, lim)
-            assert memo.cache_info().currsize == 1
+        for anti in antichains:
+            upset = [s for s in range(15, -1, -1) if any(s & t == t for t in anti)]
+            for allowed in range(16):
+                inside = {t & allowed for t in anti}
+                least = [t for t in inside if not any(u & t == u != t for u in inside)]
+                edges = tuple(sorted(least, key=lambda t: (t.bit_count(), t)))
+                for limit in (0, 1, 2, 5):
+                    for order in ((limit, None), (None, limit)):
+                        memo.cache_clear()
+                        # cold, then warm from the other listing
+                        for targets, lim in zip((anti, anti, upset, upset), order + order):
+                            assert minimal_transversals(targets, allowed, lim) == _mmcs(edges, allowed, lim)
+                assert minimal_transversals(anti, allowed) == scan_minimal_transversals(anti, allowed)
+                # a limit that stops nothing on a 4-set shares the unlimited entry
+                memo.cache_clear()
+                for lim in (None, -1, 6, 100_000):
+                    assert minimal_transversals(upset, allowed, lim) == _mmcs(edges, allowed, lim)
+                assert memo.cache_info().currsize == 1
+        # every miss searched a canonical antichain inside `allowed` < 16, with a folded limit
+        for edges, allowed, limit in searches:
+            assert 0 <= allowed < 16 and limit in (None, 0, 1, 2, 5)
+            assert list(edges) == sorted(set(edges), key=lambda t: (t.bit_count(), t))
+            assert all(t & ~allowed == 0 and not any(u & t == u != t for u in edges) for t in edges)
+
+    def test_cover_suite_searches_each_antichain_once(self, searches):
+        """The exhaustive n <= 4 cover suite meets 189 distinct (antichain,
+        `allowed`) pairs and searches each exactly once."""
+        setfam._small_mmcs.cache_clear()
+        search.verify_cover_theorem(4, 0)
+        assert len(searches) == len(set(searches)) == 189
+        assert setfam._small_mmcs.cache_info().currsize == 189
 
     def test_wide_calls_leave_the_memo_alone(self):
         memo = setfam._small_mmcs
@@ -685,7 +732,7 @@ class TestMinimalElements:
     @example([0, 0b1])  # the empty set is below everything
     def test_shared_reduction_matches_scan(self, masks):
         kept = _minimal_masks(masks)
-        assert [m.bit_count() for m in kept] == sorted(m.bit_count() for m in kept)
+        assert kept == sorted(kept, key=lambda m: (m.bit_count(), m))
         assert tuple(sorted(kept, key=elements_of)) == scan_minimal_elements(masks)
 
     @given(raw_families())
