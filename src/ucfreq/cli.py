@@ -64,7 +64,7 @@ def _load_family(path: str, fmt: str | None, add_empty: bool) -> setfam.SetFamil
         raise FamilyInputError(f"{path}: {exc}") from exc
     if len(fam) > MAX_OUTPUT:
         raise FamilyInputError(f"{path}: more than {MAX_OUTPUT} member sets")
-    if add_empty and 0 not in fam.member_set():
+    if add_empty and 0 not in fam:
         fam = setfam.SetFamily(fam.n, (0,) + fam.sets)
     return fam
 

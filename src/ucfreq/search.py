@@ -11,8 +11,10 @@ Three independent checks live here:
   `spot_check_lemmas`, whose doubled traces come from the LP model's
   `lpmodel.doubled_pattern`: covered sets, the witness-set condition and
   the incidence batch are read from one grouping of the members by their
-  trace on S (`setfam.members_by_trace`), and the caller passes the
-  family's minimal 2-good sets, which it has enumerated already.
+  trace on S (`setfam.members_by_trace`).  The caller establishes its two
+  preconditions: the family is union-closed, and the caller passes all its
+  minimal 2-good sets, enumerated already, so S is minimal 2-good exactly
+  when it is one of them.
 
 A reported violation is an implementation-bug signal, never a
 mathematical discovery: every checked statement is proved for the inputs
@@ -38,8 +40,6 @@ from .setfam import (
     format_mask,
     incidence,
     is_antichain,
-    is_minimal_two_good,
-    is_union_closed,
     keeps_two_good,
     kth_frequency,
     mask_of,
@@ -329,10 +329,12 @@ def verify_cover_theorem(
 def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> VerificationReport:
     """Recount every counting bound for each flexible pair of (fam, s).
 
-    `s` must be a minimal 2-good set of the union-closed `fam`, and `good`
-    the family's minimal 2-good sets (`minimal_two_good_sets`).  The groups
-    of `members_by_trace(fam, s)` give each flexible pair (a, x) its covered
-    set C, witness-set condition and incidence batch.  This checks:
+    Preconditions, not checked here: `fam` is union-closed (the CLI checks
+    a family file once; the corpus builds its families with `union_closure`)
+    and `good` is all its minimal 2-good sets (`minimal_two_good_sets`), so
+    an `s` outside `good` is not minimal 2-good and raises `ValueError`.
+    The groups of `members_by_trace(fam, s)` give each flexible pair (a, x)
+    its covered set C, witness-set condition and incidence batch.  This checks:
 
     * q_T >= 2 for each T of `lpmodel.doubled_pattern`, taking its
       ``"pair"`` pattern only when no pair b, c of C leaves s + x - b - c
@@ -345,9 +347,7 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> Verific
       but not x whose trace has size >= j (the batch behind
       `incidence_count_constraints`).
     """
-    if not is_union_closed(fam):
-        raise ValueError("family must be union-closed")
-    if not is_minimal_two_good(fam, s):
+    if s not in good:
         raise ValueError(f"base set {format_mask(s)} is not minimal 2-good")
     report = VerificationReport(families_checked=1)
     size = s.bit_count()

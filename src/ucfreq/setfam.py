@@ -102,10 +102,6 @@ class SetFamily:
     def member_set(self) -> frozenset[Mask]:
         return frozenset(self.sets)
 
-    def sorted(self) -> "SetFamily":
-        """The same family with members in canonical order."""
-        return SetFamily(self.n, tuple(sorted(self.sets, key=canonical_key)))
-
     def __repr__(self) -> str:
         body = ", ".join(format_mask(s) for s in self.sets)
         return f"SetFamily(n={self.n}, {{{body}}})"
@@ -193,24 +189,6 @@ def normalize(fam: SetFamily) -> SetFamily:
 # ---------------------------------------------------------------------------
 # minimal transversals
 # ---------------------------------------------------------------------------
-
-def is_minimal_transversal(s: Mask, targets: Iterable[Mask]) -> bool:
-    """True iff `s` meets every target and each element of `s` has a private
-    target, one that `s` meets in that element alone.
-
-    A transversal is inclusion-minimal exactly when this holds: dropping an
-    element leaves its private target unmet, and an element without one can
-    be dropped.
-    """
-    private = 0
-    for t in targets:
-        hit = t & s
-        if not hit:
-            return False
-        if hit & (hit - 1) == 0:
-            private |= hit
-    return private == s
-
 
 def _minimal_masks(masks: Iterable[Mask]) -> list[Mask]:
     """The inclusion-minimal masks among `masks`, without repeats, fewest
@@ -359,12 +337,6 @@ def minimal_two_good_sets(fam: SetFamily, limit: int | None = None) -> tuple[Mas
     2-good.
     """
     return minimal_transversals(*_two_good_problem(fam), limit)
-
-
-def is_minimal_two_good(fam: SetFamily, s: Mask) -> bool:
-    """True iff `s` is 2-good and no proper subset of it is."""
-    targets, allowed = _two_good_problem(fam)
-    return s & ~allowed == 0 and is_minimal_transversal(s, targets)
 
 
 def incidence(freqs: dict[int, int], s: Mask) -> int:

@@ -6,11 +6,13 @@ and the three `fraction_verify_*`), the basic-point enumerator
 simplex with its presolve and tableau in `Fraction`s
 (`fraction_presolve_bounds`, `fraction_tableau_solve`), the shift loop of
 `elements_of`, the element scan for frequencies, the subset scan for
-minimal transversals, the pairwise scans for minimal elements, antichains
+minimal transversals, the private-target test for a minimal transversal
+and a minimal 2-good set, the pairwise scans for minimal elements, antichains
 and union closure, the frontier union closure, the member scans for
 2-goodness, covered sets and flexible pairs, the two-bit swap of
 `normalize`, the family JSON and text writers, the recursive
-union-closed enumerator with its f_2 check, and the cover-law suite on `SetFamily` values.
+union-closed enumerator with its f_2 check, and the cover-law suite on
+`SetFamily` values with its canonical member order (`sorted_family`).
 
 The reduced models are companions to the full base program, solved only by
 `brute_force_optimum` (basic-point enumeration, in this file), never by the
@@ -55,6 +57,7 @@ from ucfreq.search import (
 from ucfreq.setfam import (
     FlexibleWitness,
     SetFamily,
+    canonical_key,
     elements_of,
     format_mask,
     kth_frequency,
@@ -904,6 +907,38 @@ def scan_minimal_transversals(targets, allowed: int) -> tuple[int, ...]:
     return tuple(sorted(out, key=elements_of))
 
 
+def is_minimal_transversal(s: int, targets) -> bool:
+    """True iff `s` meets every target and each element of `s` has a private
+    target, one that `s` meets in that element alone.
+
+    A transversal is inclusion-minimal exactly when this holds: dropping an
+    element leaves its private target unmet, and an element without one can
+    be dropped.
+    """
+    private = 0
+    for t in targets:
+        hit = t & s
+        if not hit:
+            return False
+        if hit & (hit - 1) == 0:
+            private |= hit
+    return private == s
+
+
+def is_minimal_two_good(fam: SetFamily, s: int) -> bool:
+    """True iff `s` is 2-good and no proper subset of it is.
+
+    This and `is_minimal_transversal` are the private-target test that
+    `setfam` kept beside `minimal_two_good_sets` until `spot_check_lemmas`
+    read minimality off the sets its callers list; they stay as the
+    reference.  The 2-good problem is restated here, not read from
+    `setfam`: targets A - {1} over the members A outside {empty, {1}},
+    candidates 2..n.
+    """
+    targets = [t for a in fam.sets if (t := a & ~1)]
+    return s & ~(fam.ground & ~1) == 0 and is_minimal_transversal(s, targets)
+
+
 def scan_minimal_elements(masks) -> tuple[int, ...]:
     """The masks with no proper subset among `masks`, each tested against
     every other, in canonical order.
@@ -1144,6 +1179,12 @@ def setfamily_random_nonempty_family(rng: random.Random, n: int) -> SetFamily:
     return SetFamily(n, tuple(picks))
 
 
+def sorted_family(fam: SetFamily) -> SetFamily:
+    """The same family with members in canonical order, as the method
+    `SetFamily.sorted` gave it before only tests used it."""
+    return SetFamily(fam.n, tuple(sorted(fam.sets, key=canonical_key)))
+
+
 def setfamily_check_cover_laws(fam: SetFamily, report: VerificationReport) -> None:
     report.families_checked += 1
     mc = minimal_covers(fam)
@@ -1152,7 +1193,7 @@ def setfamily_check_cover_laws(fam: SetFamily, report: VerificationReport) -> No
     if minimal_covers(minimal_elements(fam)) != mc:
         report.violations.append(f"MC differs from MC of minimal elements for {fam!r}")
     if scan_is_antichain(fam.sets):
-        if minimal_covers(mc) != fam.sorted():
+        if minimal_covers(mc) != sorted_family(fam):
             report.violations.append(f"MC(MC(F)) != F for antichain {fam!r}")
 
 

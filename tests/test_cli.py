@@ -20,7 +20,7 @@ from ucfreq.cli import MAX_OUTPUT, main
 from ucfreq.setfam import family, union_closure
 
 from oracle_models import family_to_json, family_to_text
-from test_search import FLOOR_TIGHT, INCIDENCE_CASE
+from test_search import FLOOR_TIGHT, INCIDENCE_CASE, count_calls
 
 
 @pytest.fixture
@@ -603,6 +603,16 @@ class TestCheckLemmas:
 
         monkeypatch.setattr(setfam, "minimal_two_good_sets", counted)
         monkeypatch.setattr(search, "minimal_two_good_sets", counted)
+        assert main(["check-lemmas", str(path), "--base", setfam.format_mask(s)[1:-1]]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(calls) == 1
+
+    def test_union_closure_checked_once(self, tmp_path, capsys, monkeypatch):
+        # the CLI checks the family file; the spot check takes it as given
+        fam, s = INCIDENCE_CASE
+        path = tmp_path / "incidence.txt"
+        path.write_text(family_to_text(fam))
+        calls = count_calls(monkeypatch, "is_union_closed", setfam, search)
         assert main(["check-lemmas", str(path), "--base", setfam.format_mask(s)[1:-1]]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert len(calls) == 1

@@ -2,11 +2,13 @@
 
 A fresh interpreter runs the product under a call-only `sys.settrace`:
 every CLI subcommand and its flags on a text and a JSON family, one usage
-error and one bad family, the five demos, and one small call of each
-verification suite.  The module-level functions and methods of
-`src/ucfreq/*.py` that no call reached (a nested closure counts as part of
-its parent) must be exactly `ALLOWLIST`, each with its reason.  A function
-that only tests call fails here: it belongs in `oracle_models`.
+error, the refusals of a family that is not union-closed (`analyze` and
+`check-lemmas`) and of a base that is 2-good but not minimal, the five
+demos, and one small call of each verification suite.  The module-level
+functions and methods of `src/ucfreq/*.py` that no call reached (a nested
+closure counts as part of its parent) must be exactly `ALLOWLIST`, each
+with its reason.  A function that only tests call fails here: it belongs
+in `oracle_models`.
 
 The run needs its own process because `functools.cache` on `build_parser`,
 `all_subsets`, `_shared_program` and the small-input search memo
@@ -33,7 +35,6 @@ ALLOWLIST = {
     "ratlp.verify_ray": "checks an unbounded outcome, which no product program has; "
                         "bench/tracing.py binds it by name",
     "ratlp._is_ray": "checks the ray of an unbounded outcome, for `solve` and `verify_ray`",
-    "setfam.SetFamily.sorted": "canonical member order for acceptance criterion 6 and the cover-suite oracle",
     "setfam.SetFamily.__repr__": "runs only when a suite reports a violation",
 }
 
@@ -62,6 +63,8 @@ def _cli_runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["search-nagel", "--n", "3", "--require-empty", "--max-family-size", "6", "--max-witnesses", "2"], 0),
         (["solve-case", "--s", "4", "--c", "9"], 1),
         (["analyze", str(bad)], 2),
+        (["check-lemmas", str(bad), "--base", "2"], 2),
+        (["check-lemmas", str(text), "--base", "2,3,4"], 2),  # 2-good, not minimal
     ]
     for path, fmt in ((text, "text"), (js, "json")):
         runs += [

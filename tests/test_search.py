@@ -41,6 +41,19 @@ from ucfreq.setfam import (
 )
 
 
+def count_calls(monkeypatch, name: str, *modules) -> list:
+    """Record every call of the function `name` in each of `modules` that
+    still defines it; the calls' arguments, in order."""
+    calls = []
+    for module in modules:
+        if hasattr(module, name):
+            def counted(*args, _real=getattr(module, name), **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def filter_oracle_count(n: int) -> int:
     """Count union-closed families by checking every subfamily of 2^[n]."""
     full = 1 << n
@@ -319,11 +332,6 @@ class TestSpotCheck:
         rep = spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4]), minimal_two_good_sets(COVER_FIXTURE))
         assert rep.passed
 
-    def test_rejects_non_union_closed(self):
-        fam = family(2, [[1], [2]])
-        with pytest.raises(ValueError, match="union-closed"):
-            spot_check_lemmas(fam, mask_of([2]), minimal_two_good_sets(fam))
-
     def test_rejects_non_minimal_base(self):
         with pytest.raises(ValueError, match="minimal"):
             spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4, 5]), minimal_two_good_sets(COVER_FIXTURE))
@@ -503,6 +511,14 @@ class TestLemmaCorpus:
         with pytest.raises(RuntimeError, match=r"^lemma corpus: 0 of 3 instances found in 300 draws at n = 4\.\.9$"):
             run_lemma_corpus(instances=3)
         assert len(drawn) == 3 * search.CORPUS_DRAWS_PER_INSTANCE == 300
+
+    def test_rechecks_neither_closure_nor_minimality(self, monkeypatch):
+        # the corpus's families are union closures and its bases come from
+        # `minimal_two_good_sets`: neither is checked again per instance
+        closure = count_calls(monkeypatch, "is_union_closed", setfam, search)
+        minimality = count_calls(monkeypatch, "is_minimal_two_good", setfam, search)
+        assert run_lemma_corpus(instances=50, seed=3).families_checked == 50
+        assert (len(closure), len(minimality)) == (0, 0)
 
     def test_budget_leaves_the_draws_unchanged(self, monkeypatch):
         # 362 draws for 1000 instances at seed 7, as before the budget existed

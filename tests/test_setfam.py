@@ -16,6 +16,8 @@ from oracle_models import (
     family_to_json,
     family_to_text,
     frontier_union_closure,
+    is_minimal_transversal,
+    is_minimal_two_good,
     pairwise_is_union_closed,
     scan_covered_set,
     scan_element_frequencies,
@@ -25,6 +27,7 @@ from oracle_models import (
     scan_minimal_elements,
     scan_minimal_transversals,
     shift_elements_of,
+    sorted_family,
     swap_normalize,
 )
 
@@ -45,8 +48,6 @@ from ucfreq.setfam import (
     format_mask,
     incidence,
     is_antichain,
-    is_minimal_transversal,
-    is_minimal_two_good,
     is_two_good,
     is_union_closed,
     keeps_two_good,
@@ -231,7 +232,7 @@ class TestUnionClosed:
 class TestUnionClosure:
     def test_two_singletons(self):
         got = union_closure(family(2, [[1], [2]]))
-        assert got == family(2, [[1], [2], [1, 2]]).sorted()
+        assert got == sorted_family(family(2, [[1], [2], [1, 2]]))
         assert set(got.sets) == oracle_closure(2, {0b01, 0b10})
 
     def test_single_empty_set(self):
@@ -391,6 +392,18 @@ class TestMinimalTwoGood:
         expect = set(oracle_minimal_two_good(f.sets, f.n))
         for s in submasks(f.ground):
             assert is_minimal_two_good(f, s) == (s in expect)
+
+    @given(closed_families(max_n=6))
+    def test_spot_check_refuses_exactly_the_non_minimal_bases(self, f):
+        # `spot_check_lemmas` reads minimality off `good`: every S of the
+        # ground set, and one mask with a bit above n, against the oracle
+        good = minimal_two_good_sets(f)
+        for s in [*submasks(f.ground), good[0] | 1 << f.n]:
+            if is_minimal_two_good(f, s):
+                search.spot_check_lemmas(f, s, good)
+            else:
+                with pytest.raises(ValueError, match=r"^base set \{[\d,]*\} is not minimal 2-good$"):
+                    search.spot_check_lemmas(f, s, good)
 
     def test_wide_chain_is_output_sensitive(self):
         # 2^62 candidate sets, one minimal 2-good set
@@ -679,7 +692,7 @@ class TestCovers:
         assert minimal_covers(family(1, [[1]])) == family(1, [[1]])
 
     def test_triangle_is_self_dual(self):
-        f = family(3, [[1, 2], [2, 3], [1, 3]]).sorted()
+        f = sorted_family(family(3, [[1, 2], [2, 3], [1, 3]]))
         assert minimal_covers(f) == f
         assert list(f.sets) == oracle_minimal_covers(f.sets, 3)
 
@@ -699,7 +712,7 @@ class TestCovers:
     def test_involution_on_antichains(self, f):
         nonempty = tuple(s for s in f.sets if s) or (f.ground,)
         anti = minimal_elements(SetFamily(f.n, nonempty))
-        assert minimal_covers(minimal_covers(anti)) == anti.sorted()
+        assert minimal_covers(minimal_covers(anti)) == sorted_family(anti)
 
     @given(raw_families(max_n=4))
     def test_covers_ignore_non_minimal_members(self, f):
