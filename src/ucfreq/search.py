@@ -11,10 +11,10 @@ Three independent checks live here:
   `spot_check_lemmas`, whose doubled traces come from the LP model's
   `lpmodel.doubled_pattern`: covered sets, the witness-set condition and
   the incidence batch are read from one grouping of the members by their
-  trace on S (`setfam.members_by_trace`).  The caller establishes its two
-  preconditions: the family is union-closed, and the caller passes all its
-  minimal 2-good sets, enumerated already, so S is minimal 2-good exactly
-  when it is one of them.
+  trace on S (`setfam.members_by_trace`).  The caller establishes its
+  preconditions: the family is union-closed, S is one of its minimal 2-good
+  sets, and the caller passes all those sets and S's flexible pairs, each
+  found already.
 
 A reported violation is an implementation-bug signal, never a
 mathematical discovery: every checked statement is proved for the inputs
@@ -30,6 +30,7 @@ from typing import Iterator
 
 from .lpmodel import INCIDENCE_EXTRA, doubled_pattern, frequency_cap_constant
 from .setfam import (
+    FlexibleWitness,
     Mask,
     SetFamily,
     _minimal_masks,
@@ -326,15 +327,16 @@ def verify_cover_theorem(
 # lemma spot checks on concrete families
 # ---------------------------------------------------------------------------
 
-def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> VerificationReport:
+def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...],
+                      pairs: tuple[FlexibleWitness, ...]) -> VerificationReport:
     """Recount every counting bound for each flexible pair of (fam, s).
 
     Preconditions, not checked here: `fam` is union-closed (the CLI checks
-    a family file once; the corpus builds its families with `union_closure`)
-    and `good` is all its minimal 2-good sets (`minimal_two_good_sets`), so
-    an `s` outside `good` is not minimal 2-good and raises `ValueError`.
-    The groups of `members_by_trace(fam, s)` give each flexible pair (a, x)
-    its covered set C, witness-set condition and incidence batch.  This checks:
+    a family file once; the corpus builds union closures), `good` is all its
+    minimal 2-good sets, `s` is one of them (the CLI refuses any other base),
+    and `pairs` is `flexible_pairs(fam, s)`, found once by the caller.
+    The groups of `members_by_trace(fam, s)` give each pair (a, x) its
+    covered set C, witness-set condition and incidence batch.  This checks:
 
     * q_T >= 2 for each T of `lpmodel.doubled_pattern`, taking its
       ``"pair"`` pattern only when no pair b, c of C leaves s + x - b - c
@@ -347,8 +349,6 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> Verific
       but not x whose trace has size >= j (the batch behind
       `incidence_count_constraints`).
     """
-    if s not in good:
-        raise ValueError(f"base set {format_mask(s)} is not minimal 2-good")
     report = VerificationReport(families_checked=1)
     size = s.bit_count()
     groups = members_by_trace(fam, s)
@@ -356,7 +356,7 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...]) -> Verific
     freqs = element_frequencies(fam)
 
     maximal_incidence = None
-    for w in flexible_pairs(fam, s):
+    for w in pairs:
         xbit = 1 << (w.x - 1)
         cov = tuple(y for y in elements_of(s) if keeps_two_good(groups, 1 << (y - 1), xbit))
         cov_mask = mask_of(cov)
@@ -446,9 +446,9 @@ def run_lemma_corpus(
         for s in good:
             if report.families_checked >= instances:
                 break
-            if s.bit_count() < 2 or not flexible_pairs(fam, s):
+            if s.bit_count() < 2 or not (pairs := flexible_pairs(fam, s)):
                 continue
-            sub = spot_check_lemmas(fam, s, good)
+            sub = spot_check_lemmas(fam, s, good, pairs)
             report.families_checked += 1
             report.violations.extend(
                 f"{fam!r} S={format_mask(s)}: {v}" for v in sub.violations

@@ -19,8 +19,10 @@ from ucfreq import cli, lpmodel, search, setfam
 from ucfreq.cli import MAX_OUTPUT, main
 from ucfreq.setfam import family, union_closure
 
-from oracle_models import family_to_json, family_to_text
+from oracle_models import family_to_json, family_to_text, is_minimal_two_good
+from test_reach import FAMILY as REACH_FAMILY
 from test_search import FLOOR_TIGHT, INCIDENCE_CASE, count_calls
+from test_setfam import closed_families
 
 
 @pytest.fixture
@@ -564,7 +566,7 @@ class TestCheckLemmas:
         # the 5-block family has 162 minimal 2-good sets
         path, base = block_family_file(tmp_path, 5)
         monkeypatch.setattr(cli, "MAX_OUTPUT", 100)
-        monkeypatch.setattr(search, "spot_check_lemmas", lambda fam, s, good: pytest.fail("spot check ran"))
+        monkeypatch.setattr(search, "spot_check_lemmas", lambda fam, s, good, pairs: pytest.fail("spot check ran"))
         assert main(["check-lemmas", path, "--base", base]) == 2
         assert capsys.readouterr() == ("", f"ucfreq: {path}: more than 100 minimal 2-good sets\n")
 
@@ -606,6 +608,45 @@ class TestCheckLemmas:
         assert main(["check-lemmas", str(path), "--base", setfam.format_mask(s)[1:-1]]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert len(calls) == 1
+
+    def test_non_minimal_base_refused_before_the_recount(self, tmp_path, capsys, monkeypatch):
+        # {2, 3, 4} is 2-good but holds the minimal 2-good {2, 3}
+        path = tmp_path / "family.txt"
+        path.write_text("".join(" ".join(map(str, s)) + "\n" for s in REACH_FAMILY))
+        monkeypatch.setattr(search, "spot_check_lemmas", lambda *args: pytest.fail("recounted"))
+        monkeypatch.setattr(setfam, "flexible_pairs", lambda *args: pytest.fail("flexible pairs found"))
+        assert main(["check-lemmas", str(path), "--base", "2,3,4"]) == 2
+        assert capsys.readouterr() == ("", f"ucfreq: {path}: base set {{2,3,4}} is not minimal 2-good\n")
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("bases")
+
+    @given(closed_families(max_n=6))
+    def test_refuses_exactly_the_non_minimal_bases(self, folder, f):
+        # every S of the ground set against the oracle, and one base with an
+        # element above n; the JSON file states n
+        path = folder / "family.json"
+        path.write_text(family_to_json(f))
+
+        def run(base):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["check-lemmas", str(path), "--base", base])
+            return code, out.getvalue(), err.getvalue()
+
+        minimal = []
+        for s in range(1 << f.n):
+            elements = [e for e in range(1, f.n + 1) if s >> (e - 1) & 1]
+            base = ",".join(map(str, elements))
+            code, out, err = run(base)
+            if is_minimal_two_good(f, s):
+                minimal.append(elements)
+                assert (code, err) == (0, "") and json.loads(out)["passed"] is True
+            else:
+                assert (code, out, err) == (2, "", f"ucfreq: {path}: base set {{{base}}} is not minimal 2-good\n")
+        wide = ",".join(map(str, minimal[0] + [f.n + 1]))
+        assert run(wide) == (2, "", f"ucfreq: base set {wide!r} leaves the ground set 1..{f.n}\n")
 
     def test_union_closure_checked_once(self, tmp_path, capsys, monkeypatch):
         # the CLI checks the family file; the spot check takes it as given

@@ -16,6 +16,7 @@ import pytest
 from oracle_models import (
     recursive_enumerate_union_closed,
     recursive_verify_nagel_k2,
+    scan_flexible_pairs,
     setfamily_nonempty_subfamilies,
     setfamily_verify_cover_theorem,
 )
@@ -34,6 +35,7 @@ from ucfreq.search import (
 from ucfreq.setfam import (
     SetFamily,
     family,
+    flexible_pairs,
     is_union_closed,
     mask_of,
     minimal_two_good_sets,
@@ -324,24 +326,22 @@ COVER_FIXTURE = union_closure(family(5, [[2, 5], [3], [4], [1]]))
 
 class TestSpotCheck:
     def test_fixture_passes(self):
-        rep = spot_check_lemmas(FLEX_FIXTURE, mask_of([2, 3]), minimal_two_good_sets(FLEX_FIXTURE))
+        fam, s = FLEX_FIXTURE, mask_of([2, 3])
+        rep = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s))
         assert rep.families_checked == 1
         assert rep.passed
 
     def test_vacuous_without_flexible_pairs(self):
-        rep = spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4]), minimal_two_good_sets(COVER_FIXTURE))
+        fam, s = COVER_FIXTURE, mask_of([2, 3, 4])
+        rep = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s))
         assert rep.passed
-
-    def test_rejects_non_minimal_base(self):
-        with pytest.raises(ValueError, match="minimal"):
-            spot_check_lemmas(COVER_FIXTURE, mask_of([2, 3, 4, 5]), minimal_two_good_sets(COVER_FIXTURE))
 
     def test_larger_seeded_example(self):
         fam = random_union_closed(__import__("random").Random(123), 7)
         good = minimal_two_good_sets(fam)
         for s in good:
             if s.bit_count() >= 2:
-                assert spot_check_lemmas(fam, s, good).passed
+                assert spot_check_lemmas(fam, s, good, flexible_pairs(fam, s)).passed
                 break
 
 
@@ -397,9 +397,9 @@ class TestSpotCheckFaults:
 
     @pytest.mark.parametrize("fam, s, violation", FLOOR_TIGHT, ids=["uncovered", "covered"])
     def test_frequency_floor(self, monkeypatch, fam, s, violation):
-        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).passed
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).passed
         monkeypatch.setattr(search, "frequency_cap_constant", lambda size, c: lpmodel.frequency_cap_constant(size, c) + 1)
-        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations == [violation]
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations == [violation]
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     def test_incidence_counts(self, monkeypatch, j):
@@ -407,9 +407,9 @@ class TestSpotCheckFaults:
         b, x = mask_of([2]), mask_of([8])
         have = sum(1 for a in fam.sets if a & b and not a & x and (a & s).bit_count() >= j)
         monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have)
-        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).passed
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).passed
         monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have + 1)
-        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations == [
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations == [
             f"(a=7, x=8): count(trace >= {j}, with 2, without 8) = {have} < {have + 1}"
         ]
 
@@ -429,17 +429,18 @@ class TestSpotCheckFaults:
         # every set ties for maximal incidence, so the block runs whatever
         # the frequencies
         monkeypatch.setattr(search, "incidence", lambda freqs, t: 0)
-        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations == violations
+        assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations == violations
 
     def test_doubled_trace(self, monkeypatch):
         monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([2]), 1))
-        got = spot_check_lemmas(FLEX_FIXTURE, mask_of([2, 3]), minimal_two_good_sets(FLEX_FIXTURE)).violations
+        fam, s = FLEX_FIXTURE, mask_of([2, 3])
+        got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations
         assert got == ["(a=2, x=4): q_{2} = 1 < 2"]
 
     def test_doubled_trace_pair_pattern(self, monkeypatch):
         fam, s = PAIR_CASE
         monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([3, 6]), 1))
-        got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations
+        got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations
         assert "(a=4, x=5): q_{3,6} = 1 < 2 (pair pattern)" in got
         assert all(v.endswith(": q_{3,6} = 1 < 2 (pair pattern)") for v in got)
 
@@ -451,7 +452,8 @@ class TestSpotCheckFaults:
         fam, s = INCIDENCE_CASE
         role = dict(zip(setfam.elements_of(s), "abcd"))
         monkeypatch.setattr(search, "trace_counts", lambda fam, s: dict.fromkeys(setfam.trace_counts(fam, s), 1))
-        got = [v for v in spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations if ": q_" in v]
+        report = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s))
+        got = [v for v in report.violations if ": q_" in v]
         want, unmet = [], []
         for w in setfam.flexible_pairs(fam, s):
             cov = setfam.covered_set(fam, s, w.x)
@@ -474,7 +476,7 @@ class TestSpotCheckFaults:
         assert setfam.is_two_good(fam, mask_of([2, 4]))
         monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([3, 5]), 1))
         # only the first pattern of (a, x) = (3, 7), whose C is empty, sees q_{3,5}
-        got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam)).violations
+        got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations
         assert got == ["(a=3, x=7): q_{3,5} = 1 < 2"]
 
 
@@ -519,6 +521,39 @@ class TestLemmaCorpus:
         minimality = count_calls(monkeypatch, "is_minimal_two_good", setfam, search)
         assert run_lemma_corpus(instances=50, seed=3).families_checked == 50
         assert (len(closure), len(minimality)) == (0, 0)
+
+    def test_flexible_pairs_once_per_base(self, monkeypatch):
+        # the corpus finds the flexible pairs of each base it looks at once,
+        # and hands them to the recount, which finds none of its own
+        drawn = []
+
+        def listed(fam, *args, _real=search.minimal_two_good_sets, **kwargs):
+            good = _real(fam, *args, **kwargs)
+            drawn.append((fam, good))
+            return good
+
+        monkeypatch.setattr(search, "minimal_two_good_sets", listed)
+        calls, inside = count_calls(monkeypatch, "flexible_pairs", setfam, search), []
+
+        def recount(*args, _real=search.spot_check_lemmas):
+            before = len(calls)
+            report = _real(*args)
+            inside.append(len(calls) - before)
+            return report
+
+        monkeypatch.setattr(search, "spot_check_lemmas", recount)
+        assert run_lemma_corpus(instances=50, seed=3).families_checked == 50
+        # the bases of size >= 2, in the corpus's order, up to its 50th instance
+        looked, found = [], 0
+        for fam, good in drawn:
+            for s in good:
+                if found == 50:
+                    break
+                if s.bit_count() >= 2:
+                    looked.append((fam, s))
+                    found += bool(scan_flexible_pairs(fam, s))
+        assert inside == [0] * 50
+        assert calls == looked
 
     def test_budget_leaves_the_draws_unchanged(self, monkeypatch):
         # 362 draws for 1000 instances at seed 7, as before the budget existed

@@ -393,18 +393,6 @@ class TestMinimalTwoGood:
         for s in submasks(f.ground):
             assert is_minimal_two_good(f, s) == (s in expect)
 
-    @given(closed_families(max_n=6))
-    def test_spot_check_refuses_exactly_the_non_minimal_bases(self, f):
-        # `spot_check_lemmas` reads minimality off `good`: every S of the
-        # ground set, and one mask with a bit above n, against the oracle
-        good = minimal_two_good_sets(f)
-        for s in [*submasks(f.ground), good[0] | 1 << f.n]:
-            if is_minimal_two_good(f, s):
-                search.spot_check_lemmas(f, s, good)
-            else:
-                with pytest.raises(ValueError, match=r"^base set \{[\d,]*\} is not minimal 2-good$"):
-                    search.spot_check_lemmas(f, s, good)
-
     def test_wide_chain_is_output_sensitive(self):
         # 2^62 candidate sets, one minimal 2-good set
         assert minimal_two_good_sets(family(63, [[1], [63], [1, 63]])) == (mask_of([63]),)
