@@ -17,15 +17,16 @@ the tightest, compared by cross-multiplying (the first of equally tight
 rows wins); crossing bounds are refuted by their two rows alone.  It shifts
 instead of splitting: x = l + x' with x' >= 0 under a lower bound l, x = u -
 x' under only an upper bound u, x = x'+ - x'- only when free; an upper bound
-left over is the row x' <= u - l, which needs no artificial.  A shifted row
-times the lcm D of its offsets' denominators is integer, with scale L_i * D;
-a two-phase primal simplex with Bland's rule takes it into its dense integer
-tableau as it is, and its fraction-free pivots are those rational arithmetic
-would take.  Offsets and the factors that give each absorbed row its weight
-back from the final reduced costs (phase 1's for a Farkas certificate) are
-integer pairs: only the costs come in, and the point, weights and value go
-out, as `Fraction`s.  Every outcome carries a `SolveStats` record of the
-work, left out of outcome equality and of the text and JSON formats.
+left over is the row x' <= u - l, which needs no artificial.  A row after
+the shift times the lcm D of its offsets' denominators is integer, with
+scale L_i * D; a two-phase primal simplex with Bland's rule takes it into
+its dense integer tableau as it is, and its fraction-free pivots are those
+rational arithmetic would take.  Offsets and the factors that give each
+absorbed row its weight back from the final reduced costs (phase 1's for a
+Farkas certificate) are integer pairs: only the costs come in, and the
+point, weights and value go out, as `Fraction`s.  Every outcome carries a
+`SolveStats` record of the work, left out of outcome equality and of the
+text and JSON formats.
 
 Certificate conventions
 -----------------------
@@ -46,7 +47,7 @@ sides to a negative number: 0 <= negative, a contradiction.
 
 `verify_optimality` and `verify_infeasibility` check exactly these
 conditions and are independent of the solver internals.  They run on the
-integer rows, with a point or ray as integers over one positive denominator
+integer rows, with a point as integers over one positive denominator
 and each weight y_i / L_i over one common denominator, so every condition is
 an integer dot product compared by cross-multiplying or by its sign; nothing
 is rounded.  `solve` re-checks every certificate it emits, and an optimum's
@@ -199,15 +200,9 @@ class Infeasible:
     stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: dict[str, Fraction]
-    stats: SolveStats | None = field(default=None, compare=False, repr=False)
-
-
 # A `types.UnionType`, not `typing.Union`: typing caches its aliases, and a
 # cached alias would keep every re-imported copy of this module alive.
-LpOutcome = Optimal | Infeasible | Unbounded
+LpOutcome = Optimal | Infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +314,6 @@ def _proves_infeasibility(lp: LinearProgram, rows: list[IntRow], farkas) -> bool
     return all(v == 0 for v in combined) and total_rhs < 0
 
 
-def _is_ray(lp: LinearProgram, rows: list[IntRow], ray) -> bool:
-    if set(ray) - set(lp.variables):
-        raise ValueError("ray keys must be declared variables")
-    # the direction is x / d with d > 0: moving along it keeps every row
-    # true iff every row holds at x with its right-hand side set to zero
-    x, _ = _over_one_denominator([_rat(ray.get(name, ZERO)) for name in lp.variables])
-    if all(v == 0 for v in x) or not _satisfies(rows, x, 0):
-        return False
-    c, _ = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
-    gain = sum(cj * xj for cj, xj in zip(c, x))
-    return gain < 0 if lp.sense == "min" else gain > 0
-
-
 def verify_optimality(lp: LinearProgram, primal: Mapping[str, Fraction], dual: Mapping[int, Fraction]) -> bool:
     """Strong-duality check in exact arithmetic.
 
@@ -357,11 +339,20 @@ def verify_infeasibility(lp: LinearProgram, farkas: Mapping[int, Fraction]) -> b
 def verify_ray(lp: LinearProgram, ray: Mapping[str, Fraction]) -> bool:
     """True iff `ray` is a feasible direction that improves the objective forever."""
     lp.validate()
-    return _is_ray(lp, _integer_rows(lp), ray)
+    if set(ray) - set(lp.variables):
+        raise ValueError("ray keys must be declared variables")
+    # the direction is x / d with d > 0: moving along it keeps every row
+    # true iff every row holds at x with its right-hand side set to zero
+    x, _ = _over_one_denominator([_rat(ray.get(name, ZERO)) for name in lp.variables])
+    if all(v == 0 for v in x) or not _satisfies(_integer_rows(lp), x, 0):
+        return False
+    c, _ = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
+    gain = sum(cj * xj for cj, xj in zip(c, x))
+    return gain < 0 if lp.sense == "min" else gain > 0
 
 
 # ---------------------------------------------------------------------------
-# presolve: one-variable rows become bounds, bounded variables are shifted
+# presolve: one-variable rows become bounds, bounds become column offsets
 # ---------------------------------------------------------------------------
 
 class _Bound(NamedTuple):
@@ -444,23 +435,22 @@ class _Presolved:
                 self.row_origin.append((i, hi.scale, hi.coeff))
             elif len(coeffs) > 1:
                 d = lcm(*(self.offset[j][1] for j in coeffs))
-                shifted: dict[int, int] = {}
+                terms: dict[int, int] = {}
                 rhs *= d
                 for j, a in coeffs.items():
                     num, den = self.offset[j]
                     rhs -= a * num * (d // den)
                     for c, sg in self.columns[j]:
-                        shifted[c] = a * sg * d
-                self.rows.append((shifted, rel, rhs, scale * d))
+                        terms[c] = a * sg * d
+                self.rows.append((terms, rel, rhs, scale * d))
                 self.row_origin.append((i, 1, 1))
 
-    def point(self, values: Mapping[int, int], d: int, shifted: bool = True) -> list[Fraction]:
-        """x from the column values x'_c = values[c] / d (absent columns are 0);
-        with `shifted` False, the direction of x along a direction of x'."""
+    def point(self, values: Mapping[int, int], d: int) -> list[Fraction]:
+        """x from the column values x'_c = values[c] / d (absent columns are 0)."""
         x = []
         for (p, q), cols in zip(self.offset, self.columns):
             v = sum(s * values.get(c, 0) for c, s in cols)
-            x.append(Fraction(p * d + q * v, q * d) if shifted else Fraction(v, d))
+            x.append(Fraction(p * d + q * v, q * d))
         return x
 
     def weights(self, t: _Tableau, cost: list[Fraction], costrow: list[int]) -> list[Fraction]:
@@ -566,7 +556,7 @@ class _Tableau:
         self.basis[r] = e
 
     def run(self, costrow: list[int], banned: frozenset[int]) -> int | None:
-        """Bland pivoting to optimality; returns an entering column on unboundedness."""
+        """Bland pivoting to optimality; returns an entering column that has no ratio."""
         # Bland's rule terminates; the cap only turns a would-be bug into a
         # loud failure instead of a hang
         budget = 1000 * (self.nrows + self.ncols) + 10_000
@@ -606,7 +596,7 @@ class _Tableau:
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
-    """Exact optimum with certificate, Farkas infeasibility proof, or a ray.
+    """Exact optimum with certificate, or Farkas infeasibility proof.
 
     Deterministic for a fixed program (presolve, then Bland's rule over a
     fixed column order).  Every certificate is re-verified against `lp`
@@ -614,6 +604,9 @@ def solve(lp: LinearProgram) -> LpOutcome:
     Under degeneracy the assignment is whichever optimal basic point
     Bland's ordering reaches first: the value is the contract, the
     particular optimal assignment is incidental.
+
+    Raises `ValueError("program is unbounded")` when the objective of a
+    feasible program improves without limit; no program of the paper does.
     """
     started = time.perf_counter()
     lp.validate()
@@ -643,13 +636,8 @@ def _simplex(lp: LinearProgram, rows: list[IntRow], pre: _Presolved, t: _Tableau
     t.phase = 1
 
     costrow = t.price(t.cost2)
-    enter = t.run(costrow, banned=frozenset(t.artificials))
-    if enter is not None:
-        # over d; a column of x' has scale 1, and only those enter the direction
-        step = {k: -row[enter] * t.scale[enter] for k, row in zip(t.basis, t.M) if row[enter] != 0}
-        step[enter] = t.d
-        direction = pre.point(step, t.d, shifted=False)
-        return Unbounded({name: d for name, d in zip(lp.variables, direction) if d != 0})
+    if t.run(costrow, banned=frozenset(t.artificials)) is not None:
+        raise ValueError("program is unbounded")
 
     x = pre.point(dict(zip(t.basis, t.b)), t.d)  # a column of x' has scale 1
     dual = {i: w if lp.sense == "min" else -w for i, w in enumerate(pre.weights(t, t.cost2, costrow)) if w}
@@ -678,10 +666,8 @@ def _certified(lp: LinearProgram, rows: list[IntRow], outcome: LpOutcome, t: _Ta
         proven = _proven_value(lp, rows, outcome.assignment, outcome.dual)
         ok = proven is not None and outcome.value.numerator * proven[1] == proven[0] * outcome.value.denominator
         what = "optimality certificate"
-    elif isinstance(outcome, Infeasible):
-        ok, what = _proves_infeasibility(lp, rows, outcome.farkas), "farkas certificate"
     else:
-        ok, what = _is_ray(lp, rows, outcome.ray), "ray"
+        ok, what = _proves_infeasibility(lp, rows, outcome.farkas), "farkas certificate"
     if not ok:
         raise CertificateError(f"produced {what} failed verification")
     done = time.perf_counter()
@@ -742,13 +728,8 @@ def format_certificate(lp: LinearProgram, outcome: LpOutcome) -> str:
             lines.append(f"{name} = {outcome.assignment[name]}")
         for i in sorted(outcome.dual):
             lines.append(f"dual {labels[i]} = {outcome.dual[i]}")
-    elif isinstance(outcome, Infeasible):
+    else:
         lines.append("status: infeasible")
         for i in sorted(outcome.farkas):
             lines.append(f"farkas {labels[i]} = {outcome.farkas[i]}")
-    else:
-        lines.append("status: unbounded")
-        for name in lp.variables:
-            if outcome.ray.get(name, ZERO) != 0:
-                lines.append(f"ray {name} = {outcome.ray[name]}")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,9 @@ the certificate checks in `Fraction` arithmetic (`fraction_check_feasible`
 and the three `fraction_verify_*`), the basic-point enumerator
 `brute_force_optimum`, the split-tableau simplex, the presolved
 simplex with its presolve and tableau in `Fraction`s
-(`fraction_presolve_bounds`, `fraction_tableau_solve`), the shift loop of
+(`fraction_presolve_bounds`, `fraction_tableau_solve`), the `Unbounded`
+outcome with its ray that both of those simplexes return where
+`ratlp.solve` raises `ValueError`, the shift loop of
 `elements_of`, the element scan for frequencies, the subset scan for
 minimal transversals, the private-target test for a minimal transversal
 and a minimal 2-good set, the pairwise scans for minimal elements, antichains
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -41,7 +44,6 @@ from ucfreq.ratlp import (
     LpOutcome,
     Optimal,
     Row,
-    Unbounded,
     _certified,
     _farkas,
     _integer_rows,
@@ -218,6 +220,14 @@ def fraction_verify_infeasibility(lp: LinearProgram, farkas: dict[int, Fraction]
             combined[j] += w * flip * c
         total_rhs += w * flip * rhs
     return all(c == 0 for c in combined) and total_rhs < 0
+
+
+@dataclass(frozen=True)
+class Unbounded:
+    """A feasible program whose objective improves forever along `ray`: the
+    third outcome of the reference simplexes, which `ratlp.solve` refuses."""
+
+    ray: dict[str, Fraction]
 
 
 def fraction_verify_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
@@ -413,7 +423,7 @@ class _Tableau:
         return col if col is not None else self.slack_col[i]
 
 
-def split_tableau_solve(lp: LinearProgram) -> LpOutcome:
+def split_tableau_solve(lp: LinearProgram) -> LpOutcome | Unbounded:
     """Exact optimum with certificate, Farkas infeasibility proof, or a ray.
 
     Deterministic for a fixed program (Bland's rule over a fixed column
@@ -758,9 +768,10 @@ class _FractionTableau:
         ).bit_length()
 
 
-def fraction_tableau_solve(lp: LinearProgram) -> LpOutcome:
+def fraction_tableau_solve(lp: LinearProgram) -> LpOutcome | Unbounded:
     """`ratlp.solve` on the `Fraction` tableau: the same presolve, pivots,
-    certificates and `SolveStats` (but wall time)."""
+    certificates and `SolveStats` (but wall time), and an `Unbounded` ray,
+    checked by `fraction_verify_ray`, where `solve` raises `ValueError`."""
     started = time.perf_counter()
     lp.validate()
     rows = materialized_rows(lp)
@@ -774,10 +785,15 @@ def fraction_tableau_solve(lp: LinearProgram) -> LpOutcome:
             return _certified(lp, _integer_rows(lp), Infeasible(_farkas(rows, y)), None, started)
     pre = _FractionPresolved(lp, rows, lower, upper)
     t = _FractionTableau(pre.rows, pre.cost)
-    return _certified(lp, _integer_rows(lp), _fraction_simplex(lp, rows, pre, t), t, started)
+    outcome = _fraction_simplex(lp, rows, pre, t)
+    if isinstance(outcome, Unbounded):
+        if not fraction_verify_ray(lp, outcome.ray):
+            raise CertificateError("produced ray failed verification")
+        return outcome
+    return _certified(lp, _integer_rows(lp), outcome, t, started)
 
 
-def _fraction_simplex(lp: LinearProgram, rows: list[Row], pre: _FractionPresolved, t: _FractionTableau) -> LpOutcome:
+def _fraction_simplex(lp: LinearProgram, rows: list[Row], pre: _FractionPresolved, t: _FractionTableau) -> LpOutcome | Unbounded:
     """Two phases on the presolved tableau; outcomes are stated over `lp`."""
     if t.artificials:
         cost1 = [ONE if j in t.artificials else ZERO for j in range(t.ncols)]

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import pytest
 from oracle_models import (
+    Unbounded,
     brute_force_optimum,
     fraction_check_feasible,
     fraction_tableau_solve,
@@ -45,7 +46,6 @@ from ucfreq.ratlp import (
     LinearProgram,
     Optimal,
     SolveStats,
-    Unbounded,
     format_certificate,
     format_lp,
     materialized_rows,
@@ -93,9 +93,12 @@ class TestTrivialPrograms:
         assert verify_optimality(lp, out.assignment, out.dual)
 
     def test_unbounded_gives_verifying_ray(self):
+        # `solve` refuses the program; the reference simplex gives its ray
         lp = LinearProgram(("x",), "min", {"x": F(-1)})
         lp.add({"x": 1}, ">=", 0)
-        out = solve(lp)
+        with pytest.raises(ValueError, match="^program is unbounded$"):
+            solve(lp)
+        out = split_tableau_solve(lp)
         assert isinstance(out, Unbounded)
         assert verify_ray(lp, out.ray)
 
@@ -325,15 +328,6 @@ class TestTextFormats:
         assert "farkas" in text
 
 
-    def test_format_certificate_unbounded(self):
-        lp = lp_free_unbounded()
-        out = solve(lp)
-        assert out == Unbounded(ray={"x": F(1), "y": F(1)})
-        assert format_certificate(lp, out) == "status: unbounded\nray x = 1\nray y = 1\n"
-        # zero and missing ray entries are left out
-        assert format_certificate(lp, Unbounded(ray={"x": F(0), "y": F(3, 2)})) == "status: unbounded\nray y = 3/2\n"
-
-
 # ---------------------------------------------------------------------------
 # presolve: one-variable rows as bounds, certificates still over every row
 # ---------------------------------------------------------------------------
@@ -341,10 +335,18 @@ class TestTextFormats:
 def assert_certified(lp: LinearProgram, out) -> None:
     if isinstance(out, Optimal):
         assert verify_optimality(lp, out.assignment, out.dual)
-    elif isinstance(out, Infeasible):
-        assert verify_infeasibility(lp, out.farkas)
     else:
-        assert verify_ray(lp, out.ray)
+        assert verify_infeasibility(lp, out.farkas)
+
+
+def solve_or_refuse(lp: LinearProgram):
+    """`solve(lp)`, or None when `solve` refuses `lp` as unbounded."""
+    try:
+        return solve(lp)
+    except ValueError as exc:
+        if str(exc) != "program is unbounded":
+            raise
+        return None
 
 
 def lp_redundant_floors() -> LinearProgram:
@@ -399,8 +401,6 @@ HAND_PROGRAMS = {
     "redundant_floors": lp_redundant_floors,
     "fixed_by_equality": lp_fixed_by_equality,
     "crossing_declared_bound": lp_crossing_declared_bound,
-    "upper_only_unbounded": lp_upper_only_unbounded,
-    "free_unbounded": lp_free_unbounded,
     "boxed_with_a_shared_row": lp_boxed_with_a_shared_row,
     "min_x_ge_1": lp_min_x_ge_1,
     "conflicting": lp_conflicting,
@@ -431,10 +431,14 @@ class TestPresolve:
 
     @pytest.mark.parametrize("make", [lp_upper_only_unbounded, lp_free_unbounded])
     def test_unbounded_ray_verifies(self, make):
+        # `solve` refuses; both reference simplexes give a ray the public check accepts
         lp = make()
-        out = solve(lp)
-        assert isinstance(out, Unbounded)
-        assert verify_ray(lp, out.ray)
+        with pytest.raises(ValueError, match="^program is unbounded$"):
+            solve(lp)
+        for oracle in (split_tableau_solve, fraction_tableau_solve):
+            out = oracle(lp)
+            assert isinstance(out, Unbounded)
+            assert verify_ray(lp, out.ray)
 
     def test_bound_rows_leave_the_tableau(self):
         # x and y are boxed: one slack row each, no artificial for either;
@@ -458,12 +462,15 @@ class TestPresolve:
         kinds = Counter()
         for _ in range(400):
             lp = random_bounded_program(rng)
-            new, old = solve(lp), split_tableau_solve(lp)
+            new, old = solve_or_refuse(lp), split_tableau_solve(lp)
+            kinds[type(old)] += 1
+            if new is None:  # refused exactly when the split tableau finds a ray
+                assert isinstance(old, Unbounded)
+                continue
             assert type(new) is type(old)
             if isinstance(new, Optimal):
                 assert new.value == old.value
             assert_certified(lp, new)
-            kinds[type(new)] += 1
         # every status must actually occur for the comparison to mean anything
         assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 40
 
@@ -524,7 +531,7 @@ def test_reimport_releases_the_previous_module(monkeypatch):
 
 def assert_matches_fraction_tableau(lp: LinearProgram):
     new, ref = solve(lp), fraction_tableau_solve(lp)
-    assert new == ref  # status, value, assignment, dual, Farkas weights, ray
+    assert new == ref  # status, value, assignment, dual, Farkas weights
     assert new.stats._replace(wall_ms=0, verify_ms=0) == ref.stats._replace(wall_ms=0, verify_ms=0)
     assert_certified(lp, new)
     return new
@@ -552,7 +559,7 @@ PAPER_PROGRAMS = paper_programs()
 @pytest.fixture
 def tableau_log(monkeypatch):
     """Records every integer tableau `solve` finishes with, each pivot element
-    before its pivot, and each column `run` returns as unbounded."""
+    before its pivot, and each entering column `run` returns with no ratio."""
     log = {"tableaus": [], "pivots": [], "unbounded_on": []}
     certified, pivot, run = ratlp._certified, ratlp._Tableau.pivot, ratlp._Tableau.run
 
@@ -589,7 +596,13 @@ class TestIntegerTableau:
         rng = random.Random(6011)
         kinds = Counter()
         for _ in range(400):
-            kinds[type(assert_matches_fraction_tableau(random_bounded_program(rng)))] += 1
+            lp = random_bounded_program(rng)
+            if isinstance(fraction_tableau_solve(lp), Unbounded):  # refused exactly then
+                with pytest.raises(ValueError, match="^program is unbounded$"):
+                    solve(lp)
+                kinds[Unbounded] += 1
+            else:
+                kinds[type(assert_matches_fraction_tableau(lp))] += 1
         assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 40
 
     def test_random_box_programs(self):
@@ -631,13 +644,14 @@ class TestIntegerTableau:
         assert all(isinstance(v, int) for row in t.M for v in row)
 
     def test_ray_entering_on_a_scaled_slack(self, tableau_log):
-        # min -x under x/2 + y/3 >= 1: the surplus of that row (scale 6) enters unbounded
+        # min -x under x/2 + y/3 >= 1: the surplus of that row (scale 6) enters with no ratio
         lp = LinearProgram(("x", "y"), "min", {"x": F(-1)}, lower={"x": F(0), "y": F(0)})
         lp.add({"x": F(1, 2), "y": F(1, 3)}, ">=", 1)
-        out = assert_matches_fraction_tableau(lp)
-        assert out == Unbounded({"x": F(2)})
+        with pytest.raises(ValueError, match="^program is unbounded$"):
+            solve(lp)
         ((t, enter),) = tableau_log["unbounded_on"]
         assert enter == t.slack_col[0] and t.scale[enter] == 6
+        assert fraction_tableau_solve(lp) == Unbounded({"x": F(2)})
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +749,11 @@ class TestIntegerChecks:
             lp = random_box_program(rng) if k % 3 == 0 else random_bounded_program(rng)
             if k % 2:
                 lp = rows_divided(lp, rng)
-            out = solve(lp)
+            out, ref = solve_or_refuse(lp), split_tableau_solve(lp)
+            # refused exactly when the split tableau finds a ray, which `verify_ray` then checks
+            assert (out is None) == isinstance(ref, Unbounded)
+            if out is None:
+                out = ref
             kinds[type(out)] += 1
             assert_checks_agree(lp, out, rng, 12, seen)
         assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 20

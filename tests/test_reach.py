@@ -32,9 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ucfreq"
 
 ALLOWLIST = {
-    "ratlp.verify_ray": "checks an unbounded outcome, which no product program has; "
-                        "bench/tracing.py binds it by name",
-    "ratlp._is_ray": "checks the ray of an unbounded outcome, for `solve` and `verify_ray`",
+    "ratlp.verify_ray": "no solver outcome carries a ray; bench/tracing.py binds it by name; "
+                        "it goes with ROADMAP item 2",
     "setfam.SetFamily.__repr__": "runs only when a suite reports a violation",
 }
 
