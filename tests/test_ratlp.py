@@ -401,6 +401,8 @@ HAND_PROGRAMS = {
     "redundant_floors": lp_redundant_floors,
     "fixed_by_equality": lp_fixed_by_equality,
     "crossing_declared_bound": lp_crossing_declared_bound,
+    "upper_only_unbounded": lp_upper_only_unbounded,
+    "free_unbounded": lp_free_unbounded,
     "boxed_with_a_shared_row": lp_boxed_with_a_shared_row,
     "min_x_ge_1": lp_min_x_ge_1,
     "conflicting": lp_conflicting,
@@ -451,7 +453,11 @@ class TestPresolve:
     @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
     def test_hand_programs_match_the_split_tableau(self, name):
         lp = HAND_PROGRAMS[name]()
-        new, old = solve(lp), split_tableau_solve(lp)
+        new, old = solve_or_refuse(lp), split_tableau_solve(lp)
+        if new is None:  # refused exactly when the split tableau finds a ray
+            assert isinstance(old, Unbounded)
+            assert verify_ray(lp, old.ray)
+            return
         assert type(new) is type(old)
         if isinstance(new, Optimal):
             assert new.value == old.value
@@ -487,7 +493,13 @@ class TestPresolve:
 class TestSolveStats:
     @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
     def test_every_outcome_carries_stats(self, name):
-        stats = solve(HAND_PROGRAMS[name]()).stats
+        # an unbounded program is refused, so it has no outcome to carry stats
+        lp = HAND_PROGRAMS[name]()
+        out = solve_or_refuse(lp)
+        if out is None:
+            assert isinstance(split_tableau_solve(lp), Unbounded)
+            return
+        stats = out.stats
         assert isinstance(stats, SolveStats)
         assert stats.wall_ms >= stats.verify_ms >= 0 and stats.max_bits >= 0
         assert stats.artificials <= stats.rows <= stats.columns
@@ -535,6 +547,18 @@ def assert_matches_fraction_tableau(lp: LinearProgram):
     assert new.stats._replace(wall_ms=0, verify_ms=0) == ref.stats._replace(wall_ms=0, verify_ms=0)
     assert_certified(lp, new)
     return new
+
+
+def assert_matches_or_refuses(lp: LinearProgram):
+    """`assert_matches_fraction_tableau(lp)`, except that where the `Fraction`
+    tableau finds a ray, `solve` must refuse `lp` and the ray must verify."""
+    ref = fraction_tableau_solve(lp)
+    if not isinstance(ref, Unbounded):
+        return assert_matches_fraction_tableau(lp)
+    with pytest.raises(ValueError, match="^program is unbounded$"):
+        solve(lp)
+    assert verify_ray(lp, ref.ray)
+    return ref
 
 
 def paper_programs() -> dict[str, LinearProgram]:
@@ -586,7 +610,7 @@ def tableau_log(monkeypatch):
 class TestIntegerTableau:
     @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
     def test_hand_programs(self, name):
-        assert_matches_fraction_tableau(HAND_PROGRAMS[name]())
+        assert_matches_or_refuses(HAND_PROGRAMS[name]())
 
     @pytest.mark.parametrize("name", sorted(PAPER_PROGRAMS))
     def test_paper_programs(self, name):
@@ -596,13 +620,7 @@ class TestIntegerTableau:
         rng = random.Random(6011)
         kinds = Counter()
         for _ in range(400):
-            lp = random_bounded_program(rng)
-            if isinstance(fraction_tableau_solve(lp), Unbounded):  # refused exactly then
-                with pytest.raises(ValueError, match="^program is unbounded$"):
-                    solve(lp)
-                kinds[Unbounded] += 1
-            else:
-                kinds[type(assert_matches_fraction_tableau(lp))] += 1
+            kinds[type(assert_matches_or_refuses(random_bounded_program(rng)))] += 1
         assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 40
 
     def test_random_box_programs(self):
