@@ -36,7 +36,6 @@ from .ratlp import (
     LinearConstraint,
     LinearProgram,
     LpOutcome,
-    Infeasible,
     Optimal,
     solve,
     verify_infeasibility,
@@ -341,6 +340,4 @@ def recheck(result: CaseResult) -> bool:
         return verify_optimality(lp, x, result.outcome.dual) and result.outcome.value == sum(
             (c * x[v] for v, c in lp.objective.items()), Fraction(0)
         )
-    if isinstance(result.outcome, Infeasible):
-        return verify_infeasibility(lp, result.outcome.farkas)
-    return False
+    return verify_infeasibility(lp, result.outcome.farkas)

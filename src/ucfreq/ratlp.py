@@ -14,19 +14,18 @@ L_i of its denominators, and uses them from the presolve to the certificate
 check.  Presolve reads every one-variable row (declared or a bound, either
 coefficient sign, any relation) as the bound B/A on its variable and keeps
 the tightest, compared by cross-multiplying (the first of equally tight
-rows wins); crossing bounds are refuted by their two rows alone.  It shifts
-instead of splitting: x = l + x' with x' >= 0 under a lower bound l, x = u -
-x' under only an upper bound u, x = x'+ - x'- only when free; an upper bound
-left over is the row x' <= u - l, which needs no artificial.  A row after
-the shift times the lcm D of its offsets' denominators is integer, with
-scale L_i * D; a two-phase primal simplex with Bland's rule takes it into
-its dense integer tableau as it is, and its fraction-free pivots are those
-rational arithmetic would take.  Offsets and the factors that give each
-absorbed row its weight back from the final reduced costs (phase 1's for a
-Farkas certificate) are integer pairs: only the costs come in, and the
-point, weights and value go out, as `Fraction`s.  Every outcome carries a
-`SolveStats` record of the work, left out of outcome equality and of the
-text and JSON formats.
+rows wins); crossing bounds are refuted by their two rows alone.  Every
+variable must have a lower bound l, declared or read off such a row, and
+becomes the column x' = x - l >= 0; an upper bound u as well is the row x'
+<= u - l, which needs no artificial.  A row after the shift times the lcm D
+of its offsets' denominators is integer, with scale L_i * D; a two-phase
+primal simplex with Bland's rule takes it into its dense integer tableau as
+it is, and its fraction-free pivots are those rational arithmetic would
+take.  Offsets and the factors that give each absorbed row its weight back
+from the final reduced costs (phase 1's for a Farkas certificate) are
+integer pairs: only the costs come in, and the point, weights and value go
+out, as `Fraction`s.  Every outcome carries a `SolveStats` record of the
+work, left out of outcome equality and of the text and JSON formats.
 
 Certificate conventions
 -----------------------
@@ -390,68 +389,42 @@ def _presolve_bounds(nvars: int, rows: list[IntRow]):
 
 
 class _Presolved:
-    """The program over columns x' >= 0, with the bounds folded in.
+    """The program over the columns x'_j = x_j - l_j >= 0, one per variable,
+    with the bounds folded in.
 
-    A variable with a lower bound l is x = l + x' (an upper bound u as well
-    adds the row x' <= u - l, whose slack needs no artificial); one with
-    only an upper bound is x = u - x'; a free one is x = x'+ - x'-.  The
-    tableau gets those upper rows and the rows with two or more variables,
-    as integer rows with their scales.  Every tableau row and every bounded
-    column keeps the materialized row it stands for and the factor p / q
-    that turns its dual (for a column: its reduced cost, the dual of x' >=
-    0) into that row's weight, so certificates are keyed to `materialized_rows`.
+    `lower[j]` gives the offset l_j; an upper bound u_j as well adds the row
+    x'_j <= u_j - l_j, whose slack needs no artificial.  The tableau gets
+    those upper rows and the rows with two or more variables, as integer
+    rows with their scales.  Every tableau row and every column keeps the
+    materialized row it stands for and the factor p / q that turns its dual
+    (for a column: its reduced cost, the dual of x'_j >= 0) into that row's
+    weight, so certificates are keyed to `materialized_rows`.
     """
 
-    def __init__(self, lp: LinearProgram, rows: list[IntRow], lower, upper):
-        sign = 1 if lp.sense == "min" else -1
+    def __init__(self, lp: LinearProgram, rows: list[IntRow], lower: list[_Bound], upper: list[_Bound | None]):
         self.nmaterialized = len(rows)
-        self.columns: list[tuple[tuple[int, int], ...]] = []  # per variable: (column, sign)
-        self.offset: list[tuple[int, int]] = []  # per variable: l, u or 0, as (num, den)
-        self.column_origin: list[tuple[int, int, int] | None] = []
-        self.cost: list[Fraction] = []
-        for j, name in enumerate(lp.variables):
-            lo, hi = lower[j], upper[j]
-            c = len(self.cost)
-            if lo is not None:
-                cols, offset, origins = ((c, 1),), lo, [(lo.row, lo.scale, lo.coeff)]
-            elif hi is not None:
-                cols, offset, origins = ((c, -1),), hi, [(hi.row, -hi.scale, hi.coeff)]
-            else:
-                cols, offset, origins = ((c, 1), (c + 1, -1)), (0, 1), [None, None]
-            self.columns.append(cols)
-            self.offset.append(offset[:2])
-            self.column_origin += origins
-            objective = lp.objective.get(name, ZERO)
-            self.cost += [objective if sign * s > 0 else -objective for _, s in cols]
+        self.lower = lower
+        cost = [lp.objective.get(name, ZERO) for name in lp.variables]
+        self.cost: list[Fraction] = cost if lp.sense == "min" else [-c for c in cost]
 
-        boxed = {hi.row: j for j, (lo, hi) in enumerate(zip(lower, upper)) if lo is not None and hi is not None}
+        boxed = {hi.row: j for j, hi in enumerate(upper) if hi is not None}
         self.rows: list[IntRow] = []  # in materialized order
         self.row_origin: list[tuple[int, int, int]] = []
         for i, (coeffs, rel, rhs, scale) in enumerate(rows):
             if i in boxed:
                 j = boxed[i]
-                (ln, ld), hi = self.offset[j], upper[j]
-                self.rows.append(({self.columns[j][0][0]: ld * hi.den}, "<=", hi.num * ld - ln * hi.den, ld * hi.den))
+                lo, hi = lower[j], upper[j]
+                self.rows.append(({j: lo.den * hi.den}, "<=", hi.num * lo.den - lo.num * hi.den, lo.den * hi.den))
                 self.row_origin.append((i, hi.scale, hi.coeff))
             elif len(coeffs) > 1:
-                d = lcm(*(self.offset[j][1] for j in coeffs))
-                terms: dict[int, int] = {}
-                rhs *= d
-                for j, a in coeffs.items():
-                    num, den = self.offset[j]
-                    rhs -= a * num * (d // den)
-                    for c, sg in self.columns[j]:
-                        terms[c] = a * sg * d
-                self.rows.append((terms, rel, rhs, scale * d))
+                d = lcm(*(lower[j].den for j in coeffs))
+                rhs = rhs * d - sum(a * lower[j].num * (d // lower[j].den) for j, a in coeffs.items())
+                self.rows.append(({j: a * d for j, a in coeffs.items()}, rel, rhs, scale * d))
                 self.row_origin.append((i, 1, 1))
 
     def point(self, values: Mapping[int, int], d: int) -> list[Fraction]:
-        """x from the column values x'_c = values[c] / d (absent columns are 0)."""
-        x = []
-        for (p, q), cols in zip(self.offset, self.columns):
-            v = sum(s * values.get(c, 0) for c, s in cols)
-            x.append(Fraction(p * d + q * v, q * d))
-        return x
+        """x from the column values x'_j = values[j] / d (absent columns are 0)."""
+        return [Fraction(lo.num * d + lo.den * values.get(j, 0), lo.den * d) for j, lo in enumerate(self.lower)]
 
     def weights(self, t: _Tableau, cost: list[Fraction], costrow: list[int]) -> list[Fraction]:
         """Min-form dual weights on the materialized rows from `costrow`, priced by `cost`."""
@@ -463,10 +436,9 @@ class _Presolved:
             col = t.initial_identity_column(r)
             y[i] += t.sigma[r] * p * t.scale[col] * (C[col] * t.d - costrow[col])
             q_of[i] = q
-        for c, origin in enumerate(self.column_origin):
-            if origin is not None and costrow[c] != 0:  # a column of x', scale 1
-                i, p, q = origin
-                y[i], q_of[i] = y[i] + p * costrow[c], q
+        for j, lo in enumerate(self.lower):
+            if costrow[j] != 0:  # the column of x'_j, scale 1
+                y[lo.row], q_of[lo.row] = y[lo.row] + lo.scale * costrow[j], lo.coeff
         return [Fraction(v, q * den * t.d) if v else ZERO for v, q in zip(y, q_of)]
 
 
@@ -605,15 +577,20 @@ def solve(lp: LinearProgram) -> LpOutcome:
     Bland's ordering reaches first: the value is the contract, the
     particular optimal assignment is incidental.
 
-    Raises `ValueError("program is unbounded")` when the objective of a
-    feasible program improves without limit; no program of the paper does.
+    Every variable needs a lower bound, declared or read off a one-variable
+    row; `ValueError("variable 'x' has no lower bound")` names the first
+    one without, before feasibility is looked at.  Raises
+    `ValueError("program is unbounded")` when the objective of a feasible
+    program improves without limit.  No program of the paper does either.
     """
     started = time.perf_counter()
     lp.validate()
     rows = _integer_rows(lp)
     lower, upper = _presolve_bounds(len(lp.variables), rows)
+    if None in lower:
+        raise ValueError(f"variable {lp.variables[lower.index(None)]!r} has no lower bound")
     for lo, hi in zip(lower, upper):
-        if lo is not None and hi is not None and lo.exceeds(hi):
+        if hi is not None and lo.exceeds(hi):
             # x >= l and x <= u add up to 0 <= u - l < 0
             y = [ZERO] * len(rows)  # lo.row != hi.row: one row gives equal bounds
             y[lo.row], y[hi.row] = Fraction(lo.scale, lo.coeff), Fraction(-hi.scale, hi.coeff)

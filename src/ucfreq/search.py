@@ -365,8 +365,8 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...],
             report.violations.append(f"(a={w.a}, x={w.x}): {text}")
 
         # doubled traces; the pair pattern needs the witness-set condition
-        pairs = [p for p in submasks(cov_mask) if p.bit_count() == 2]
-        witness_set = not any(keeps_two_good(groups, p, xbit) for p in pairs)
+        cov_pairs = [p for p in submasks(cov_mask) if p.bit_count() == 2]
+        witness_set = not any(keeps_two_good(groups, p, xbit) for p in cov_pairs)
         for t in submasks(s):
             pattern = doubled_pattern(t, 1 << (w.a - 1), cov_mask)
             if counts[t] < 2 and (pattern == "first" or pattern == "pair" and witness_set):

@@ -6,10 +6,13 @@ algorithm with no code in common with the simplex path, against the
 split-tableau simplex that ran before the presolve, which keeps every bound
 as a row, and against the presolved simplex with its presolve and tableau in
 `Fraction`s, which must take the same pivots and give equal outcomes and
-`SolveStats`.  The integer certificate checks must give the verdicts and
-`ValueError`s of the `Fraction` ones on solver certificates and on single
-mutations of them, and the tableau shape, pivots and `max_bits` of the 13
-paper programs are pinned.
+`SolveStats`.  `solve` must refuse a program exactly when the `Fraction`
+presolve finds a variable with no lower bound, naming the first; the suites
+then solve it again with a declared lower bound on each such variable.  The
+integer certificate checks must give the verdicts and `ValueError`s of the
+`Fraction` ones on solver certificates and on single mutations of them, and
+the tableau shape, pivots and `max_bits` of the 13 paper programs are
+pinned.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from oracle_models import (
     Unbounded,
     brute_force_optimum,
     fraction_check_feasible,
+    fraction_presolve_bounds,
     fraction_tableau_solve,
     fraction_verify_infeasibility,
     fraction_verify_optimality,
@@ -85,7 +89,7 @@ class TestTrivialPrograms:
         assert verify_infeasibility(lp_conflicting(), out.farkas)
 
     def test_max_flips_conventions(self):
-        lp = LinearProgram(("x",), "max", {"x": F(1)})
+        lp = LinearProgram(("x",), "max", {"x": F(1)}, lower={"x": F(0)})
         lp.add({"x": 1}, "<=", F(7, 2))
         out = solve(lp)
         assert isinstance(out, Optimal)
@@ -117,6 +121,22 @@ class TestTrivialPrograms:
         out = solve(lp)
         assert isinstance(out, Optimal)
         assert out.value == -5
+
+    def test_variable_without_a_lower_bound_is_refused(self):
+        # y's floor comes from -2y <= 4; x and z have none, and x comes
+        # first, although the crossing bounds on y make the program infeasible
+        lp = LinearProgram(("x", "y", "z"), "min", {"y": F(1)}, upper={"x": F(3), "y": F(-5)})
+        lp.add({"y": -2}, "<=", 4)
+        lp.add({"x": 1, "z": 1}, ">=", 0)
+        with pytest.raises(ValueError) as info:
+            solve(lp)
+        assert str(info.value) == "variable 'x' has no lower bound"
+        lp.lower = {"x": F(0)}
+        with pytest.raises(ValueError) as info:
+            solve(lp)
+        assert str(info.value) == "variable 'z' has no lower bound"
+        lp.add({"z": F(1, 2)}, ">=", -1)
+        assert isinstance(solve(lp), Infeasible)
 
     def test_declared_bounds_materialize_as_rows(self):
         lp = LinearProgram(("x",), "min", {"x": F(1)}, lower={"x": F(2)}, upper={"x": F(9)})
@@ -339,6 +359,20 @@ def assert_certified(lp: LinearProgram, out) -> None:
         assert verify_infeasibility(lp, out.farkas)
 
 
+def bounded_below(lp: LinearProgram) -> LinearProgram:
+    """`lp` with the declared lower bound -4 on each variable that the
+    `Fraction` presolve finds no lower bound for, once `solve` has refused
+    `lp` naming the first of them; `lp` itself when there is none."""
+    lower, _ = fraction_presolve_bounds(len(lp.variables), materialized_rows(lp))
+    free = [name for name, lo in zip(lp.variables, lower) if lo is None]
+    if not free:
+        return lp
+    with pytest.raises(ValueError) as info:
+        solve(lp)
+    assert str(info.value) == f"variable {free[0]!r} has no lower bound"
+    return replace(lp, lower={**lp.lower, **dict.fromkeys(free, F(-4))})
+
+
 def solve_or_refuse(lp: LinearProgram):
     """`solve(lp)`, or None when `solve` refuses `lp` as unbounded."""
     try:
@@ -359,8 +393,8 @@ def lp_redundant_floors() -> LinearProgram:
 
 
 def lp_fixed_by_equality() -> LinearProgram:
-    """-3x == -6 fixes x = 2; y is free."""
-    lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(2)})
+    """-3x == -6 fixes x = 2; y is bounded below only."""
+    lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(2)}, lower={"y": F(0)})
     lp.add({"x": -3}, "==", -6)
     lp.add({"x": 1, "y": 1}, "<=", 5)
     return lp
@@ -368,7 +402,7 @@ def lp_fixed_by_equality() -> LinearProgram:
 
 def lp_crossing_declared_bound() -> LinearProgram:
     """-x <= -5 asks x >= 5 against the declared x <= 2."""
-    lp = LinearProgram(("x", "y"), "min", {"x": F(1)}, upper={"x": F(2)})
+    lp = LinearProgram(("x", "y"), "min", {"x": F(1)}, lower={"y": F(0)}, upper={"x": F(2)})
     lp.add({"x": 1, "y": 1}, ">=", 0)
     lp.add({"x": -1}, "<=", -5)
     return lp
@@ -384,6 +418,15 @@ def lp_upper_only_unbounded() -> LinearProgram:
 def lp_free_unbounded() -> LinearProgram:
     lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(1)})
     lp.add({"x": 1, "y": -1}, "<=", 1)
+    return lp
+
+
+def lp_bounded_below_unbounded() -> LinearProgram:
+    """Bounded below, x by its declared -1 and y by -2y <= 1, and max x + y
+    grows along (1, 1) without leaving x - y <= 1."""
+    lp = LinearProgram(("x", "y"), "max", {"x": F(1), "y": F(1)}, lower={"x": F(-1)})
+    lp.add({"x": 1, "y": -1}, "<=", 1)
+    lp.add({"y": -2}, "<=", 1)
     return lp
 
 
@@ -403,6 +446,7 @@ HAND_PROGRAMS = {
     "crossing_declared_bound": lp_crossing_declared_bound,
     "upper_only_unbounded": lp_upper_only_unbounded,
     "free_unbounded": lp_free_unbounded,
+    "bounded_below_unbounded": lp_bounded_below_unbounded,
     "boxed_with_a_shared_row": lp_boxed_with_a_shared_row,
     "min_x_ge_1": lp_min_x_ge_1,
     "conflicting": lp_conflicting,
@@ -431,12 +475,19 @@ class TestPresolve:
         assert verify_infeasibility(lp, out.farkas)
         assert (out.stats.rows, out.stats.columns, out.stats.phase1_pivots) == (0, 0, 0)
 
-    @pytest.mark.parametrize("make", [lp_upper_only_unbounded, lp_free_unbounded])
-    def test_unbounded_ray_verifies(self, make):
+    @pytest.mark.parametrize("make, refusal", [
+        pytest.param(make, refusal, id=make.__name__) for make, refusal in (
+            (lp_upper_only_unbounded, "variable 'x' has no lower bound"),
+            (lp_free_unbounded, "variable 'x' has no lower bound"),
+            (lp_bounded_below_unbounded, "program is unbounded"),
+        )
+    ])
+    def test_unbounded_ray_verifies(self, make, refusal):
         # `solve` refuses; both reference simplexes give a ray the public check accepts
         lp = make()
-        with pytest.raises(ValueError, match="^program is unbounded$"):
+        with pytest.raises(ValueError) as info:
             solve(lp)
+        assert str(info.value) == refusal
         for oracle in (split_tableau_solve, fraction_tableau_solve):
             out = oracle(lp)
             assert isinstance(out, Unbounded)
@@ -452,7 +503,7 @@ class TestPresolve:
 
     @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
     def test_hand_programs_match_the_split_tableau(self, name):
-        lp = HAND_PROGRAMS[name]()
+        lp = bounded_below(HAND_PROGRAMS[name]())
         new, old = solve_or_refuse(lp), split_tableau_solve(lp)
         if new is None:  # refused exactly when the split tableau finds a ray
             assert isinstance(old, Unbounded)
@@ -467,9 +518,9 @@ class TestPresolve:
         rng = random.Random(5150)
         kinds = Counter()
         for _ in range(400):
-            lp = random_bounded_program(rng)
+            lp = bounded_below(random_bounded_program(rng))
             new, old = solve_or_refuse(lp), split_tableau_solve(lp)
-            kinds[type(old)] += 1
+            kinds[Unbounded if new is None else type(new)] += 1
             if new is None:  # refused exactly when the split tableau finds a ray
                 assert isinstance(old, Unbounded)
                 continue
@@ -494,7 +545,7 @@ class TestSolveStats:
     @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
     def test_every_outcome_carries_stats(self, name):
         # an unbounded program is refused, so it has no outcome to carry stats
-        lp = HAND_PROGRAMS[name]()
+        lp = bounded_below(HAND_PROGRAMS[name]())
         out = solve_or_refuse(lp)
         if out is None:
             assert isinstance(split_tableau_solve(lp), Unbounded)
@@ -610,7 +661,7 @@ def tableau_log(monkeypatch):
 class TestIntegerTableau:
     @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
     def test_hand_programs(self, name):
-        assert_matches_or_refuses(HAND_PROGRAMS[name]())
+        assert_matches_or_refuses(bounded_below(HAND_PROGRAMS[name]()))
 
     @pytest.mark.parametrize("name", sorted(PAPER_PROGRAMS))
     def test_paper_programs(self, name):
@@ -620,7 +671,7 @@ class TestIntegerTableau:
         rng = random.Random(6011)
         kinds = Counter()
         for _ in range(400):
-            kinds[type(assert_matches_or_refuses(random_bounded_program(rng)))] += 1
+            kinds[type(assert_matches_or_refuses(bounded_below(random_bounded_program(rng))))] += 1
         assert min(kinds[kind] for kind in (Optimal, Infeasible, Unbounded)) >= 40
 
     def test_random_box_programs(self):
@@ -767,6 +818,7 @@ class TestIntegerChecks:
             lp = random_box_program(rng) if k % 3 == 0 else random_bounded_program(rng)
             if k % 2:
                 lp = rows_divided(lp, rng)
+            lp = bounded_below(lp)
             out, ref = solve_or_refuse(lp), split_tableau_solve(lp)
             # refused exactly when the split tableau finds a ray, which `verify_ray` then checks
             assert (out is None) == isinstance(ref, Unbounded)
@@ -814,7 +866,7 @@ class TestIntegerPresolve:
     def test_one_variable_rows_with_non_unit_coefficients(self, presolve_log):
         # -2x >= -3 is x <= 3/2 on the integer row itself; x/3 >= 1/2 is the
         # integer row 2y >= 3 (scale 6), so y >= 3/2 with weight factor 6/2
-        lp = LinearProgram(("x", "y"), "max", {"x": F(2), "y": F(1)})
+        lp = LinearProgram(("x", "y"), "max", {"x": F(2), "y": F(1)}, lower={"x": F(-1)})
         lp.add({"x": -2}, ">=", -3)
         lp.add({"y": F(1, 3)}, ">=", F(1, 2))
         lp.add({"x": 1, "y": 1}, "<=", 4)
@@ -823,8 +875,10 @@ class TestIntegerPresolve:
         ((lower, upper),) = presolve_log["bounds"]
         # (num, den, row, L, A): 3/2 off row 0 (L = 1, A = -2) and off row 1 (L = 6, A = 2)
         assert upper[0] == (3, 2, 0, 1, -2) and lower[1] == (3, 2, 1, 6, 2)
+        # x in [-1, 3/2] is the row x' <= 5/2, written 2x' <= 5, whose weight
+        # factor is row 0's L / A
         (pre,) = presolve_log["presolved"]
-        assert pre.column_origin == [(0, -1, -2), (1, 6, 2)]
+        assert pre.rows[0] == ({0: 2}, "<=", 5, 2) and pre.row_origin[0] == (0, 1, -2)
 
     def test_coprime_offset_denominators_in_one_row(self, presolve_log):
         # offsets 1/2, 1/3 and 1/7 meet in x + y + z <= 3: the shifted row
@@ -836,7 +890,7 @@ class TestIntegerPresolve:
         out = assert_matches_fraction_tableau(lp)
         assert out.value == F(29, 5)
         (pre,) = presolve_log["presolved"]
-        assert pre.offset == [(1, 2), (1, 3), (1, 7)]
+        assert [lo[:2] for lo in pre.lower] == [(1, 2), (1, 3), (1, 7)]
         assert pre.rows[0] == ({0: 42, 1: 42, 2: 42}, "<=", 3 * 42 - 21 - 14 - 6, 42)
 
     def test_first_of_equally_tight_bound_rows_is_cited(self, presolve_log):
@@ -852,7 +906,7 @@ class TestIntegerPresolve:
 
     def test_crossing_fractional_bounds_are_refuted_by_their_rows(self, presolve_log):
         # 3x >= 2 and -5x >= -3: x >= 2/3 > 3/5 >= x, since 2 * 5 > 3 * 3
-        lp = LinearProgram(("x", "y"), "min", {"x": F(1)})
+        lp = LinearProgram(("x", "y"), "min", {"x": F(1)}, lower={"y": F(0)})
         lp.add({"x": 1, "y": 1}, ">=", 0)
         lp.add({"x": 3}, ">=", 2)
         lp.add({"x": -5}, ">=", -3)
@@ -865,17 +919,23 @@ class TestIntegerPresolve:
         assert assert_matches_fraction_tableau(touching).value == F(3, 5)
         assert len(presolve_log["presolved"]) == 1
 
-    def test_free_variable_split_next_to_shifted_ones(self, presolve_log):
+    def test_free_variable_refused_then_shifted_with_the_others(self, presolve_log):
+        # x is free and z bounded above only: refused before any tableau
         lp = LinearProgram(("x", "y", "z"), "min", {"x": F(1), "y": F(1), "z": F(-1)},
                            lower={"y": F(1, 2)}, upper={"z": F(5, 3)})
         lp.add({"x": 1, "y": -1}, ">=", -2)
         lp.add({"x": 1, "z": 1}, ">=", F(1, 3))
+        assert bounded_below(lp).lower == {"x": -4, "y": F(1, 2), "z": -4}
+        assert presolve_log["presolved"] == []
+        lp.lower.update(x=F(-4), z=F(-1, 3))
         out = assert_matches_fraction_tableau(lp)
         assert out.value == F(-5, 2)
         (pre,) = presolve_log["presolved"]
-        assert pre.columns == [((0, 1), (1, -1)), ((2, 1),), ((3, -1),)]
-        # x + z >= 1/3 is 3x + 3z >= 1; with z = 5/3 - z' and times 3 it reads
-        assert pre.rows[1] == ({0: 9, 1: -9, 3: -9}, ">=", 3 - 15, 9)
+        assert len(pre.cost) == 3  # one column per variable
+        # x + z >= 1/3 is 3x + 3z >= 1; with x = x' - 4, z = z' - 1/3 and times 3 it reads
+        assert pre.rows[1] == ({0: 9, 2: 9}, ">=", 3 + 36 + 3, 9)
+        # and z in [-1/3, 5/3] is the row z' <= 2, written 9z' <= 18
+        assert pre.rows[2] == ({2: 9}, "<=", 18, 9)
 
     def test_boxed_variable_with_a_fractional_width(self, presolve_log):
         # x in [1/3, 5/2]: its upper row is x' <= 13/6, written 6x' <= 13
