@@ -247,56 +247,48 @@ def _cmd_check_lemmas(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser for every subcommand, built on the first call and shared
-    by every later one, so `main` pays for it once per process.
+def _common(p, family_input=False):
+    p.add_argument("--out", help="write output to a file instead of stdout")
+    if family_input:
+        p.add_argument("family", help="family file (JSON or plain text)")
+        p.add_argument("--format", choices=("json", "text"), help="override format autodetection")
 
-    It reads two values while it builds: `search.ENUMERATION_LIMIT` and
-    `_SCENARIOS`, both module constants, so the shared parser cannot go
-    stale.  Each handler reads `MAX_OUTPUT` and reaches `lpmodel`, `search`
-    and `setfam` through module attributes when it runs, not when it is
-    bound, so patching any of them still takes effect."""
-    parser = _Parser(prog="ucfreq", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family_input=False):
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        if family_input:
-            p.add_argument("family", help="family file (JSON or plain text)")
-            p.add_argument("--format", choices=("json", "text"), help="override format autodetection")
-
-    p = sub.add_parser("table", help="solve all eight case cells")
+def _table(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--certificates", action="store_true", help="embed certificates (JSON only)")
     p.add_argument("--approx", action="store_true")
-    common(p)
+    _common(p)
     p.set_defaults(handler=_cmd_table)
 
-    p = sub.add_parser("solve-case", help="solve one case cell")
+
+def _solve_case(p):
     p.add_argument("--s", type=int, choices=(4, 5), required=True)
     p.add_argument("--c", choices=tuple(_SCENARIOS), required=True)
     p.add_argument("--dump-lp", action="store_true", help="print the program and certificate text")
     p.add_argument("--approx", action="store_true")
-    common(p)
+    _common(p)
     p.set_defaults(handler=_cmd_solve_case)
 
-    p = sub.add_parser("solve-base", help="solve the base program")
+
+def _solve_base(p):
     p.add_argument("--s", type=int, choices=(4, 5), required=True)
     p.add_argument("--approx", action="store_true")
-    common(p)
+    _common(p)
     p.set_defaults(handler=_cmd_solve_base)
 
-    p = sub.add_parser("min-objective", help="minimize a custom objective over the base program")
+
+def _min_objective(p):
     p.add_argument("--s", type=int, choices=(4, 5), required=True)
     p.add_argument("--objective", required=True,
                    help="q_singleton, sum_singletons, or q_<roles> terms joined by +")
     p.add_argument("--approx", action="store_true")
-    common(p)
+    _common(p)
     p.set_defaults(handler=_cmd_min_objective)
 
-    p = sub.add_parser("analyze", help="frequencies, 2-good structure and traces of a family")
-    common(p, family_input=True)
+
+def _analyze(p):
+    _common(p, family_input=True)
     p.add_argument("--base", help="comma-separated base set for trace counts, e.g. 2,3,4")
     p.add_argument("--add-empty", action="store_true", help="add the empty set to the family")
     p.add_argument("--normalize", action="store_true",
@@ -304,32 +296,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approx", action="store_true")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("covers", help="minimal covers and the involution status")
-    common(p, family_input=True)
+
+def _covers(p):
+    _common(p, family_input=True)
     p.set_defaults(handler=_cmd_covers)
 
-    p = sub.add_parser("search-nagel", help="exhaustive second-frequency check")
+
+def _search_nagel(p):
     p.add_argument("--n", type=int, choices=range(2, search.ENUMERATION_LIMIT + 1), required=True,
                    help=f"ground-set size (2..{search.ENUMERATION_LIMIT} exhaustive)")
     p.add_argument("--require-empty", action="store_true")
     p.add_argument("--max-family-size", type=_int_at_least(1))
     p.add_argument("--max-witnesses", type=_int_at_least(0), default=16)
-    common(p)
+    _common(p)
     p.set_defaults(handler=_cmd_search_nagel)
 
-    p = sub.add_parser("check-lemmas", help="recount the lemma bounds on a family")
-    common(p, family_input=True)
+
+def _check_lemmas(p):
+    _common(p, family_input=True)
     p.add_argument("--base", required=True, help="comma-separated minimal 2-good base set")
     p.add_argument("--add-empty", action="store_true")
     p.set_defaults(handler=_cmd_check_lemmas)
 
+
+# each subcommand's help line, and the builder of its arguments, defaults and handler
+_COMMANDS = {
+    "table": ("solve all eight case cells", _table),
+    "solve-case": ("solve one case cell", _solve_case),
+    "solve-base": ("solve the base program", _solve_base),
+    "min-objective": ("minimize a custom objective over the base program", _min_objective),
+    "analyze": ("frequencies, 2-good structure and traces of a family", _analyze),
+    "covers": ("minimal covers and the involution status", _covers),
+    "search-nagel": ("exhaustive second-frequency check", _search_nagel),
+    "check-lemmas": ("recount the lemma bounds on a family", _check_lemmas),
+}
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand `name`'s parser alone, built once per process as
+    `build_parser` builds it under the top level, so its help and errors read
+    the same.  It cannot go stale: builders read only module constants, and
+    handlers reach `MAX_OUTPUT`, `lpmodel`, `search` and `setfam` as they run."""
+    parser = _Parser(prog=f"ucfreq {name}")
+    _COMMANDS[name][1](parser)
+    parser.set_defaults(command=name)  # as the top level sets it
     return parser
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree, the top level and every subcommand, built once per
+    process; `parse_args` needs it only for the top-level help and errors."""
+    parser = _Parser(prog="ucfreq", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, build) in _COMMANDS.items():
+        build(sub.add_parser(name, help=help_line))
+    return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, by the subcommand's own parser
+    when `argv` starts with its name and it leaves no argument over."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -743,13 +743,71 @@ class TestHelp:
         assert capsys.readouterr() == ((HELP_PINNED / f"{command}.txt").read_text(), "")
 
 
+# Per subcommand, the tails after its name: -h, a missing required option,
+# an invalid choice, a bad integer, an unknown flag and a stray positional
+# (each where the subcommand has such an option), then one valid call.
+PARITY_TAILS = {
+    "table": ([["-h"], ["--format", "xml"], ["--bogus"], ["x"]],
+              ["--format", "json", "--certificates", "--out", "t.json"]),
+    "solve-case": ([["-h"], ["--s", "4"], ["--s", "4", "--c", "9"], ["--s", "four", "--c", "1"],
+                    ["--s", "4", "--c", "1", "--bogus"], ["--s", "4", "--c", "1", "x"]],
+                   ["--s", "5", "--c", "aux", "--dump-lp"]),
+    "solve-base": ([["-h"], [], ["--s", "3"], ["--s", "x"], ["--s", "4", "--bogus"], ["--s", "4", "x"]],
+                   ["--s", "5", "--approx"]),
+    "min-objective": ([["-h"], ["--s", "4"], ["--s", "6", "--objective", "q_a"],
+                       ["--s", "x", "--objective", "q_a"], ["--s", "4", "--objective", "q_a", "--bogus"],
+                       ["--s", "4", "--objective", "q_a", "x"]],
+                      ["--s", "4", "--objective", "q_a+q_ab"]),
+    "analyze": ([["-h"], [], ["f.txt", "--format", "yaml"], ["f.txt", "--bogus"], ["f.txt", "x"]],
+                ["f.txt", "--format", "text", "--base", "2,3", "--add-empty", "--normalize", "--approx"]),
+    "covers": ([["-h"], [], ["f.txt", "--format", "yaml"], ["f.txt", "--bogus"], ["f.txt", "x"]],
+               ["f.json"]),
+    "search-nagel": ([["-h"], [], ["--n", "1"], ["--n", "x"], ["--n", "3", "--max-witnesses", "-1"],
+                      ["--n", "3", "--bogus"], ["--n", "3", "x"]],
+                     ["--n", "3", "--require-empty", "--max-family-size", "6", "--max-witnesses", "2"]),
+    "check-lemmas": ([["-h"], ["f.txt"], ["f.txt", "--base", "2", "--format", "yaml"],
+                      ["f.txt", "--base", "2", "--bogus"], ["f.txt", "--base", "2", "x"]],
+                     ["f.txt", "--base", "2,3", "--add-empty"]),
+}
+
+
+def tree_parse(capsys, argv):
+    """(exit code, stdout, stderr) of the full tree refusing `argv`, or
+    printing its help."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+class TestParserParity:
+    """A call that names its subcommand first is parsed by that subcommand's
+    parser alone; its help, refusals and namespace are the full tree's."""
+
+    @pytest.mark.parametrize("argv", [
+        [command, *tail] for command, (tails, _) in PARITY_TAILS.items() for tail in tails
+    ] + [[], ["--help"], ["tabel"]], ids=lambda argv: " ".join(argv) or "(none)")
+    def test_refusals_and_help_match_the_full_tree(self, capsys, argv):
+        code = main(argv)
+        assert (code, *capsys.readouterr()) == tree_parse(capsys, argv)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_valid_call_parses_as_the_full_tree(self, command):
+        argv = [command, *PARITY_TAILS[command][1]]
+        args = cli.parse_args(argv)
+        assert args.command == command
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+    def test_every_subcommand_is_covered(self):
+        assert tuple(PARITY_TAILS) == SUBCOMMANDS == tuple(cli._COMMANDS)
+
+
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
 
 
 class TestRepeatedCalls:
-    """`main` shares one parser across calls; no call may leave anything
+    """`main` shares its parsers across calls; no call may leave anything
     behind that changes the next one's output or exit code."""
 
     @pytest.mark.parametrize("first, first_code, second, expected", [
@@ -777,8 +835,11 @@ class TestRepeatedCalls:
         assert run(capsys, ["--help"]) == first
 
 
-# Counts parsers built: importing cli must build none, and five `main` calls
-# one parser's worth, the top level and its eight subparsers.
+# Counts parsers built: importing cli must build none, and each `main` call
+# only what no earlier call built: its own subcommand's parser, or the full
+# tree (the top level and its eight subparsers) for the top-level help and
+# for arguments that the subcommand's parser leaves over.  Prints the count
+# after import, then (exit code, count) after each call of `calls`.
 BUILD_COUNT_SCRIPT = """
 import argparse, contextlib, io
 built = 0
@@ -790,12 +851,11 @@ def counting(self, *args, **kwargs):
 argparse.ArgumentParser.__init__ = counting
 from ucfreq import cli
 print(built)
+counts = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [cli.main(argv) for argv in (
-        ["solve-base", "--s", "4"], ["--help"], ["table", "--jobs", "2"],
-        ["solve-case", "--s", "5", "--c", "0", "--approx"], ["table"],
-    )]
-print(codes, built)
+    for argv in {calls!r}:
+        counts.append((cli.main(argv), built))
+print(counts)
 """
 
 
@@ -813,7 +873,18 @@ def run_fresh(script: str) -> list[str]:
 
 
 def test_parser_is_built_once_per_process():
-    assert run_fresh(BUILD_COUNT_SCRIPT) == ["0", f"[0, 0, 1, 0, 0] {1 + len(SUBCOMMANDS)}"]
+    # a lone subcommand builds its own parser, once
+    assert run_fresh(BUILD_COUNT_SCRIPT.format(calls=[["table"], ["table"]])) == ["0", "[(0, 1), (0, 1)]"]
+    # solve-base builds 1 and --help the tree's 9; table --jobs 2 builds its
+    # own parser, and the cached tree words the refusal; solve-case builds 1,
+    # and table again none
+    calls = [
+        ["solve-base", "--s", "4"], ["--help"], ["table", "--jobs", "2"],
+        ["solve-case", "--s", "5", "--c", "0", "--approx"], ["table"],
+    ]
+    assert run_fresh(BUILD_COUNT_SCRIPT.format(calls=calls)) == [
+        "0", "[(0, 1), (0, 10), (1, 11), (0, 12), (0, 12)]"
+    ]
 
 
 # Counts base programs built over the six commands behind the 13 published

@@ -9,8 +9,9 @@ agree on the value.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from oracle_models import (
@@ -45,6 +46,7 @@ from ucfreq.lpmodel import (
 )
 from ucfreq.ratlp import (
     Infeasible,
+    LinearConstraint,
     Optimal,
     solve,
     verify_optimality,
@@ -380,6 +382,112 @@ class TestCaseProgramCache:
         with pytest.raises(ValueError):
             all_subsets(3)
         assert all_subsets.cache_info().currsize <= 2
+
+
+def role_group(spec: CaseSpec) -> list[dict[str, str]]:
+    """The role permutations that cell `spec`'s hypothesis treats alike:
+    the covered roles among themselves and the uncovered non-a roles among
+    themselves; every role for the base program, b and c for the pair cap."""
+    letters = lpmodel.role_letters(spec.s)
+    if spec.scenario is Scenario.BASE:
+        blocks = [letters]
+    elif spec.scenario is Scenario.PAIR_CAP:
+        blocks = ["bc"]
+    else:
+        covered = spec.scenario.covered_roles
+        blocks = [covered, [r for r in letters[1:] if r not in covered]]
+    group = [{r: r for r in letters}]
+    for block in blocks:
+        group = [{**g, **dict(zip(block, perm))} for g in group for perm in permutations(block)]
+    return group
+
+
+def trace_renamings(spec: CaseSpec) -> list[dict[str, str]]:
+    """Each permutation of `role_group(spec)` as a renaming of the q_T."""
+    subsets = all_subsets(spec.s)
+    return [{subset_name(t): subset_name(g[r] for r in t) for t in subsets} for g in role_group(spec)]
+
+
+def row_multiset(rows, rename: dict[str, str]) -> Counter:
+    """The rows as a multiset of (coefficients, relation, right-hand side),
+    labels dropped and each variable renamed."""
+    return Counter(
+        (frozenset((rename[v], c) for v, c in row.coeffs.items()), row.relation, row.rhs) for row in rows
+    )
+
+
+def is_role_symmetric(rows, renamings) -> bool:
+    """Whether every renaming maps the rows onto themselves."""
+    same = row_multiset(rows, {v: v for v in renamings[0]})
+    return all(row_multiset(rows, rename) == same for rename in renamings)
+
+
+def spec_id(spec: CaseSpec) -> str:
+    return f"s{spec.s}-{spec.scenario.value}"
+
+
+# |role_group| per program: s! for the base, |C|! (s - 1 - |C|)! for a cell,
+# and 2 for the pair cap
+GROUP_ORDERS = dict(zip(VALID_SPECS, (24, 6, 2, 2, 6, 120, 24, 6, 4, 6, 2)))
+
+# Per cell: how many plain floors (q_T >= 1) can be raised to 2 without
+# moving its bound (or its infeasibility, at s = 4, |C| = 3+), and the ones
+# among them whose trace T every permutation of `role_group` fixes.  Raising
+# one of those leaves the program role-symmetric, so no bound and no
+# symmetry sees it; only evaluating the rows on families can (ROADMAP item
+# 9).  q_empty is fixed by every role permutation and slack in every cell.
+SLACK_FLOORS = {
+    CaseSpec(4, Scenario.C0): (4, ("q_empty",)),
+    CaseSpec(4, Scenario.C1): (11, ("q_empty", "q_b", "q_ab", "q_bcd", "q_abcd")),
+    CaseSpec(4, Scenario.C2): (4, ("q_empty", "q_d")),
+    CaseSpec(4, Scenario.C3PLUS): (16, ("q_empty", "q_a", "q_bcd", "q_abcd")),
+    CaseSpec(5, Scenario.C0): (5, ("q_empty",)),
+    CaseSpec(5, Scenario.C1): (19, ("q_empty", "q_b", "q_ab", "q_bcde")),
+    CaseSpec(5, Scenario.C2): (5, ("q_empty",)),
+    CaseSpec(5, Scenario.C3PLUS): (9, ("q_empty", "q_a", "q_e")),
+    CaseSpec(5, Scenario.PAIR_CAP): (16, ("q_empty", "q_a", "q_d", "q_e", "q_bc", "q_abc", "q_bcd", "q_bce")),
+}
+
+
+class TestRoleSymmetry:
+    """A cell's hypothesis treats some roles alike, so permuting them must
+    map its program's rows onto themselves: a row typed with the wrong
+    letter breaks this even where no bound moves."""
+
+    @pytest.mark.parametrize("spec", VALID_SPECS, ids=spec_id)
+    def test_each_program_is_invariant_under_its_roles_symmetry(self, spec):
+        renamings = trace_renamings(spec)
+        assert len(renamings) == GROUP_ORDERS[spec]
+        assert is_role_symmetric(case_program(spec).constraints, renamings)
+
+    @pytest.mark.parametrize("spec", list(SLACK_FLOORS), ids=spec_id)
+    def test_a_raised_slack_floor_breaks_the_symmetry_exactly_when_its_trace_moves(self, spec):
+        renamings = trace_renamings(spec)
+        bound = solve_case(spec).bound
+        slack, survivors = 0, []
+        for i, row in enumerate(case_program(spec).constraints):
+            if not (row.label.startswith("floor_") and row.rhs == 1):
+                continue
+            lp = case_program(spec)
+            lp.constraints[i] = LinearConstraint(row.coeffs, row.relation, 2, row.label)
+            if CaseResult(spec, solve(lp)).bound != bound:
+                continue
+            slack += 1
+            (name,) = row.coeffs
+            fixed = all(rename[name] == name for rename in renamings)
+            assert is_role_symmetric(lp.constraints, renamings) == fixed, row.label
+            if fixed:
+                survivors.append(name)
+        assert (slack, tuple(survivors)) == SLACK_FLOORS[spec]
+
+    def test_the_sweep_covers_every_cell_and_the_pair_cap(self):
+        table = bounds_table()
+        assert list(SLACK_FLOORS) == [res.spec for res in table] + [CaseSpec(5, Scenario.PAIR_CAP)]
+        counts = [SLACK_FLOORS[res.spec] for res in table if res.bound is not None]
+        # the seven optimal cells hold 57 slack floors; the symmetry catches 40
+        assert len(counts) == 7
+        assert sum(n for n, _ in counts) == 57 and sum(len(kept) for _, kept in counts) == 17
+
 
 class TestMinObjective:
     def test_single_trace_s4(self):

@@ -1,19 +1,21 @@
 """Reach ledger: `src/ucfreq` defines only functions that the product runs.
 
 A fresh interpreter runs the product under a call-only `sys.settrace`:
-every CLI subcommand and its flags on a text and a JSON family, one usage
-error, the refusals of a family that is not union-closed (`analyze` and
-`check-lemmas`) and of a base that is 2-good but not minimal, the five
-demos, and one small call of each verification suite.  The module-level
+every CLI subcommand and its flags on a text and a JSON family, the
+top-level help, two usage errors (a bad flag value, and a flag that only
+the top level refuses), the refusals of a family that is not union-closed
+(`analyze` and `check-lemmas`) and of a base that is 2-good but not
+minimal, the five demos, and one small call of each verification suite.  The module-level
 functions and methods of `src/ucfreq/*.py` that no call reached (a nested
 closure counts as part of its parent) must be exactly `ALLOWLIST`, each
 with its reason.  A function that only tests call fails here: it belongs
 in `oracle_models`.
 
-The run needs its own process because `functools.cache` on `build_parser`,
-`all_subsets`, `_shared_program` and the small-input search memo
-`setfam._small_mmcs` hides the calls that earlier tests have already
-cached.  `python tests/test_reach.py` prints the full ledger.
+The run needs its own process because `functools.cache` on `build_parser`
+(the full tree, which only the top-level help and errors build),
+`command_parser`, `all_subsets`, `_shared_program` and the small-input
+search memo `setfam._small_mmcs` hides the calls that earlier tests have
+already cached.  `python tests/test_reach.py` prints the full ledger.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ def _cli_runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["min-objective", "--s", "4", "--objective", "q_a+q_ab"], 0),
         (["search-nagel", "--n", "3", "--require-empty", "--max-family-size", "6", "--max-witnesses", "2"], 0),
         (["solve-case", "--s", "4", "--c", "9"], 1),
+        (["--help"], 0),
+        (["table", "--jobs", "2"], 1),
         (["analyze", str(bad)], 2),
         (["check-lemmas", str(bad), "--base", "2"], 2),
         (["check-lemmas", str(text), "--base", "2,3,4"], 2),  # 2-good, not minimal
