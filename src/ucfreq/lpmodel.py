@@ -332,7 +332,10 @@ def recheck(result: CaseResult) -> bool:
     spec, and an optimum's value against the objective at its point.
 
     The program comes from `case_program`, whose rows are built once per
-    process and shared read-only, so a recheck costs the check alone.
+    process and shared read-only, so a recheck builds no program.  It still
+    costs more than the check: `verify_*` validates the program and derives
+    its integer rows anew, and an optimum's value is summed again in
+    `Fraction`s.
     """
     lp = case_program(result.spec)
     if isinstance(result.outcome, Optimal):

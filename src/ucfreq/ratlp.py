@@ -9,7 +9,7 @@ after the declared constraints (for each variable in declaration order:
 lower bound row, then upper bound row).  `materialized_rows` exposes that
 row list; certificate maps are keyed by indices into it.
 
-`solve` writes that list once as integer rows, row i times the positive lcm
+`solve` reads that list off `lp` once as integer rows, row i times the lcm
 L_i of its denominators, and uses them from the presolve to the certificate
 check.  Presolve reads every one-variable row (declared or a bound, either
 coefficient sign, any relation) as the bound B/A on its variable and keeps
@@ -23,9 +23,9 @@ primal simplex with Bland's rule takes it into its dense integer tableau as
 it is, and its fraction-free pivots are those rational arithmetic would
 take.  Offsets and the factors that give each absorbed row its weight back
 from the final reduced costs (phase 1's for a Farkas certificate) are
-integer pairs: only the costs come in, and the point, weights and value go
-out, as `Fraction`s.  Every outcome carries a `SolveStats` record of the
-work, left out of outcome equality and of the text and JSON formats.
+integer pairs: only the costs come in, once a phase, and the point, weights
+and value go out, as `Fraction`s.  Every outcome is built with its
+`SolveStats`, left out of outcome equality and the text and JSON formats.
 
 Certificate conventions
 -----------------------
@@ -58,7 +58,7 @@ be a bug, never a property of the input).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -138,6 +138,32 @@ class LinearProgram:
 
 Row = tuple[dict[int, Fraction], str, Fraction]
 
+# A materialized row times the positive lcm L of its denominators:
+# (integer coefficients A, relation, integer right-hand side B, L).
+IntRow = tuple[dict[int, int], str, int, int]
+
+
+def _integer_rows(lp: LinearProgram) -> list[IntRow]:
+    """`materialized_rows`, each times its L, read straight off `lp`: the one
+    place that lays the rows out.  A bound p / q is the row q x rel p, L = q."""
+    index = {name: j for j, name in enumerate(lp.variables)}
+    out: list[IntRow] = []
+    for con in lp.constraints:
+        # numerator and denominator are properties: read each one once
+        b, bq = con.rhs.as_integer_ratio()
+        nums = {index[v]: c.numerator for v, c in con.coeffs.items()}
+        dens = [c.denominator for c in con.coeffs.values()]
+        scale = lcm(bq, *dens)
+        if scale > 1:
+            nums = {j: a * (scale // q) for (j, a), q in zip(nums.items(), dens)}
+        out.append((nums, con.relation, b * (scale // bq), scale))
+    for j, name in enumerate(lp.variables):
+        for bounds, rel in ((lp.lower, ">="), (lp.upper, "<=")):
+            if name in bounds:
+                b, q = bounds[name].as_integer_ratio()
+                out.append(({j: q}, rel, b, q))
+    return out
+
 
 def materialized_rows(lp: LinearProgram) -> list[Row]:
     """Constraints plus bound rows, with variables replaced by indices.
@@ -145,18 +171,10 @@ def materialized_rows(lp: LinearProgram) -> list[Row]:
     Certificate maps (dual, farkas) are keyed by positions in this list:
     the declared constraints first, then for each variable in declaration
     order its lower-bound row and then its upper-bound row, when declared.
-    Every other view of the rows (labels, `format_lp`) derives from it.
+    It is `_integer_rows` over each row's L; labels and `format_lp` derive from it.
     """
-    index = {name: j for j, name in enumerate(lp.variables)}
-    rows: list[Row] = []
-    for con in lp.constraints:
-        rows.append(({index[v]: c for v, c in con.coeffs.items()}, con.relation, con.rhs))
-    for j, name in enumerate(lp.variables):
-        if name in lp.lower:
-            rows.append(({j: ONE}, ">=", lp.lower[name]))
-        if name in lp.upper:
-            rows.append(({j: ONE}, "<=", lp.upper[name]))
-    return rows
+    return [({j: Fraction(a, scale) for j, a in coeffs.items()}, rel, Fraction(rhs, scale))
+            for coeffs, rel, rhs, scale in _integer_rows(lp)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +236,6 @@ def _holds(lhs: int | Fraction, relation: str, rhs: int | Fraction) -> bool:
 
 # The sign of a min-form dual weight on a row of each relation (any on ``==``).
 _ORIENTATION = {">=": 1, "<=": -1, "==": 0}
-
-
-# A materialized row times the positive lcm L of its denominators:
-# (integer coefficients A, relation, integer right-hand side B, L).
-IntRow = tuple[dict[int, int], str, int, int]
-
-
-def _integer_rows(lp: LinearProgram) -> list[IntRow]:
-    out: list[IntRow] = []
-    for coeffs, rel, rhs in materialized_rows(lp):
-        # numerator and denominator are properties: read each one once
-        nums = {j: c.numerator for j, c in coeffs.items()}
-        dens = [c.denominator for c in coeffs.values()]
-        scale = lcm(rhs.denominator, *dens)
-        if scale > 1:
-            nums = {j: a * (scale // d) for (j, a), d in zip(nums.items(), dens)}
-        out.append((nums, rel, rhs.numerator * (scale // rhs.denominator), scale))
-    return out
 
 
 def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -426,9 +426,9 @@ class _Presolved:
         """x from the column values x'_j = values[j] / d (absent columns are 0)."""
         return [Fraction(lo.num * d + lo.den * values.get(j, 0), lo.den * d) for j, lo in enumerate(self.lower)]
 
-    def weights(self, t: _Tableau, cost: list[Fraction], costrow: list[int]) -> list[Fraction]:
-        """Min-form dual weights on the materialized rows from `costrow`, priced by `cost`."""
-        C, den = t._integer_cost(cost)
+    def weights(self, t: _Tableau, priced: tuple[list[int], int], costrow: list[int]) -> list[Fraction]:
+        """Min-form dual weights on the materialized rows, from `costrow` and the (C, den) `price` gave."""
+        C, den = priced
         # column c's reduced cost is costrow[c] * scale[c] / (den * d), and every
         # factor p / q of row i has the row's own coefficient (or 1) as q
         y, q_of = [0] * self.nmaterialized, [1] * self.nmaterialized
@@ -462,7 +462,7 @@ class _Tableau:
     (Edmonds 1967), whose divisions by d are exact.  Scaling a column divides
     its reduced cost and its ratios by one positive constant, so Bland's rule
     takes the pivots the unscaled tableau would.  A cost row is integer over
-    ``den * d`` (den from `_integer_cost`).
+    ``den * d``, with the den that `price` finds for its phase's cost.
     """
 
     def __init__(self, rows: list[IntRow], cost: list[Fraction]):
@@ -491,20 +491,19 @@ class _Tableau:
         self.phase = 0  # index into `pivots`: 0 for phase 1, 1 for phase 2
         self.pivots = [0, 0]
 
-    def _integer_cost(self, cost: list[Fraction]) -> tuple[list[int], int]:
-        """Integers C and den with cost[j] / scale[j] == C[j] / den."""
-        dens = [c.denominator * s for c, s in zip(cost, self.scale)]
-        den = lcm(*(q for c, q in zip(cost, dens) if c))
-        return [c.numerator * (den // q) for c, q in zip(cost, dens)], den
-
-    def price(self, cost: list[Fraction]) -> list[int]:
-        """The reduced costs of `cost` (given per unscaled column) over ``den * d``."""
-        C, _ = self._integer_cost(cost)
+    def price(self, cost: list[Fraction]) -> tuple[list[int], tuple[list[int], int]]:
+        """The reduced costs of `cost` (given per unscaled column) over ``den * d``,
+        and the integers (C, den) with cost[j] / scale[j] == C[j] / den."""
+        terms = [(j, c.numerator, c.denominator * self.scale[j]) for j, c in enumerate(cost) if c]
+        den = lcm(*(q for _, _, q in terms))
+        C = [0] * len(cost)
+        for j, p, q in terms:  # a zero cost stays 0 whatever its scale
+            C[j] = p * (den // q)
         costrow = [c * self.d for c in C]
         for k, row in zip(self.basis, self.M):
             if C[k] != 0:
                 costrow = [z - C[k] * v for z, v in zip(costrow, row)]
-        return costrow
+        return costrow, (C, den)
 
     def pivot(self, r: int, e: int, costrow: list[int]) -> None:
         self.pivots[self.phase] += 1
@@ -594,34 +593,34 @@ def solve(lp: LinearProgram) -> LpOutcome:
             # x >= l and x <= u add up to 0 <= u - l < 0
             y = [ZERO] * len(rows)  # lo.row != hi.row: one row gives equal bounds
             y[lo.row], y[hi.row] = Fraction(lo.scale, lo.coeff), Fraction(-hi.scale, hi.coeff)
-            return _certified(lp, rows, Infeasible(_farkas(rows, y)), None, started)
+            return _certified(lp, rows, Infeasible, (_farkas(rows, y),), None, started)
     pre = _Presolved(lp, rows, lower, upper)
     t = _Tableau(pre.rows, pre.cost)
-    return _certified(lp, rows, _simplex(lp, rows, pre, t), t, started)
+    return _certified(lp, rows, *_simplex(lp, rows, pre, t), t, started)
 
 
-def _simplex(lp: LinearProgram, rows: list[IntRow], pre: _Presolved, t: _Tableau) -> LpOutcome:
-    """Two phases on the presolved tableau; outcomes are stated over `lp`."""
+def _simplex(lp: LinearProgram, rows: list[IntRow], pre: _Presolved, t: _Tableau) -> tuple[type, tuple]:
+    """Two phases on the presolved tableau: the outcome's class and fields, over `lp`."""
     if t.artificials:
         cost1 = [ONE if j in t.artificials else ZERO for j in range(t.ncols)]
-        costrow = t.price(cost1)
+        costrow, priced = t.price(cost1)
         if t.run(costrow, banned=frozenset()) is not None:
             raise CertificateError("phase 1 cannot be unbounded")
         if any(v > 0 for k, v in zip(t.basis, t.b) if k in t.artificials):  # phase-1 value > 0
-            return Infeasible(_farkas(rows, pre.weights(t, cost1, costrow)))
+            return Infeasible, (_farkas(rows, pre.weights(t, priced, costrow)),)
         _drive_out_artificials(t)
     t.phase = 1
 
-    costrow = t.price(t.cost2)
+    costrow, priced = t.price(t.cost2)
     if t.run(costrow, banned=frozenset(t.artificials)) is not None:
         raise ValueError("program is unbounded")
 
     x = pre.point(dict(zip(t.basis, t.b)), t.d)  # a column of x' has scale 1
-    dual = {i: w if lp.sense == "min" else -w for i, w in enumerate(pre.weights(t, t.cost2, costrow)) if w}
+    dual = {i: w if lp.sense == "min" else -w for i, w in enumerate(pre.weights(t, priced, costrow)) if w}
     c, g = _over_one_denominator([lp.objective.get(name, ZERO) for name in lp.variables])
     xs, xd = _over_one_denominator(x)
     value = Fraction(sum(cj * xj for cj, xj in zip(c, xs)), g * xd)
-    return Optimal(value, dict(zip(lp.variables, x)), dual)
+    return Optimal, (value, dict(zip(lp.variables, x)), dual)
 
 
 def _drive_out_artificials(t: _Tableau) -> None:
@@ -634,17 +633,18 @@ def _drive_out_artificials(t: _Tableau) -> None:
             # else: redundant row; the artificial stays basic at value 0
 
 
-def _certified(lp: LinearProgram, rows: list[IntRow], outcome: LpOutcome, t: _Tableau | None, started) -> LpOutcome:
-    """`outcome` with its stats attached, once its certificate verifies
-    against `rows`, the integer rows of `lp`; `t` is the final tableau."""
+def _certified(lp: LinearProgram, rows: list[IntRow], kind: type, fields: tuple, t: _Tableau | None, started) -> LpOutcome:
+    """`kind(*fields, stats)`, `Optimal` or `Infeasible`, once its certificate
+    verifies against `rows`, the integer rows of `lp`; `t` is the final tableau."""
     verifying = time.perf_counter()
-    if isinstance(outcome, Optimal):
+    if kind is Optimal:
+        value, assignment, dual = fields
         # the value is what gets printed: it must be c . x = N / D, cross-multiplied
-        proven = _proven_value(lp, rows, outcome.assignment, outcome.dual)
-        ok = proven is not None and outcome.value.numerator * proven[1] == proven[0] * outcome.value.denominator
+        proven = _proven_value(lp, rows, assignment, dual)
+        ok = proven is not None and value.numerator * proven[1] == proven[0] * value.denominator
         what = "optimality certificate"
     else:
-        ok, what = _proves_infeasibility(lp, rows, outcome.farkas), "farkas certificate"
+        ok, what = _proves_infeasibility(lp, rows, *fields), "farkas certificate"
     if not ok:
         raise CertificateError(f"produced {what} failed verification")
     done = time.perf_counter()
@@ -653,7 +653,7 @@ def _certified(lp: LinearProgram, rows: list[IntRow], outcome: LpOutcome, t: _Ta
         stats = SolveStats(0, 0, 0, 0, 0, wall_ms, verify_ms, 0)
     else:
         stats = SolveStats(t.nrows, t.ncols, len(t.artificials), *t.pivots, wall_ms, verify_ms, t.max_bits())
-    return replace(outcome, stats=stats)
+    return kind(*fields, stats)
 
 
 # ---------------------------------------------------------------------------

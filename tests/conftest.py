@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,7 +18,10 @@ def off_by_one_value(monkeypatch):
     simplex = ratlp._simplex
 
     def patched(*args):
-        outcome = simplex(*args)
-        return replace(outcome, value=outcome.value + 1) if isinstance(outcome, ratlp.Optimal) else outcome
+        kind, fields = simplex(*args)
+        if kind is ratlp.Optimal:
+            value, assignment, dual = fields
+            fields = (value + 1, assignment, dual)
+        return kind, fields
 
     monkeypatch.setattr(ratlp, "_simplex", patched)

@@ -1,9 +1,9 @@
 """Shared test oracles: symmetry-reduced LP models, the letter-set rule for
-doubled traces, random program generators,
-the certificate checks in `Fraction` arithmetic (`fraction_check_feasible`
-and the three `fraction_verify_*`), the basic-point enumerator
-`brute_force_optimum`, the split-tableau simplex, the presolved
-simplex with its presolve and tableau in `Fraction`s
+doubled traces, random program generators, the row layout
+`loop_materialized_rows`, the certificate checks in `Fraction` arithmetic
+(`fraction_check_feasible` and the three `fraction_verify_*`), the
+basic-point enumerator `brute_force_optimum`, the split-tableau simplex,
+the presolved simplex with its presolve and tableau in `Fraction`s
 (`fraction_presolve_bounds`, `fraction_tableau_solve`), the `Unbounded`
 outcome with its ray that both of those simplexes return where
 `ratlp.solve` raises `ValueError`, the shift loop of
@@ -143,6 +143,22 @@ def random_box_program(rng: random.Random) -> LinearProgram:
         rel = rng.choice(("<=", ">=", "<=", ">=", "=="))
         lp.add(coeffs, rel, F(rng.randint(-8, 8), rng.choice((1, 2))))
     return lp
+
+
+# `ratlp.materialized_rows` as it was before it divided `_integer_rows` back:
+# the reference for the row order, values and key order that it must keep.
+
+def loop_materialized_rows(lp: LinearProgram) -> list[Row]:
+    index = {name: j for j, name in enumerate(lp.variables)}
+    rows: list[Row] = []
+    for con in lp.constraints:
+        rows.append(({index[v]: c for v, c in con.coeffs.items()}, con.relation, con.rhs))
+    for j, name in enumerate(lp.variables):
+        if name in lp.lower:
+            rows.append(({j: ONE}, ">=", lp.lower[name]))
+        if name in lp.upper:
+            rows.append(({j: ONE}, "<=", lp.upper[name]))
+    return rows
 
 
 # The certificate checks as they were before `ratlp` scaled rows to
@@ -782,7 +798,7 @@ def fraction_tableau_solve(lp: LinearProgram) -> LpOutcome | Unbounded:
             y = [ZERO] * len(rows)
             y[lo.row] += ONE / lo.coeff
             y[hi.row] -= ONE / hi.coeff
-            return _certified(lp, _integer_rows(lp), Infeasible(_farkas(rows, y)), None, started)
+            return _certified(lp, _integer_rows(lp), Infeasible, (_farkas(rows, y),), None, started)
     pre = _FractionPresolved(lp, rows, lower, upper)
     t = _FractionTableau(pre.rows, pre.cost)
     outcome = _fraction_simplex(lp, rows, pre, t)
@@ -790,7 +806,8 @@ def fraction_tableau_solve(lp: LinearProgram) -> LpOutcome | Unbounded:
         if not fraction_verify_ray(lp, outcome.ray):
             raise CertificateError("produced ray failed verification")
         return outcome
-    return _certified(lp, _integer_rows(lp), outcome, t, started)
+    fields = (outcome.value, outcome.assignment, outcome.dual) if isinstance(outcome, Optimal) else (outcome.farkas,)
+    return _certified(lp, _integer_rows(lp), type(outcome), fields, t, started)
 
 
 def _fraction_simplex(lp: LinearProgram, rows: list[Row], pre: _FractionPresolved, t: _FractionTableau) -> LpOutcome | Unbounded:

@@ -36,6 +36,7 @@ from oracle_models import (
     fraction_verify_infeasibility,
     fraction_verify_optimality,
     fraction_verify_ray,
+    loop_materialized_rows,
     random_bounded_program,
     random_box_program,
     split_tableau_solve,
@@ -638,9 +639,9 @@ def tableau_log(monkeypatch):
     log = {"tableaus": [], "pivots": [], "unbounded_on": []}
     certified, pivot, run = ratlp._certified, ratlp._Tableau.pivot, ratlp._Tableau.run
 
-    def spy_certified(lp, rows, outcome, t, started):
+    def spy_certified(lp, rows, kind, fields, t, started):
         log["tableaus"].append(t)
-        return certified(lp, rows, outcome, t, started)
+        return certified(lp, rows, kind, fields, t, started)
 
     def spy_pivot(t, r, e, costrow):
         log["pivots"].append(t.M[r][e])
@@ -971,3 +972,29 @@ PAPER_STATS = {
 def test_paper_program_stats_are_pinned(name):
     stats = solve(PAPER_PROGRAMS[name]).stats
     assert stats[:5] + (stats.max_bits,) == PAPER_STATS[name]
+
+
+# ---------------------------------------------------------------------------
+# row layout: the materialized rows, divided back from the integer rows
+# ---------------------------------------------------------------------------
+
+def layout(rows) -> list:
+    """Each row with its coefficients as a list of (index, value, type), so
+    that equal layouts share key order as well as values and types."""
+    return [([(j, c, type(c)) for j, c in coeffs.items()], rel, rhs, type(rhs)) for coeffs, rel, rhs in rows]
+
+
+def keys_reversed(lp: LinearProgram) -> LinearProgram:
+    """`lp` with each declared row's coefficients given in reverse order."""
+    return replace(lp, constraints=[replace(con, coeffs=dict(reversed(con.coeffs.items()))) for con in lp.constraints])
+
+
+def test_materialized_rows_keep_the_loop_layout():
+    programs = list(PAPER_PROGRAMS.items()) + [(name, make()) for name, make in HAND_PROGRAMS.items()]
+    rng = random.Random(8017)
+    for k in range(320):
+        lp = random_box_program(rng) if k % 2 else random_bounded_program(rng)
+        lp = rows_divided(lp, rng) if k % 4 < 2 else lp
+        programs.append((f"random {k}", keys_reversed(lp) if k % 3 == 0 else lp))
+    for name, lp in programs:
+        assert layout(materialized_rows(lp)) == layout(loop_materialized_rows(lp)), name
