@@ -9,12 +9,12 @@ Three independent checks live here:
 * per-instance recounts of the doubled-trace, frequency-cap and
   incidence-count lower bounds on concrete families, via
   `spot_check_lemmas`, whose doubled traces come from the LP model's
-  `lpmodel.doubled_pattern`: covered sets, the witness-set condition and
-  the incidence batch are read from one grouping of the members by their
-  trace on S (`setfam.members_by_trace`).  The caller establishes its
-  preconditions: the family is union-closed, S is one of its minimal 2-good
-  sets, and the caller passes all those sets and S's flexible pairs, each
-  found already.
+  `lpmodel.doubled_pattern`: the trace counts q_T, covered sets, the
+  witness-set condition and the incidence batch are read from one grouping
+  of the members by their trace on S (`setfam.members_by_trace`).  The
+  caller establishes its preconditions: the family is union-closed, S is
+  one of its minimal 2-good sets, and the caller passes all those sets and
+  S's flexible pairs, each found already.
 
 A reported violation is an implementation-bug signal, never a
 mathematical discovery: every checked statement is proved for the inputs
@@ -49,7 +49,6 @@ from .setfam import (
     minimal_transversals,
     minimal_two_good_sets,
     submasks,
-    trace_counts,
     union_closure,
 )
 
@@ -335,8 +334,9 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...],
     a family file once; the corpus builds union closures), `good` is all its
     minimal 2-good sets, `s` is one of them (the CLI refuses any other base),
     and `pairs` is `flexible_pairs(fam, s)`, found once by the caller.
-    The groups of `members_by_trace(fam, s)` give each pair (a, x) its
-    covered set C, witness-set condition and incidence batch.  This checks:
+    The groups of `members_by_trace(fam, s)` give the trace counts q_T and
+    each pair (a, x) its covered set C, witness-set condition and incidence
+    batch.  This checks:
 
     * q_T >= 2 for each T of `lpmodel.doubled_pattern`, taking its
       ``"pair"`` pattern only when no pair b, c of C leaves s + x - b - c
@@ -352,7 +352,6 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...],
     report = VerificationReport(families_checked=1)
     size = s.bit_count()
     groups = members_by_trace(fam, s)
-    counts = trace_counts(fam, s)
     freqs = element_frequencies(fam)
 
     maximal_incidence = None
@@ -369,12 +368,12 @@ def spot_check_lemmas(fam: SetFamily, s: int, good: tuple[Mask, ...],
         witness_set = not any(keeps_two_good(groups, p, xbit) for p in cov_pairs)
         for t in submasks(s):
             pattern = doubled_pattern(t, 1 << (w.a - 1), cov_mask)
-            if counts[t] < 2 and (pattern == "first" or pattern == "pair" and witness_set):
+            if len(groups[t]) < 2 and (pattern == "first" or pattern == "pair" and witness_set):
                 tag = " (pair pattern)" if pattern == "pair" else ""
-                complain(f"q_{format_mask(t)} = {counts[t]} < 2{tag}")
+                complain(f"q_{format_mask(t)} = {len(groups[t])} < 2{tag}")
 
         # frequency floor for x
-        floor = frequency_cap_constant(size, len(cov)) + sum(counts[1 << (c - 1)] for c in cov)
+        floor = frequency_cap_constant(size, len(cov)) + sum(len(groups[1 << (c - 1)]) for c in cov)
         if freqs[w.x] < floor:
             complain(f"frequency({w.x}) = {freqs[w.x]} < {floor}")
 

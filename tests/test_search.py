@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 from oracle_models import (
+    is_minimal_two_good,
+    pairwise_is_union_closed,
     recursive_enumerate_union_closed,
     recursive_verify_nagel_k2,
     scan_flexible_pairs,
@@ -336,6 +338,16 @@ class TestSpotCheck:
         rep = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s))
         assert rep.passed
 
+    def test_one_grouping_per_recount(self, monkeypatch):
+        # the trace counts are read off the groups that give C, the
+        # witness-set condition and the incidence batch
+        fam, s = INCIDENCE_CASE
+        good, pairs = minimal_two_good_sets(fam), flexible_pairs(fam, s)
+        calls = count_calls(monkeypatch, "members_by_trace", search, setfam)
+        assert spot_check_lemmas(fam, s, good, pairs).passed
+        assert calls == [(fam, s)]
+        assert not hasattr(search, "trace_counts")
+
     def test_larger_seeded_example(self):
         fam = random_union_closed(__import__("random").Random(123), 7)
         good = minimal_two_good_sets(fam)
@@ -345,12 +357,21 @@ class TestSpotCheck:
                 break
 
 
-# Instances from the seed-7 lemma corpus, each given by its join-irreducible
-# members.  Floor-tight: frequency(x) equals the floor, without and with a
-# covered element.
+# Instances each given by its join-irreducible members: the first two from
+# the seed-7 lemma corpus, the last two planted (a member of trace exactly
+# {y} for each y in S, holding x when y is covered; two of trace {a}, one
+# with x; one of trace {b, c} without x for each pair of C).  Floor-tight:
+# frequency(x) equals the floor, without and with a covered element at
+# |S| = 2, without one at |S| = 4 and with C = {4, 7} at |S| = 5.
 FLOOR_TIGHT = [
     (union_closure(family(4, [[2], [2, 3], [4]])), mask_of([2, 4]), "(a=2, x=3): frequency(3) = 2 < 3"),
     (union_closure(family(5, [[2], [2, 3], [2, 3, 5], [3, 4, 5]])), mask_of([2, 4]), "(a=2, x=5): frequency(5) = 3 < 4"),
+    (union_closure(family(6, [[], [2], [3], [3, 4], [5], [6]])), mask_of([2, 3, 5, 6]), "(a=3, x=4): frequency(4) = 8 < 9"),
+    (
+        union_closure(family(7, [[], [2], [3], [3, 5], [4, 5], [4, 7], [5, 7], [6]])),
+        mask_of([2, 3, 4, 6, 7]),
+        "(a=3, x=5): frequency(5) = 28 < 29",
+    ),
 ]
 # |S| = 4 with one covered element b = 2 for (a, x) = (7, 8), and S of
 # maximal incidence: the incidence block runs
@@ -361,6 +382,18 @@ INCIDENCE_CASE = (
     ])),
     mask_of([2, 5, 6, 7]),
 )
+# |S| = 5, planted like FLOOR_TIGHT's last two, with one covered element
+# b = 2 for (a, x) = (4, 6), and S of maximal incidence
+INCIDENCE_CASE_5 = (
+    union_closure(family(8, [[], [2, 3, 8], [2, 6], [3], [4], [4, 6, 8], [4, 8], [5, 8], [7, 8]])),
+    mask_of([2, 3, 4, 5, 7]),
+)
+# Each incidence instance with its flexible pair (a, x) whose C is {b}, the
+# pairs whose C fails the witness-set condition, and how many doubled traces
+# the recount flags with every trace counted once.  At |S| = 4, C = {5, 6}
+# for (a, x) = (7, 4), and that pair leaves {2, 4, 7} 2-good; at |S| = 5,
+# C = {5, 7} for (a, x) = (4, 8), and that pair leaves {2, 3, 4, 8} 2-good.
+INCIDENCE = [(*INCIDENCE_CASE, 7, 8, 2, [(7, 4)], 6), (*INCIDENCE_CASE_5, 4, 6, 2, [(4, 8)], 12)]
 # C = {3, 6} for (a, x) = (4, 5), and no pair of C leaves S + x - pair 2-good
 PAIR_CASE = (
     union_closure(family(6, [[1, 2, 3, 5], [1, 4, 5], [1, 5, 6], [2, 3, 4], [2, 3, 4, 5, 6], [3, 6], [4]])),
@@ -376,15 +409,37 @@ WITNESS_SET_CASE = (
     ])),
     mask_of([2, 3, 5]),
 )
+RECOUNT_FIXTURES = {
+    "flex": (FLEX_FIXTURE, mask_of([2, 3])),
+    "cover": (COVER_FIXTURE, mask_of([2, 3, 4])),
+    **{f"floor-{i}": (fam, s) for i, (fam, s, _) in enumerate(FLOOR_TIGHT)},
+    "incidence": INCIDENCE_CASE,
+    "incidence-5": INCIDENCE_CASE_5,
+    "pair": PAIR_CASE,
+    "witness-set": WITNESS_SET_CASE,
+}
+
+
+class Group(list):
+    """A group of `members_by_trace` whose `len`, its trace count, is
+    `count`; its members stay, so C, the witness-set condition and the
+    incidence batch still read the real family."""
+
+    def __init__(self, members, count):
+        super().__init__(members)
+        self.q = count
+
+    def __len__(self):
+        return self.q
 
 
 def with_trace_count(t, value):
-    """`trace_counts` with the count of trace `t` replaced by `value`."""
-    def counted(fam, s):
-        counts = setfam.trace_counts(fam, s)
-        counts[t] = value
-        return counts
-    return counted
+    """`members_by_trace` with the count of trace `t` replaced by `value`."""
+    def grouped(fam, s):
+        groups = setfam.members_by_trace(fam, s)
+        groups[t] = Group(groups[t], value)
+        return groups
+    return grouped
 
 
 class TestSpotCheckFaults:
@@ -395,34 +450,45 @@ class TestSpotCheckFaults:
         assert search.frequency_cap_constant is lpmodel.frequency_cap_constant
         assert search.INCIDENCE_EXTRA is lpmodel.INCIDENCE_EXTRA
 
-    @pytest.mark.parametrize("fam, s, violation", FLOOR_TIGHT, ids=["uncovered", "covered"])
+    @pytest.mark.parametrize("fam, s", RECOUNT_FIXTURES.values(), ids=RECOUNT_FIXTURES)
+    def test_fixtures_meet_the_preconditions(self, fam, s):
+        # `spot_check_lemmas` checks none of them, and a fixture that missed
+        # one would leave its fault test vacuous
+        assert pairwise_is_union_closed(fam)
+        assert is_minimal_two_good(fam, s)
+        assert flexible_pairs(fam, s) == scan_flexible_pairs(fam, s)
+
+    @pytest.mark.parametrize("fam, s, violation", FLOOR_TIGHT, ids=["uncovered", "covered", "s4-uncovered", "s5-covered"])
     def test_frequency_floor(self, monkeypatch, fam, s, violation):
         assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).passed
         monkeypatch.setattr(search, "frequency_cap_constant", lambda size, c: lpmodel.frequency_cap_constant(size, c) + 1)
         assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations == [violation]
 
-    @pytest.mark.parametrize("j", [2, 3, 4])
-    def test_incidence_counts(self, monkeypatch, j):
-        fam, s = INCIDENCE_CASE
-        b, x = mask_of([2]), mask_of([8])
-        have = sum(1 for a in fam.sets if a & b and not a & x and (a & s).bit_count() >= j)
+    @pytest.mark.parametrize("case, j", [
+        pytest.param(case, j, id=f"{tag}{j}") for case, tag in zip(INCIDENCE, ["", "s5-"]) for j in (2, 3, 4)
+    ])
+    def test_incidence_counts(self, monkeypatch, case, j):
+        fam, s, a, x, b = case[:5]
+        bbit, xbit = mask_of([b]), mask_of([x])
+        have = sum(1 for m in fam.sets if m & bbit and not m & xbit and (m & s).bit_count() >= j)
         monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have)
         assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).passed
         monkeypatch.setitem(lpmodel.INCIDENCE_EXTRA, j, lambda size: have + 1)
         assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations == [
-            f"(a=7, x=8): count(trace >= {j}, with 2, without 8) = {have} < {have + 1}"
+            f"(a={a}, x={x}): count(trace >= {j}, with {b}, without {x}) = {have} < {have + 1}"
         ]
 
-    @pytest.mark.parametrize("excess, violations", [
-        (0, []),
-        (1, ["(a=7, x=8): frequency(2) < frequency(8)"]),
-    ], ids=["tight", "over"])
-    def test_incidence_frequency_order(self, monkeypatch, excess, violations):
-        fam, s = INCIDENCE_CASE
+    @pytest.mark.parametrize("case, excess", [
+        pytest.param(case, excess, id=f"{tag}{name}")
+        for case, tag in zip(INCIDENCE, ["", "s5-"]) for excess, name in [(0, "tight"), (1, "over")]
+    ])
+    def test_incidence_frequency_order(self, monkeypatch, case, excess):
+        fam, s, a, x, b = case[:5]
+        violations = [f"(a={a}, x={x}): frequency({b}) < frequency({x})"] * excess
 
         def frequencies(fam):
             freqs = setfam.element_frequencies(fam)
-            freqs[8] = freqs[2] + excess
+            freqs[x] = freqs[b] + excess
             return freqs
 
         monkeypatch.setattr(search, "element_frequencies", frequencies)
@@ -432,26 +498,28 @@ class TestSpotCheckFaults:
         assert spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations == violations
 
     def test_doubled_trace(self, monkeypatch):
-        monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([2]), 1))
+        monkeypatch.setattr(search, "members_by_trace", with_trace_count(mask_of([2]), 1))
         fam, s = FLEX_FIXTURE, mask_of([2, 3])
         got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations
         assert got == ["(a=2, x=4): q_{2} = 1 < 2"]
 
     def test_doubled_trace_pair_pattern(self, monkeypatch):
         fam, s = PAIR_CASE
-        monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([3, 6]), 1))
+        monkeypatch.setattr(search, "members_by_trace", with_trace_count(mask_of([3, 6]), 1))
         got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations
         assert "(a=4, x=5): q_{3,6} = 1 < 2 (pair pattern)" in got
         assert all(v.endswith(": q_{3,6} = 1 < 2 (pair pattern)") for v in got)
 
-    def test_doubled_traces_are_the_lp_targets(self, monkeypatch):
+    @pytest.mark.parametrize("fam, s, pinned_unmet, flagged", [case[:2] + case[5:] for case in INCIDENCE], ids=["s4", "s5"])
+    def test_doubled_traces_are_the_lp_targets(self, monkeypatch, fam, s, pinned_unmet, flagged):
         # every trace counted once: for each flexible pair (a, x) the recount
-        # flags the LP model's doubled targets carried from the roles a, b, c, d
-        # to S in ascending order, the pair pattern where the witness-set
+        # flags the LP model's doubled targets carried from the roles a, b, c,
+        # ... to S in ascending order, the pair pattern where the witness-set
         # condition holds
-        fam, s = INCIDENCE_CASE
-        role = dict(zip(setfam.elements_of(s), "abcd"))
-        monkeypatch.setattr(search, "trace_counts", lambda fam, s: dict.fromkeys(setfam.trace_counts(fam, s), 1))
+        role = dict(zip(setfam.elements_of(s), "abcde"))
+        monkeypatch.setattr(
+            search, "members_by_trace", lambda fam, s: {t: Group(g, 1) for t, g in setfam.members_by_trace(fam, s).items()}
+        )
         report = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s))
         got = [v for v in report.violations if ": q_" in v]
         want, unmet = [], []
@@ -460,21 +528,20 @@ class TestSpotCheckFaults:
             sx = s | mask_of([w.x])
             if any(setfam.is_two_good(fam, sx & ~mask_of(p)) for p in itertools.combinations(cov, 2)):
                 unmet.append((w.a, w.x))
-            for t in lpmodel.doubled_trace_targets(4, role[w.a], [role[c] for c in cov]):
+            for t in lpmodel.doubled_trace_targets(s.bit_count(), role[w.a], [role[c] for c in cov]):
                 t_mask = mask_of([e for e in role if role[e] in t])
                 pair = lpmodel.doubled_pattern(t_mask, mask_of([w.a]), mask_of(cov)) == "pair"
                 if not (pair and (w.a, w.x) in unmet):
                     tag = " (pair pattern)" if pair else ""
                     want.append(f"(a={w.a}, x={w.x}): q_{setfam.format_mask(t_mask)} = 1 < 2{tag}")
         assert sorted(got) == sorted(want)
-        # C = {5, 6} for (a, x) = (7, 4), and that pair leaves {2, 4, 7} 2-good
-        assert unmet == [(7, 4)] and len(want) == 6
+        assert unmet == pinned_unmet and len(want) == flagged
 
     def test_pair_pattern_needs_the_witness_set_condition(self, monkeypatch):
         fam, s = WITNESS_SET_CASE
         assert setfam.covered_set(fam, s, 4) == (3, 5)
         assert setfam.is_two_good(fam, mask_of([2, 4]))
-        monkeypatch.setattr(search, "trace_counts", with_trace_count(mask_of([3, 5]), 1))
+        monkeypatch.setattr(search, "members_by_trace", with_trace_count(mask_of([3, 5]), 1))
         # only the first pattern of (a, x) = (3, 7), whose C is empty, sees q_{3,5}
         got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations
         assert got == ["(a=3, x=7): q_{3,5} = 1 < 2"]
