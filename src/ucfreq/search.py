@@ -101,69 +101,72 @@ class VerificationReport:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _walk_union_closed(spec: EnumerationSpec) -> Iterator[tuple[list[Mask], list[int]]]:
+def _count_base(spec: EnumerationSpec) -> int:
+    """The radix of the walk's count word.  An element lies in at most 2^(n-1)
+    sets and `max_family_size` members, so no count reaches it: no digit carries."""
+    return min(spec.max_family_size or 1 << spec.n, 1 << spec.n - 1) + 1
+
+
+def _walk_union_closed(spec: EnumerationSpec) -> Iterator[tuple[list[Mask], int, bool, bool]]:
     """The one DFS behind `enumerate_union_closed` and `verify_nagel_k2`.
 
-    A node is a union-closed family, its children add one set below its
-    smallest member, and each family is reached exactly once: dropping the
-    smallest member of a union-closed family leaves one.  A node keeps the
-    nonempty sets that may still join it (in ascending order), so a child's
-    candidates are its parent's that lie below the new set and whose union
-    with it is a member.  The empty set joins every family; as the least
-    set it is a node's first child and a leaf, and the walk adds it inline.
-    Nodes come in pre-order with children ascending, which is ascending
-    order of the sum of 2^s over the members s.
+    A node is a union-closed family of nonempty sets, its children add one
+    set below its smallest member, and each family is reached exactly once:
+    dropping the smallest member of a union-closed family leaves one.  A
+    node keeps the nonempty sets that may still join it (in ascending
+    order), so a child's candidates are its parent's that lie below the new
+    set and whose union with it is a member.  The empty set joins every
+    family and changes no count, so the node plus it rides on the node's
+    yield.  Nodes come in pre-order with children ascending, the node plus
+    the empty set right after the node: ascending order of the sum of 2^s
+    over the members s.
 
-    Yields `(chosen, counts)` for every family matching the spec: the
-    members in descending order and, for each element e, the number of
-    members containing it at index e - 1.  Both lists are updated in place
-    on each push and pop, so a caller that keeps them must copy them.
+    Yields `(chosen, word, bare, empty)` once per node (the memberless root
+    too, unless ground coverage is required): the members in descending
+    order, updated in place, so a caller that keeps it must copy it; the
+    element counts as one int, the count of element e being its digit e - 1
+    in base `_count_base(spec)`; whether the node's family matches the
+    spec; and whether the node plus the empty set does.
     """
     n = spec.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"full enumeration is limited to n <= {ENUMERATION_LIMIT}")
     ground = (1 << n) - 1
     cap = spec.max_family_size or ground + 1
-    every = not spec.require_empty  # else only the families with the empty set
-    bits = [[e - 1 for e in elements_of(s)] for s in range(ground + 1)]
+    bare = not spec.require_empty  # else only the families with the empty set
+    base = _count_base(spec)
+    inc = [sum(base ** (e - 1) for e in elements_of(s)) for s in range(ground + 1)]
     member = [False] * (ground + 1)
     chosen: list[Mask] = []
-    counts = [0] * n
+    word = 0
     # A union-closed family's union is its largest member, so the families
     # that cover the ground set are exactly those whose first set is `ground`.
-    if spec.require_ground_coverage:
-        frames = [[list(range(1, ground + 1)), ground - 1]]  # [candidates, index of the next one]
-    else:
-        frames = [[list(range(1, ground + 1)), 0]]
-        chosen.append(0)
-        yield chosen, counts  # the family {}: the root's first child
-        chosen.pop()
-    while frames:
-        frame = frames[-1]
-        candidates, i = frame
+    candidates, i = list(range(1, ground + 1)), ground - 1 if spec.require_ground_coverage else 0
+    above: list[tuple[list[Mask], int]] = []  # (candidates, index of the next one) of each node above
+    if not spec.require_ground_coverage:
+        yield chosen, word, False, True  # the root, whose family plus the empty set is {}
+    while True:
         if i == len(candidates):
-            frames.pop()
-            if frames:
-                s = chosen.pop()
-                member[s] = False
-                for e in bits[s]:
-                    counts[e] -= 1
+            if not above:
+                return
+            candidates, i = above.pop()
+            s = chosen.pop()
+            member[s] = False
+            word -= inc[s]
             continue
-        frame[1] = i + 1
         s = candidates[i]
+        i += 1
         chosen.append(s)
-        member[s] = True
-        for e in bits[s]:
-            counts[e] += 1
-        if every:
-            yield chosen, counts
+        word += inc[s]
         if len(chosen) < cap:
-            chosen.append(0)
-            yield chosen, counts
-            chosen.pop()
-            frames.append([[t for t in candidates[:i] if member[t | s]], 0])
+            yield chosen, word, bare, True
+            member[s] = True
+            above.append((candidates, i))
+            candidates, i = [t for t in candidates[:i - 1] if member[t | s]], 0
         else:
-            frames.append([(), 0])
+            yield chosen, word, bare, False
+            chosen.pop()  # a leaf at the cap is undone in place
+            word -= inc[s]
 
 
 def enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
@@ -174,8 +177,11 @@ def enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
     to the empty set, leaving it out first: ascending order of the sum of
     2^s over the members s.
     """
-    for chosen, _ in _walk_union_closed(spec):
-        yield SetFamily(spec.n, tuple(reversed(chosen)))
+    for chosen, _, bare, empty in _walk_union_closed(spec):
+        if bare:
+            yield SetFamily(spec.n, tuple(reversed(chosen)))
+        if empty:
+            yield SetFamily(spec.n, (0, *reversed(chosen)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,29 +199,39 @@ def verify_nagel_k2(spec: EnumerationSpec) -> VerificationReport:
     proved statement at these sizes, so any entry in `violations` means
     an implementation bug.
 
-    f_2 is the second largest element count over the family size, taken
-    from the walk's incremental counts and compared in integers; each final
-    witness is re-checked with `kth_frequency`.
+    f_2 is the second largest element count over the family size: the
+    count is read off the walk's count word through a table filled on first
+    use, and f_2 is compared in integers; each final witness is re-checked
+    with `kth_frequency`.
     """
     if spec.n < 2 or not spec.require_ground_coverage:
         raise ValueError("the k=2 check needs require_ground_coverage and n >= 2")
     n = spec.n
+    base = _count_base(spec)
+    places = [base ** e for e in range(n)]
+    second = bytearray(base ** n)  # by count word; 0 until read, as the ground set makes every count >= 1
     report = VerificationReport()
     checked = 0
-    low, low_size = 0, 0  # the least f_2 so far is low / low_size
+    low, low_size = 1, 0  # the least f_2 so far is low / low_size; 1/0 before the first family
     floor, floor_size = F2_FLOOR.numerator, F2_FLOOR.denominator
     witnesses: list[tuple[Mask, ...]] = []
-    for chosen, counts in _walk_union_closed(spec):
-        checked += 1
-        size = len(chosen)
-        c2 = sorted(counts)[-2]
-        if not witnesses or c2 * low_size < low * size:
-            low, low_size, witnesses = c2, size, []
-        if c2 * low_size == low * size:
-            witnesses.append(tuple(reversed(chosen)))
-        if c2 * floor_size < floor * size:
-            fam = SetFamily(n, tuple(reversed(chosen)))
-            report.violations.append(f"f_2 = {Fraction(c2, size)} < {F2_FLOOR} for {fam!r}")
+    for chosen, word, bare, empty in _walk_union_closed(spec):
+        c2 = second[word]
+        if not c2:
+            c2 = second[word] = sorted([word // p % base for p in places])[-2]
+        k = len(chosen)
+        checked += bare + empty
+        # The node plus the empty set has the lesser f_2 of the two families.
+        if c2 * low_size > low * (k + empty) and c2 * floor_size >= floor * (k + empty):
+            continue
+        for size in range(k + (not bare), k + 1 + empty):
+            sets = (0, *reversed(chosen))[k + 1 - size:]  # with the empty set when it is counted
+            if c2 * low_size <= low * size:
+                if c2 * low_size < low * size:
+                    low, low_size, witnesses = c2, size, []
+                witnesses.append(sets)
+            if c2 * floor_size < floor * size:
+                report.violations.append(f"f_2 = {Fraction(c2, size)} < {F2_FLOOR} for {SetFamily(n, sets)!r}")
     report.families_checked = checked
     if witnesses:
         report.min_f2 = Fraction(low, low_size)

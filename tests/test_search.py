@@ -39,6 +39,7 @@ from ucfreq.setfam import (
     family,
     flexible_pairs,
     is_union_closed,
+    kth_frequency,
     mask_of,
     minimal_two_good_sets,
     union_closure,
@@ -156,7 +157,7 @@ class TestNagelK2:
         assert doc["witnesses_total"] == len(rep.witnesses)
 
     def test_witnesses_are_rechecked(self, monkeypatch):
-        # the incremental f_2 of each final witness is checked against kth_frequency
+        # the f_2 read off the count word of each final witness is checked against kth_frequency
         monkeypatch.setattr(search, "kth_frequency", lambda fam, k: (1, 1, Fraction(1, 2)))
         rep = verify_nagel_k2(EnumerationSpec(2, require_ground_coverage=True))
         assert rep.min_f2 == Fraction(1, 3)
@@ -174,6 +175,20 @@ class TestNagelK2:
             "f_2 = 1/3 < 1/2 for SetFamily(n=2, {{}, {1}, {1,2}})",
             "f_2 = 1/3 < 1/2 for SetFamily(n=2, {{}, {2}, {1,2}})",
         ]
+
+    def test_floor_violations_with_and_without_the_empty_set(self, monkeypatch):
+        # Reported in walk order on both sides of the walk's one yield per
+        # node: a node's own family and the node plus the empty set.  At n = 3
+        # no family without the empty set has f_2 below 1/2, so the floor is
+        # raised to 3/5, which seven of them miss.
+        floor = Fraction(3, 5)
+        monkeypatch.setattr(search, "F2_FLOOR", floor)
+        spec = EnumerationSpec(3, require_ground_coverage=True)
+        below = [(fam, value) for fam in recursive_enumerate_union_closed(spec)
+                 if (value := kth_frequency(fam, 2)[2]) < floor]
+        assert sum(0 not in fam for fam, _ in below) == 7 and any(0 in fam for fam, _ in below)
+        rep = verify_nagel_k2(spec)
+        assert rep.violations == [f"f_2 = {value} < 3/5 for {fam!r}" for fam, value in below]
 
 
 def all_specs(n: int):
@@ -203,6 +218,35 @@ class TestMatchesRecursiveOracle:
     def test_n5_capped_census(self):
         # 101 654 families
         assert_same_census(EnumerationSpec(5, require_ground_coverage=True, max_family_size=8))
+
+
+class TestCountWord:
+    """The walk's element counts, one base-`_count_base` digit per element."""
+
+    @pytest.mark.parametrize("spec, base", [
+        (EnumerationSpec(5), 17),
+        (EnumerationSpec(5, require_ground_coverage=True, max_family_size=8), 9),
+        (EnumerationSpec(4), 9),
+        (EnumerationSpec(4, max_family_size=1), 2),
+    ])
+    def test_base(self, spec, base):
+        assert search._count_base(spec) == base
+
+    @pytest.mark.parametrize("specs", [
+        *([*all_specs(n)] for n in (1, 2, 3, 4)),
+        [EnumerationSpec(5, require_ground_coverage=True, max_family_size=8)],
+    ], ids=["n1", "n2", "n3", "n4", "n5-cap8"])
+    def test_digits_are_the_counts(self, specs):
+        # a digit that carried into the next would corrupt f_2 silently
+        for spec in specs:
+            base = search._count_base(spec)
+            for chosen, word, _, _ in search._walk_union_closed(spec):
+                digits = []
+                for _ in range(spec.n):
+                    word, digit = divmod(word, base)
+                    digits.append(digit)
+                assert word == 0, (spec, chosen)
+                assert digits == [sum(s >> e & 1 for s in chosen) for e in range(spec.n)], (spec, chosen)
 
 
 class TestCoverTheorem:
