@@ -140,19 +140,13 @@ def _cmd_solve_case(args) -> int:
         raise UsageError("--c aux exists only for --s 5")
     if args.approx and args.dump_lp:
         raise UsageError("--approx does not apply to --dump-lp")
-    spec = lpmodel.CaseSpec(args.s, _SCENARIOS[args.c])
+    spec = lpmodel.CaseSpec(args.s, _SCENARIOS.get(args.c, lpmodel.Scenario.BASE))
     res = _rechecked(lpmodel.solve_case(spec))
     if args.dump_lp:
         lp = lpmodel.case_program(spec)
         _emit(format_lp(lp) + "\n" + format_certificate(lp, res.outcome), args.out)
     else:
         _emit(lpmodel.render_bound(res.bound, args.approx) + "\n", args.out)
-    return OK
-
-
-def _cmd_solve_base(args) -> int:
-    res = _rechecked(lpmodel.solve_case(lpmodel.CaseSpec(args.s, lpmodel.Scenario.BASE)))
-    _emit(lpmodel.render_bound(res.bound, args.approx) + "\n", args.out)
     return OK
 
 
@@ -217,6 +211,8 @@ def _cmd_covers(args) -> int:
 
 
 def _cmd_search_nagel(args) -> int:
+    if args.require_empty and args.max_family_size == 1:  # the parser refuses caps below 1
+        raise UsageError("--require-empty needs --max-family-size at least 2 (the empty set and a cover)")
     spec = search.EnumerationSpec(
         args.n,
         require_empty=args.require_empty,
@@ -259,7 +255,6 @@ def _table(p):
     p.add_argument("--certificates", action="store_true", help="embed certificates (JSON only)")
     p.add_argument("--approx", action="store_true")
     _common(p)
-    p.set_defaults(handler=_cmd_table)
 
 
 def _solve_case(p):
@@ -268,14 +263,13 @@ def _solve_case(p):
     p.add_argument("--dump-lp", action="store_true", help="print the program and certificate text")
     p.add_argument("--approx", action="store_true")
     _common(p)
-    p.set_defaults(handler=_cmd_solve_case)
 
 
 def _solve_base(p):
     p.add_argument("--s", type=int, choices=(4, 5), required=True)
     p.add_argument("--approx", action="store_true")
     _common(p)
-    p.set_defaults(handler=_cmd_solve_base)
+    p.set_defaults(c=None, dump_lp=False)  # solve-case's handler on the base cell; no flags
 
 
 def _min_objective(p):
@@ -284,7 +278,6 @@ def _min_objective(p):
                    help="q_singleton, sum_singletons, or q_<roles> terms joined by +")
     p.add_argument("--approx", action="store_true")
     _common(p)
-    p.set_defaults(handler=_cmd_min_objective)
 
 
 def _analyze(p):
@@ -294,12 +287,10 @@ def _analyze(p):
     p.add_argument("--normalize", action="store_true",
                    help="relabel so the most frequent element is 1")
     p.add_argument("--approx", action="store_true")
-    p.set_defaults(handler=_cmd_analyze)
 
 
 def _covers(p):
     _common(p, family_input=True)
-    p.set_defaults(handler=_cmd_covers)
 
 
 def _search_nagel(p):
@@ -309,26 +300,24 @@ def _search_nagel(p):
     p.add_argument("--max-family-size", type=_int_at_least(1))
     p.add_argument("--max-witnesses", type=_int_at_least(0), default=16)
     _common(p)
-    p.set_defaults(handler=_cmd_search_nagel)
 
 
 def _check_lemmas(p):
     _common(p, family_input=True)
     p.add_argument("--base", required=True, help="comma-separated minimal 2-good base set")
     p.add_argument("--add-empty", action="store_true")
-    p.set_defaults(handler=_cmd_check_lemmas)
 
 
-# each subcommand's help line, and the builder of its arguments, defaults and handler
+# each subcommand's help line, the builder of its arguments and defaults, and its handler
 _COMMANDS = {
-    "table": ("solve all eight case cells", _table),
-    "solve-case": ("solve one case cell", _solve_case),
-    "solve-base": ("solve the base program", _solve_base),
-    "min-objective": ("minimize a custom objective over the base program", _min_objective),
-    "analyze": ("frequencies, 2-good structure and traces of a family", _analyze),
-    "covers": ("minimal covers and the involution status", _covers),
-    "search-nagel": ("exhaustive second-frequency check", _search_nagel),
-    "check-lemmas": ("recount the lemma bounds on a family", _check_lemmas),
+    "table": ("solve all eight case cells", _table, _cmd_table),
+    "solve-case": ("solve one case cell", _solve_case, _cmd_solve_case),
+    "solve-base": ("solve the base program", _solve_base, _cmd_solve_case),
+    "min-objective": ("minimize a custom objective over the base program", _min_objective, _cmd_min_objective),
+    "analyze": ("frequencies, 2-good structure and traces of a family", _analyze, _cmd_analyze),
+    "covers": ("minimal covers and the involution status", _covers, _cmd_covers),
+    "search-nagel": ("exhaustive second-frequency check", _search_nagel, _cmd_search_nagel),
+    "check-lemmas": ("recount the lemma bounds on a family", _check_lemmas, _cmd_check_lemmas),
 }
 
 
@@ -338,9 +327,10 @@ def command_parser(name: str) -> argparse.ArgumentParser:
     `build_parser` builds it under the top level, so its help and errors read
     the same.  It cannot go stale: builders read only module constants, and
     handlers reach `MAX_OUTPUT`, `lpmodel`, `search` and `setfam` as they run."""
+    _, build, handler = _COMMANDS[name]
     parser = _Parser(prog=f"ucfreq {name}")
-    _COMMANDS[name][1](parser)
-    parser.set_defaults(command=name)  # as the top level sets it
+    build(parser)
+    parser.set_defaults(command=name, handler=handler)  # command as the top level sets it
     return parser
 
 
@@ -350,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     process; `parse_args` needs it only for the top-level help and errors."""
     parser = _Parser(prog="ucfreq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, build) in _COMMANDS.items():
-        build(sub.add_parser(name, help=help_line))
+    for name, (help_line, build, handler) in _COMMANDS.items():
+        build(p := sub.add_parser(name, help=help_line))
+        p.set_defaults(handler=handler)
     return parser
 
 

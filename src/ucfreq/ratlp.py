@@ -226,11 +226,11 @@ LpOutcome = Optimal | Infeasible
 # feasibility / certificate checking (independent of the solver internals)
 # ---------------------------------------------------------------------------
 
-def _row_value(coeffs: dict[int, int | Fraction], x: Sequence[int | Fraction]) -> int | Fraction:
+def _row_value(coeffs: dict[int, int], x: Sequence[int]) -> int:
     return sum(c * x[j] for j, c in coeffs.items())
 
 
-def _holds(lhs: int | Fraction, relation: str, rhs: int | Fraction) -> bool:
+def _holds(lhs: int, relation: str, rhs: int) -> bool:
     return lhs <= rhs if relation == "<=" else lhs >= rhs if relation == ">=" else lhs == rhs
 
 

@@ -506,6 +506,19 @@ class TestSearchNagel:
         assert main(["search-nagel", "--n", "3", "--max-family-size", size]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_require_empty_with_a_cap_of_one_is_usage_error(self, capsys):
+        # a family that holds the empty set and covers the ground set has two
+        # members, so a cap of one would check no family and report a pass
+        assert main(["search-nagel", "--n", "2", "--require-empty", "--max-family-size", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ucfreq: --require-empty needs --max-family-size at least 2 (the empty set and a cover)\n"
+
+    @pytest.mark.parametrize("n", ["2", "3", "4"])
+    def test_require_empty_with_a_cap_of_two_checks_a_family(self, capsys, n):
+        assert main(["search-nagel", "--n", n, "--require-empty", "--max-family-size", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["families_checked"] >= 1
+
     def test_negative_max_witnesses_is_usage_error(self, capsys):
         assert main(["search-nagel", "--n", "3", "--max-witnesses", "-1"]) == 1
         assert capsys.readouterr().out == ""
@@ -752,7 +765,9 @@ PARITY_TAILS = {
     "solve-case": ([["-h"], ["--s", "4"], ["--s", "4", "--c", "9"], ["--s", "four", "--c", "1"],
                     ["--s", "4", "--c", "1", "--bogus"], ["--s", "4", "--c", "1", "x"]],
                    ["--s", "5", "--c", "aux", "--dump-lp"]),
-    "solve-base": ([["-h"], [], ["--s", "3"], ["--s", "x"], ["--s", "4", "--bogus"], ["--s", "4", "x"]],
+    # solve-case's hidden defaults on solve-base (c, dump_lp) are no flags of its own
+    "solve-base": ([["-h"], [], ["--s", "3"], ["--s", "x"], ["--s", "4", "--bogus"], ["--s", "4", "x"],
+                    ["--s", "4", "--c", "0"], ["--s", "4", "--dump-lp"]],
                    ["--s", "5", "--approx"]),
     "min-objective": ([["-h"], ["--s", "4"], ["--s", "6", "--objective", "q_a"],
                        ["--s", "x", "--objective", "q_a"], ["--s", "4", "--objective", "q_a", "--bogus"],
