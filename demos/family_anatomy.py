@@ -37,6 +37,8 @@ for s in minimal_two_good_sets(fam):
 print()
 
 base = mask_of([2, 3, 4])
+# covered_set and flexible_pairs take a 2-good base without checking it
+assert base in minimal_two_good_sets(fam)
 counts = trace_counts(fam, base)
 print(f"Trace counts over S = {format_mask(base)} (q_T = members meeting S exactly in T):")
 for t, q in counts.items():
@@ -51,8 +53,10 @@ print()
 
 # a family where an element is flexible: two witnesses differing exactly at x
 flex = union_closure(family(5, [[2], [2, 4], [3], [1]]))
+flex_base = mask_of([2, 3])
+assert flex_base in minimal_two_good_sets(flex)
 print("Flexible pairs of S = {2,3} in the closure of {2}, {2,4}, {3}, {1}:")
-for w in flexible_pairs(flex, mask_of([2, 3])):
+for w in flexible_pairs(flex, flex_base):
     print(
         f"  a={w.a}, x={w.x}: witnesses {format_mask(w.fa)} and {format_mask(w.fa_prime)}"
     )

@@ -440,12 +440,13 @@ def run_lemma_corpus(
     An instance is a pair (family, S) with S a minimal 2-good set of size
     at least 2 admitting a flexible pair; random union-closed families are
     drawn (fixed seed) until `instances` of them have been checked.  Such
-    an S and an x outside S + {1} need n >= 4, so `n_high` must be at least 4.
-    After `CORPUS_DRAWS_PER_INSTANCE * instances` draws without enough
-    instances it raises `RuntimeError` instead of drawing on.
+    an S and an x outside S + {1} need n >= 4, so `n_high` must be at least
+    4; a ground set needs n >= 1, so `n_low` must be at least 1.  After
+    `CORPUS_DRAWS_PER_INSTANCE * instances` draws without enough instances
+    it raises `RuntimeError` instead of drawing on.
     """
-    if n_high < 4 or n_low > n_high:
-        raise ValueError(f"need n_low <= n_high and n_high >= 4, got n = {n_low}..{n_high}")
+    if n_high < 4 or not 1 <= n_low <= n_high:
+        raise ValueError(f"need 1 <= n_low <= n_high and n_high >= 4, got n = {n_low}..{n_high}")
     rng = random.Random(seed)
     report = VerificationReport()
     budget, draws = CORPUS_DRAWS_PER_INSTANCE * instances, 0

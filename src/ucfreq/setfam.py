@@ -316,27 +316,15 @@ def _mmcs(edges: tuple[Mask, ...], allowed: Mask, limit: int | None) -> tuple[Ma
 # 2-good sets, traces, incidence
 # ---------------------------------------------------------------------------
 
-def _two_good_problem(fam: SetFamily) -> tuple[list[Mask], Mask]:
-    """The 2-good sets as transversals: targets {A - {1}} over the members A
-    outside {empty, {1}}, candidates all elements but 1."""
-    return [t for a in fam.sets if (t := a & ~1)], fam.ground & ~1
-
-
-def is_two_good(fam: SetFamily, s: Mask) -> bool:
-    """True iff `s` lies in 2..n and meets every member but the empty set and {1}."""
-    targets, allowed = _two_good_problem(fam)
-    return s & ~allowed == 0 and all(t & s for t in targets)
-
-
 def minimal_two_good_sets(fam: SetFamily, limit: int | None = None) -> tuple[Mask, ...]:
     """All inclusion-minimal 2-good sets, in canonical order (`limit` as in
     `minimal_transversals`).
 
-    These are the minimal transversals of {A - {1}} over the members A
-    outside {empty, {1}}.  The empty set is returned when it is (vacuously)
-    2-good.
+    S is 2-good when it lies in 2..n and meets A - {1} for each member A
+    outside {empty, {1}}: this is the one statement of it.  The empty set
+    is returned when it is (vacuously) 2-good.
     """
-    return minimal_transversals(*_two_good_problem(fam), limit)
+    return minimal_transversals([t for a in fam.sets if (t := a & ~1)], fam.ground & ~1, limit)
 
 
 def incidence(freqs: dict[int, int], s: Mask) -> int:
@@ -376,13 +364,11 @@ def covered_set(fam: SetFamily, s: Mask, x: int) -> tuple[int, ...]:
     """Elements y of a 2-good `s` with `s + x - y` still 2-good.
 
     (Equivalently: every member whose trace on `s` is exactly {y} contains
-    x; the equivalence needs `s` 2-good, which is why it is a precondition.)
+    x; the equivalence needs `s` 2-good, a precondition not checked here.)
     Requires x in 2..n outside `s`.
     """
     if not 2 <= x <= fam.n or s >> (x - 1) & 1:
         raise ValueError(f"x must be in 2..{fam.n} outside the base set, got x={x}")
-    if not is_two_good(fam, s):
-        raise ValueError(f"base set {format_mask(s)} is not 2-good")
     groups = members_by_trace(fam, s)
     return tuple(y for y in elements_of(s) if keeps_two_good(groups, 1 << (y - 1), 1 << (x - 1)))
 
@@ -402,14 +388,13 @@ class FlexibleWitness:
 
 
 def flexible_pairs(fam: SetFamily, s: Mask) -> tuple[FlexibleWitness, ...]:
-    """All (a, x) with a in the 2-good set `s`, x outside s and not 1, such
-    that some member meets s + x exactly in {a} and another in {a, x}.
+    """All (a, x) with a in the 2-good set `s` (a precondition not checked
+    here), x outside s and not 1, such that some member meets s + x exactly
+    in {a} and another in {a, x}.
 
     One witness per pair, with both member sets chosen canonically (least
     under the element-tuple order).  Pairs are ordered by (a, x).
     """
-    if not is_two_good(fam, s):
-        raise ValueError(f"base set {format_mask(s)} is not 2-good")
     groups = members_by_trace(fam, s)
     out = []
     for a in elements_of(s):

@@ -1,4 +1,5 @@
-"""Shared test oracles: symmetry-reduced LP models, the letter-set rule for
+"""Shared test oracles: symmetry-reduced LP models, the role groups of the
+cell programs (`role_group`, `trace_renamings`), the letter-set rule for
 doubled traces, random program generators, the row layout
 `loop_materialized_rows`, the certificate checks in `Fraction` arithmetic
 (`fraction_check_feasible` and the three `fraction_verify_*`), the
@@ -9,7 +10,8 @@ outcome with its ray that both of those simplexes return where
 `ratlp.solve` raises `ValueError`, the shift loop of
 `elements_of`, the element scan for frequencies, the subset scan for
 minimal transversals, the private-target test for a minimal transversal
-and a minimal 2-good set, the pairwise scans for minimal elements, antichains
+and a minimal 2-good set, the target test for a 2-good set (`is_two_good`),
+the pairwise scans for minimal elements, antichains
 and union closure, the frontier union closure, the member scans for
 2-goodness, covered sets and flexible pairs, the two-bit swap of
 `normalize`, the family JSON and text writers, the recursive
@@ -31,10 +33,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, Mapping, NamedTuple
 
+from ucfreq import lpmodel
+from ucfreq.lpmodel import CaseSpec, Scenario, all_subsets, subset_name
 from ucfreq.ratlp import (
     ONE,
     ZERO,
@@ -123,6 +127,30 @@ def letter_set_doubled_targets(s: int, a: str, covered) -> tuple[frozenset, ...]
         for t in combinations(letters, k)
         if (a in t and not set(t) & cov) or len(set(t) & cov) >= 2
     )
+
+
+def role_group(spec: CaseSpec) -> list[dict[str, str]]:
+    """The role permutations that cell `spec`'s hypothesis treats alike:
+    the covered roles among themselves and the uncovered non-a roles among
+    themselves; every role for the base program, b and c for the pair cap."""
+    letters = lpmodel.role_letters(spec.s)
+    if spec.scenario is Scenario.BASE:
+        blocks = [letters]
+    elif spec.scenario is Scenario.PAIR_CAP:
+        blocks = ["bc"]
+    else:
+        covered = spec.scenario.covered_roles
+        blocks = [covered, [r for r in letters[1:] if r not in covered]]
+    group = [{r: r for r in letters}]
+    for block in blocks:
+        group = [{**g, **dict(zip(block, perm))} for g in group for perm in permutations(block)]
+    return group
+
+
+def trace_renamings(spec: CaseSpec) -> list[dict[str, str]]:
+    """Each permutation of `role_group(spec)` as a renaming of the q_T."""
+    subsets = all_subsets(spec.s)
+    return [{subset_name(t): subset_name(g[r] for r in t) for t in subsets} for g in role_group(spec)]
 
 
 def random_box_program(rng: random.Random) -> LinearProgram:
@@ -972,6 +1000,18 @@ def is_minimal_two_good(fam: SetFamily, s: int) -> bool:
     return s & ~(fam.ground & ~1) == 0 and is_minimal_transversal(s, targets)
 
 
+def is_two_good(fam: SetFamily, s: int) -> bool:
+    """True iff `s` lies in 2..n and meets every member but the empty set and {1}.
+
+    This is the test `setfam` kept until `flexible_pairs` and `covered_set`
+    took a 2-good base as a precondition they do not check; it stays as the
+    reference.  The 2-good problem is restated here, not read from `setfam`:
+    targets A - {1} over the members A outside {empty, {1}}, candidates 2..n.
+    """
+    targets, allowed = [t for a in fam.sets if (t := a & ~1)], fam.ground & ~1
+    return s & ~allowed == 0 and all(t & s for t in targets)
+
+
 def scan_minimal_elements(masks) -> tuple[int, ...]:
     """The masks with no proper subset among `masks`, each tested against
     every other, in canonical order.
@@ -1048,8 +1088,9 @@ def scan_is_two_good(fam: SetFamily, s: int) -> bool:
     """True iff `s` avoids element 1 and meets every member other than the
     empty set and {1}, one member at a time.
 
-    This is the body `setfam.is_two_good` had before it read the targets of
-    `_two_good_problem`; it stays as the reference for `s` inside 2..n.
+    This is the body `is_two_good` had in `setfam` before it read the
+    targets of the transversal problem behind `minimal_two_good_sets`; it
+    stays as the reference for `s` inside 2..n.
     """
     if s & 1:
         return False
@@ -1071,7 +1112,8 @@ def scan_covered_set(fam: SetFamily, s: int, x: int) -> tuple[int, ...]:
     scan of the members per y.
 
     This is the body `setfam.covered_set` had before it read the members
-    grouped by trace; it stays as the reference.
+    grouped by trace; it stays as the reference, and unlike `setfam` it
+    still refuses an `s` that is not 2-good.
     """
     _require_two_good(fam, s)
     sx = s | 1 << (x - 1)

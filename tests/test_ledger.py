@@ -1,4 +1,4 @@
-"""Exactness and loop ledger: an AST walk over `src/ucfreq/*.py`.
+"""Exactness, loop and precondition ledger: an AST walk over `src/ucfreq/*.py`.
 
 - Exactness: no `/` operator, no float literal, and `float(...)` only in
   `lpmodel.render_bound`, where `--approx` prints an exact bound as a float.
@@ -9,6 +9,12 @@
   `USER_INPUT` with its `MAX_OUTPUT` refusals (the text after the cap in each
   message), and `OPEN` names the work on such a file that no refusal bounds
   yet, with the commands that run it.
+- Preconditions: `setfam.flexible_pairs`, `setfam.covered_set` and
+  `search.spot_check_lemmas` do not check that their base is 2-good (the one
+  statement of 2-goodness is `setfam.minimal_two_good_sets`).  Every call of
+  them in `src/ucfreq/*.py` and `demos/*.py` is listed in `PRECONDITIONS`
+  under its enclosing function ("module" at a module's top level), one line
+  each, in source order, with why its base meets the precondition.
 
 `python tests/test_ledger.py` prints the ledger.
 """
@@ -22,7 +28,8 @@ from pathlib import Path
 
 from ucfreq import cli
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ucfreq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ucfreq"
 
 FLOAT_CALLERS = {"lpmodel.render_bound"}
 
@@ -59,9 +66,26 @@ OPEN = {
 }
 
 
-def _nodes():
+# callee -> the call sites, each (where, why the base meets the precondition)
+PRECONDITIONS = {
+    "flexible_pairs": (
+        ("cli._cmd_check_lemmas", "the base is refused unless it is in minimal_two_good_sets(fam)"),
+        ("search.run_lemma_corpus", "S is taken from minimal_two_good_sets(fam)"),
+        ("family_anatomy.module", "the demo asserts that its base is in minimal_two_good_sets(flex)"),
+    ),
+    "covered_set": (
+        ("family_anatomy.module", "the demo asserts that its base is in minimal_two_good_sets(fam)"),
+    ),
+    "spot_check_lemmas": (
+        ("cli._cmd_check_lemmas", "the base is refused unless it is in good = minimal_two_good_sets(fam)"),
+        ("search.run_lemma_corpus", "S is taken from good = minimal_two_good_sets(fam)"),
+    ),
+}
+
+
+def _nodes(paths=None):
     """(module, tree, enclosing function or class path, node) over every
-    node of every module."""
+    node of every module, `src/ucfreq/*.py` unless `paths` are given."""
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             inner = where
@@ -70,7 +94,7 @@ def _nodes():
             yield inner, child
             yield from walk(child, inner)
 
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths or sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for where, node in walk(tree, path.stem):
             yield path.stem, tree, where, node
@@ -108,6 +132,26 @@ def loops() -> Counter:
     in each function."""
     return Counter(where for _, tree, where, node in _nodes()
                    if isinstance(node, ast.While) or (isinstance(node, ast.For) and _is_count(node.iter, tree)))
+
+
+def precondition_sites() -> dict[str, tuple[str, ...]]:
+    """For each callee in `PRECONDITIONS`, where it is called in
+    `src/ucfreq/*.py` and `demos/*.py`, in source order, by any name an
+    import binds it to."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    found: dict[str, list[str]] = {callee: [] for callee in PRECONDITIONS}
+    aliases: dict[str, dict[str, str]] = {}
+    for module, tree, where, node in _nodes(paths):
+        if module not in aliases:
+            aliases[module] = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                               for a in n.names if a.asname}
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            callee = aliases[module].get(name, name)
+            if callee in found:
+                found[callee].append(where if "." in where else f"{module}.module")
+    return {callee: tuple(sites) for callee, sites in found.items()}
 
 
 def _cli_functions() -> dict[str, ast.FunctionDef]:
@@ -176,6 +220,11 @@ class TestLedger:
     def test_open_entries_name_the_commands_that_run_them(self):
         assert open_work() == {callee: commands for callee, (commands, _) in OPEN.items()}
 
+    def test_every_unchecked_two_good_base_is_listed_with_its_reason(self):
+        assert precondition_sites() == {
+            callee: tuple(where for where, _ in sites) for callee, sites in PRECONDITIONS.items()
+        }
+
 
 def main() -> int:
     print("exactness:", "; ".join(inexact()) or f"no /, no float literal, float(...) only in {sorted(FLOAT_CALLERS)}")
@@ -189,6 +238,12 @@ def main() -> int:
         print(f"{name}: refuses more than MAX_OUTPUT " + ", ".join(refusals))
     for callee, commands in open_work().items():
         print(f"OPEN {callee} in {', '.join(commands)}: {OPEN[callee][1]}")
+    found = precondition_sites()
+    for callee, sites in PRECONDITIONS.items():
+        listed = tuple(where for where, _ in sites)
+        print(f"{callee}: a 2-good base, unchecked" + ("" if found[callee] == listed else f"; FOUND {found[callee]}"))
+        for where, why in sites:
+            print(f"  - {where}: {why}")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from oracle_models import (
@@ -20,6 +20,7 @@ from oracle_models import (
     letter_set_doubled_targets,
     reduced_full_symmetry,
     reduced_one_marked_role,
+    trace_renamings,
 )
 
 from ucfreq import lpmodel, ratlp
@@ -382,30 +383,6 @@ class TestCaseProgramCache:
         with pytest.raises(ValueError):
             all_subsets(3)
         assert all_subsets.cache_info().currsize <= 2
-
-
-def role_group(spec: CaseSpec) -> list[dict[str, str]]:
-    """The role permutations that cell `spec`'s hypothesis treats alike:
-    the covered roles among themselves and the uncovered non-a roles among
-    themselves; every role for the base program, b and c for the pair cap."""
-    letters = lpmodel.role_letters(spec.s)
-    if spec.scenario is Scenario.BASE:
-        blocks = [letters]
-    elif spec.scenario is Scenario.PAIR_CAP:
-        blocks = ["bc"]
-    else:
-        covered = spec.scenario.covered_roles
-        blocks = [covered, [r for r in letters[1:] if r not in covered]]
-    group = [{r: r for r in letters}]
-    for block in blocks:
-        group = [{**g, **dict(zip(block, perm))} for g in group for perm in permutations(block)]
-    return group
-
-
-def trace_renamings(spec: CaseSpec) -> list[dict[str, str]]:
-    """Each permutation of `role_group(spec)` as a renaming of the q_T."""
-    subsets = all_subsets(spec.s)
-    return [{subset_name(t): subset_name(g[r] for r in t) for t in subsets} for g in role_group(spec)]
 
 
 def row_multiset(rows, rename: dict[str, str]) -> Counter:

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from oracle_models import (
     is_minimal_two_good,
+    is_two_good,
     pairwise_is_union_closed,
     recursive_enumerate_union_closed,
     recursive_verify_nagel_k2,
@@ -570,7 +571,7 @@ class TestSpotCheckFaults:
         for w in setfam.flexible_pairs(fam, s):
             cov = setfam.covered_set(fam, s, w.x)
             sx = s | mask_of([w.x])
-            if any(setfam.is_two_good(fam, sx & ~mask_of(p)) for p in itertools.combinations(cov, 2)):
+            if any(is_two_good(fam, sx & ~mask_of(p)) for p in itertools.combinations(cov, 2)):
                 unmet.append((w.a, w.x))
             for t in lpmodel.doubled_trace_targets(s.bit_count(), role[w.a], [role[c] for c in cov]):
                 t_mask = mask_of([e for e in role if role[e] in t])
@@ -584,7 +585,7 @@ class TestSpotCheckFaults:
     def test_pair_pattern_needs_the_witness_set_condition(self, monkeypatch):
         fam, s = WITNESS_SET_CASE
         assert setfam.covered_set(fam, s, 4) == (3, 5)
-        assert setfam.is_two_good(fam, mask_of([2, 4]))
+        assert is_two_good(fam, mask_of([2, 4]))
         monkeypatch.setattr(search, "members_by_trace", with_trace_count(mask_of([3, 5]), 1))
         # only the first pattern of (a, x) = (3, 7), whose C is empty, sees q_{3,5}
         got = spot_check_lemmas(fam, s, minimal_two_good_sets(fam), flexible_pairs(fam, s)).violations
@@ -602,9 +603,10 @@ class TestLemmaCorpus:
         b = run_lemma_corpus(instances=30, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("n_low, n_high", [(2, 2), (2, 3), (5, 4)])
+    @pytest.mark.parametrize("n_low, n_high", [(2, 2), (2, 3), (5, 4), (0, 5), (-3, 5)])
     def test_sizes_without_instances_rejected(self, n_low, n_high):
-        # an instance needs |S| >= 2 and x outside S + {1}, so n >= 4
+        # an instance needs |S| >= 2 and x outside S + {1}, so n >= 4, and
+        # every draw needs a ground set, so n >= 1
         with pytest.raises(ValueError, match="n_high"):
             run_lemma_corpus(instances=1, n_low=n_low, n_high=n_high)
 
@@ -632,6 +634,20 @@ class TestLemmaCorpus:
         minimality = count_calls(monkeypatch, "is_minimal_two_good", setfam, search)
         assert run_lemma_corpus(instances=50, seed=3).families_checked == 50
         assert (len(closure), len(minimality)) == (0, 0)
+
+    def test_hands_flexible_pairs_only_minimal_two_good_bases(self, monkeypatch):
+        # `flexible_pairs` does not check that its base is 2-good: each base
+        # the corpus hands it must be minimal 2-good, by the oracle too
+        bases = []
+
+        def checked(fam, s, _real=search.flexible_pairs):
+            assert s in minimal_two_good_sets(fam) and is_two_good(fam, s)
+            bases.append(s)
+            return _real(fam, s)
+
+        monkeypatch.setattr(search, "flexible_pairs", checked)
+        assert run_lemma_corpus(instances=300, seed=7).families_checked == 300
+        assert len(bases) >= 300
 
     def test_flexible_pairs_once_per_base(self, monkeypatch):
         # the corpus finds the flexible pairs of each base it looks at once,
