@@ -282,7 +282,9 @@ def _check_cover_laws(
     """Check the cover laws on a family F of distinct nonempty subsets of {1..n},
     given its minimal members A ascending, and return A in canonical order.
     The kernel is called for MC(F) on every family; at n <= 4 it reduces F
-    to the antichain word of A and answers a repeated one from its memo.
+    to the antichain word of A and answers a repeated one from its memo,
+    and at n = 5 it answers from one word pass over F, with no reduction,
+    search or memo.
     `memo` holds, under (n, A), what is worked out once per A through
     `minimal_covers`: (A, MC(A), MC(A) is an antichain, MC(MC(A)) == A); it
     stands for MC(F) only where MC(F) == MC(A)."""
@@ -319,7 +321,8 @@ def verify_cover_theorem(
     MC(F) = MC(minimal elements of F), and MC(MC(F)) = F when F is an
     antichain.  Exhaustive enumeration is capped at n_max <= 4 and takes
     min F from each family's two halves (`_cover_families`); the n = 5 layer
-    draws `n5_samples` random families with a fixed seed and reduces each.
+    draws `n5_samples` random families with a fixed seed and reduces each
+    once, for the memo key.
     """
     if not 1 <= n_max <= 4:
         raise ValueError("exhaustive cover checking is limited to n_max <= 4")

@@ -194,12 +194,17 @@ def _minimal_masks(masks: Iterable[Mask]) -> list[Mask]:
     """The inclusion-minimal masks among `masks`, without repeats, fewest
     elements first and ties by value, whatever order `masks` come in.
 
-    In that order a mask can contain only masks that come before it, so one
-    pass against the masks kept so far decides each.
+    In that order a mask can contain only masks with fewer elements, all of
+    which come before it (two distinct masks of one size never contain each
+    other), so one pass against those kept so far decides each.
     """
     kept: list[Mask] = []
+    fewer: list[Mask] = []  # the kept masks with fewer elements than t
+    size = 0
     for t in sorted(sorted(set(masks)), key=int.bit_count):
-        for e in kept:
+        if (k := t.bit_count()) > size:
+            size, fewer = k, kept[:]
+        for e in fewer:
             if t & e == e:
                 break
         else:
@@ -219,23 +224,60 @@ def minimal_transversals(targets: Iterable[Mask], allowed: Mask, limit: int | No
     on the order or repeats of `targets`.  Over a ground set of at most 4
     elements one pass folds the targets into a 16-bit word, the antichain
     of minimal ones (bit m for mask m), and the search is memoized on that
-    word: one of at most 168 antichains.  Wider inputs reduce the targets
-    with `_minimal_masks` and are searched every time.
+    word: one of at most 168 antichains.  Over {1..5} with element 5
+    allowed, a call that no `limit` below 10 can stop (a 5-set has at most
+    C(5, 2) = 10 minimal transversals) is answered with neither a search
+    nor a memo: one pass ANDs, over the targets, the word of the subsets of
+    `allowed` that meet each; of those transversals it keeps the ones from
+    which no element can go, and reads them off the word in canonical
+    order.  Other inputs reduce the targets with `_minimal_masks` and are
+    searched every time.
     """
     if 0 <= allowed < 1 << 4:
-        present = above = 0
+        fold = 0
         for t in targets:
-            t &= allowed
-            present |= 1 << t
-            above |= _ABOVE[t]
+            fold |= _FOLD[t & allowed]
         # a 4-set has at most 6 minimal transversals (an antichain, Sperner),
         # so a limit below 0 or of 6 or more stops nothing: one key for all
-        return _small_mmcs(present & ~above, allowed, limit if limit is not None and 0 <= limit < 6 else None)
+        return _small_mmcs(fold & ~(fold >> 16) & 0xFFFF, allowed,
+                           limit if limit is not None and 0 <= limit < 6 else None)
+    if 1 << 4 <= allowed < 1 << 5 and (limit is None or not 0 <= limit < 10):
+        hit = _INSIDE[allowed]
+        for t in targets:
+            hit &= _MEETS[t & allowed]
+        # a transversal that stays one without some element is not minimal
+        l1, l2, l3, l4, l5 = _LACKS
+        word = hit & ~((hit & l1) << 16 | (hit & l2) << 8 | (hit & l3) << 4 | (hit & l4) << 2 | (hit & l5) << 1)
+        out = []
+        while word:  # one step per set bit of a 32-bit word, highest first
+            top = word.bit_length() - 1
+            out.append(_AT[top])
+            word ^= 1 << top
+        return tuple(out)
     return _mmcs(tuple(_minimal_masks(t & allowed for t in targets)), allowed, limit)
 
 
-# _ABOVE[m]: the proper supersets of m among the subsets of {1..4}, bit s for mask s
+# _ABOVE[m]: the proper supersets of m among the subsets of {1..4}, bit s for mask s;
+# _FOLD[m] marks m itself in the low 16 bits and those supersets in the high 16
 _ABOVE = tuple(sum(1 << s for s in range(16) if s & m == m != s) for m in range(16))
+_FOLD = tuple(1 << m | above << 16 for m, above in enumerate(_ABOVE))
+
+# The 32 subsets of {1..5} as the bits of one word: subset s sits at the
+# position of its mask read backwards (element 1 the highest bit), so
+# adding element i moves a subset up 16 >> (i - 1) places, and the sets of
+# an antichain, highest first, come in canonical order: of two such sets,
+# the one holding the smallest element of only one of them comes first.
+# _INSIDE[a] marks the subsets of mask a: by doubling, those of a plus
+# element i are those of a and each of them moved up for i.
+_INSIDE = [1]
+for _shift in (16, 8, 4, 2, 1):
+    _INSIDE += [w | w << _shift for w in _INSIDE]
+# _MEETS[m]: the subsets that meet m, those not inside its complement;
+# _LACKS[i - 1]: the subsets without element i; _AT[p]: the subset at place p
+_MEETS = tuple(_INSIDE[31] ^ _INSIDE[31 ^ m] for m in range(32))
+_LACKS = tuple(_INSIDE[31 ^ 1 << i] for i in range(5))
+_AT = tuple(sorted(range(32), key=_INSIDE.__getitem__))
+_INSIDE = tuple(_INSIDE)
 
 
 @functools.cache  # bounded: at most 168 antichains of a 4-set times 16 `allowed` times 7 limits

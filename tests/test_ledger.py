@@ -43,6 +43,7 @@ LOOPS = {
     "setfam.elements_of": ("one step per set bit",),
     "setfam.submasks": ("one step per subset of the mask",),
     "setfam.element_frequencies": ("one step per set bit of each member",),
+    "setfam.minimal_transversals": ("one step per set bit of a 32-bit word",),
     "setfam._mmcs": (
         "one step per element of each edge",
         "one step per branch: a branch adds an element of `allowed` to its parent's, "

@@ -7,6 +7,7 @@ library implementations) and frozen into the assertions.
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -516,6 +517,69 @@ class TestMinimalTransversals:
         blocks = SetFamily(12, (0b111, 0b111 << 3, 0b111 << 6, 0b111 << 9))
         assert len(minimal_covers(blocks)) == 3**4
         assert minimal_two_good_sets(family(20, [[1], [20], [1, 20]])) == (mask_of([20]),)
+        assert memo.cache_info().currsize == before
+
+
+def canonical_edges(targets) -> tuple[int, ...]:
+    """The inclusion-minimal masks of `targets`, fewest elements first, ties by value."""
+    least = {t for t in targets if not any(u & t == u != t for u in targets)}
+    return tuple(sorted(least, key=lambda t: (t.bit_count(), t)))
+
+
+class TestFiveElementWordPass:
+    """Unlimited calls on a ground of 5 elements (16 <= allowed < 32) are
+    answered by the word pass; limited ones still search."""
+
+    def test_every_antichain_answers_as_the_search(self, searches):
+        antichains = [()]
+        for m in range(32):
+            antichains += [a + (m,) for a in antichains if all(x & m not in (x, m) for x in a)]
+        assert len(antichains) == 7581
+        for anti in antichains:
+            expect = _mmcs(canonical_edges(anti), 0b11111, None)
+            upset = [s for s in range(31, -1, -1) if any(s & t == t for t in anti)]
+            assert minimal_transversals(anti, 0b11111) == expect
+            assert minimal_transversals(upset, 0b11111, -1) == expect
+        assert not searches
+
+    @given(
+        st.lists(st.integers(0, 127), max_size=10),
+        st.integers(0, 31),
+        st.randoms(use_true_random=False),
+        st.sampled_from([None, -1, 10, 100]),
+    )
+    @example([0b1000000, 0b0100001], 0b11111, random.Random(0), None)  # targets partly or wholly outside `allowed`
+    @example([0b00111, 0b00111, 0b11000], 0b10110, random.Random(0), None)  # a repeat, and elements left out
+    def test_matches_scan(self, targets, allowed, rnd, limit):
+        listed = targets + targets[: len(targets) // 2]
+        rnd.shuffle(listed)
+        expect = scan_minimal_transversals(targets, allowed)
+        assert minimal_transversals(targets, allowed, limit) == expect
+        assert minimal_transversals(listed, allowed, limit) == expect
+
+    @given(st.lists(st.integers(0, 31), max_size=10), st.integers(16, 31), st.integers(0, 9))
+    def test_limited_calls_still_search(self, targets, allowed, limit):
+        edges = tuple(_minimal_masks(t & allowed for t in targets))
+        assert minimal_transversals(targets, allowed, limit) == _mmcs(edges, allowed, limit)
+
+    def test_most_transversals_a_five_set_has(self, searches):
+        # every 3-subset of {1..5} is a minimal transversal of the 3-subsets:
+        # C(5, 2) = 10 of them, so a limit of 9 stops the search and 10 does not
+        threes = [m for m in range(32) if m.bit_count() == 3]
+        assert minimal_transversals(threes, 0b11111) == tuple(sorted(threes, key=canonical_key))
+        assert minimal_transversals(threes, 0b11111, 10) == tuple(sorted(threes, key=canonical_key))
+        assert not searches
+        stopped = minimal_transversals(threes, 0b11111, 9)
+        assert len(stopped) == 10 and stopped == _mmcs(tuple(threes), 0b11111, 9)
+        assert len(searches) == 1
+
+    def test_leaves_the_memo_alone(self):
+        memo = setfam._small_mmcs
+        before = memo.cache_info().currsize
+        for allowed in range(16, 32):
+            for limit in (None, 0, 3, 9, 10):
+                minimal_transversals([0b00011, 0b01100, 0b10101], allowed, limit)
+        assert minimal_covers(family(5, [[1, 2], [3, 4], [5]])) == family(5, [[1, 3, 5], [1, 4, 5], [2, 3, 5], [2, 4, 5]])
         assert memo.cache_info().currsize == before
 
 
