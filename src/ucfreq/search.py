@@ -101,10 +101,16 @@ class VerificationReport:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _count_base(spec: EnumerationSpec) -> int:
-    """The radix of the walk's count word.  An element lies in at most 2^(n-1)
-    sets and `max_family_size` members, so no count reaches it: no digit carries."""
-    return min(spec.max_family_size or 1 << spec.n, 1 << spec.n - 1) + 1
+def _count_width(spec: EnumerationSpec) -> int:
+    """The bits per element of the walk's count word.  An element lies in at
+    most 2^(n-1) sets and `max_family_size` members, so no count reaches the
+    top bit of its field, its guard bit: no field carries."""
+    return min(spec.max_family_size or 1 << spec.n, 1 << spec.n - 1).bit_length() + 1
+
+
+def _lift(width: int, n: int, t: int) -> int:
+    """Added to a count word, sets the guard bit of each count above t; at t = -1, the guard bits."""
+    return max(0, (1 << width - 1) - 1 - t) * sum(1 << width * e for e in range(n))
 
 
 def _walk_union_closed(spec: EnumerationSpec) -> Iterator[tuple[list[Mask], int, bool, bool]]:
@@ -119,14 +125,14 @@ def _walk_union_closed(spec: EnumerationSpec) -> Iterator[tuple[list[Mask], int,
     family and changes no count, so the node plus it rides on the node's
     yield.  Nodes come in pre-order with children ascending, the node plus
     the empty set right after the node: ascending order of the sum of 2^s
-    over the members s.
+    over the members s.  Children at the cap come from an inner loop.
 
     Yields `(chosen, word, bare, empty)` once per node (the memberless root
     too, unless ground coverage is required): the members in descending
     order, updated in place, so a caller that keeps it must copy it; the
-    element counts as one int, the count of element e being its digit e - 1
-    in base `_count_base(spec)`; whether the node's family matches the
-    spec; and whether the node plus the empty set does.
+    element counts as one int, element e's in bit field e - 1 (of
+    `_count_width(spec)` bits, under a guard bit); whether the node's family
+    matches the spec; and whether the node plus the empty set does.
     """
     n = spec.n
     if n > ENUMERATION_LIMIT:
@@ -134,8 +140,8 @@ def _walk_union_closed(spec: EnumerationSpec) -> Iterator[tuple[list[Mask], int,
     ground = (1 << n) - 1
     cap = spec.max_family_size or ground + 1
     bare = not spec.require_empty  # else only the families with the empty set
-    base = _count_base(spec)
-    inc = [sum(base ** (e - 1) for e in elements_of(s)) for s in range(ground + 1)]
+    width = _count_width(spec)
+    inc = [sum(1 << width * (e - 1) for e in elements_of(s)) for s in range(ground + 1)]
     member = [False] * (ground + 1)
     chosen: list[Mask] = []
     word = 0
@@ -161,12 +167,20 @@ def _walk_union_closed(spec: EnumerationSpec) -> Iterator[tuple[list[Mask], int,
         if len(chosen) < cap:
             yield chosen, word, bare, True
             member[s] = True
-            above.append((candidates, i))
-            candidates, i = [t for t in candidates[:i - 1] if member[t | s]], 0
+            below = [t for t in candidates[:i - 1] if member[t | s]]
+            if len(chosen) < cap - 1:
+                above.append((candidates, i))
+                candidates, i = below, 0
+                continue
+            for t in below:  # the children at the cap
+                chosen.append(t)
+                yield chosen, word + inc[t], bare, False
+                chosen.pop()
+            member[s] = False
         else:
             yield chosen, word, bare, False
-            chosen.pop()  # a leaf at the cap is undone in place
-            word -= inc[s]
+        chosen.pop()  # a node without a frame is undone in place
+        word -= inc[s]
 
 
 def enumerate_union_closed(spec: EnumerationSpec) -> Iterator[SetFamily]:
@@ -199,36 +213,37 @@ def verify_nagel_k2(spec: EnumerationSpec) -> VerificationReport:
     proved statement at these sizes, so any entry in `violations` means
     an implementation bug.
 
-    f_2 is the second largest element count over the family size: the
-    count is read off the walk's count word through a table filled on first
-    use, and f_2 is compared in integers; each final witness is re-checked
-    with `kth_frequency`.
+    f_2 is the second largest element count c_2 over the family size m,
+    compared in integers.  A node is passed over when c_2 > T(m) for its
+    larger family (with the empty set, of lesser f_2): two guard bits set
+    by `lift[m]` = `_lift(width, n, T(m))`.  c_2 is read off the fields of
+    the other nodes; each final witness is re-checked with `kth_frequency`.
     """
     if spec.n < 2 or not spec.require_ground_coverage:
         raise ValueError("the k=2 check needs require_ground_coverage and n >= 2")
     n = spec.n
-    base = _count_base(spec)
-    places = [base ** e for e in range(n)]
-    second = bytearray(base ** n)  # by count word; 0 until read, as the ground set makes every count >= 1
+    width = _count_width(spec)
+    guard, field, shifts = _lift(width, n, -1), (1 << width) - 1, range(0, width * n, width)
+    lift = [0] * (min(spec.max_family_size or 1 << n, 1 << n) + 1)  # by family size m; 0 passes nothing over
     report = VerificationReport()
     checked = 0
     low, low_size = 1, 0  # the least f_2 so far is low / low_size; 1/0 before the first family
     floor, floor_size = F2_FLOOR.numerator, F2_FLOOR.denominator
     witnesses: list[tuple[Mask, ...]] = []
     for chosen, word, bare, empty in _walk_union_closed(spec):
-        c2 = second[word]
-        if not c2:
-            c2 = second[word] = sorted([word // p % base for p in places])[-2]
         k = len(chosen)
         checked += bare + empty
-        # The node plus the empty set has the lesser f_2 of the two families.
-        if c2 * low_size > low * (k + empty) and c2 * floor_size >= floor * (k + empty):
+        if ((word + lift[k + empty]) & guard).bit_count() >= 2:
             continue
+        c2 = sorted([word >> e & field for e in shifts])[-2]
         for size in range(k + (not bare), k + 1 + empty):
             sets = (0, *reversed(chosen))[k + 1 - size:]  # with the empty set when it is counted
             if c2 * low_size <= low * size:
                 if c2 * low_size < low * size:
                     low, low_size, witnesses = c2, size, []
+                    # T(m): c_2 > T(m) iff c_2 / m is above low / low_size and at least the floor
+                    lift = [_lift(width, n, max(low * m // low_size, (floor * m - 1) // floor_size))
+                            for m in range(len(lift))]
                 witnesses.append(sets)
             if c2 * floor_size < floor * size:
                 report.violations.append(f"f_2 = {Fraction(c2, size)} < {F2_FLOOR} for {SetFamily(n, sets)!r}")
@@ -285,17 +300,15 @@ def _check_cover_laws(
     to the antichain word of A and answers a repeated one from its memo,
     and at n = 5 it answers from one word pass over F, with no reduction,
     search or memo.
-    `memo` holds, under (n, A), what is worked out once per A through
-    `minimal_covers`: (A, MC(A), MC(A) is an antichain, MC(MC(A)) == A); it
-    stands for MC(F) only where MC(F) == MC(A)."""
-    report.families_checked += 1
+    `memo`, one per ground size, holds under A what is worked out once per A
+    through `minimal_covers`: (A, MC(A), MC(A) is an antichain,
+    MC(MC(A)) == A); it stands for MC(F) only where MC(F) == MC(A)."""
     mc = minimal_transversals(sets, (1 << n) - 1)
-    key = (n, least)
-    if key not in memo:
+    if least not in memo:
         anti = SetFamily(n, tuple(sorted(least, key=canonical_key)))
         mc_anti = minimal_covers(anti)
-        memo[key] = (anti.sets, mc_anti.sets, is_antichain(mc_anti), minimal_covers(mc_anti) == anti)
-    canon, mc_anti, antichain, involution = memo[key]
+        memo[least] = (anti.sets, mc_anti.sets, is_antichain(mc_anti), minimal_covers(mc_anti) == anti)
+    canon, mc_anti, antichain, involution = memo[least]
     same = mc == mc_anti
     if not same:
         mc_fam = SetFamily(n, mc)
@@ -327,17 +340,21 @@ def verify_cover_theorem(
     if not 1 <= n_max <= 4:
         raise ValueError("exhaustive cover checking is limited to n_max <= 4")
     report = VerificationReport()
-    memo: dict = {}
+    checked = 0
     for n in range(1, n_max + 1):
+        memo: dict = {}
         for sets, least in _cover_families(n):
             _check_cover_laws(n, sets, least, memo, report)
+            checked += 1
     rng = random.Random(seed)
+    memo = {}
     for _ in range(n5_samples):
         sets = _random_nonempty_family(rng, 5)
         least = tuple(sorted(_minimal_masks(sets)))
         anti = _check_cover_laws(5, sets, least, memo, report)
         # exercise the involution on the derived antichain, whose minimal members are the sample's
         _check_cover_laws(5, anti, least, memo, report)
+    report.families_checked = checked + 2 * n5_samples
     return report
 
 

@@ -7,9 +7,11 @@ miniature here; the full-scale runs live in the acceptance module.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,32 +224,61 @@ class TestMatchesRecursiveOracle:
 
 
 class TestCountWord:
-    """The walk's element counts, one base-`_count_base` digit per element."""
+    """The walk's element counts, one bit field of `_count_width` bits per
+    element, whose top bit is a guard bit that no count reaches."""
 
-    @pytest.mark.parametrize("spec, base", [
-        (EnumerationSpec(5), 17),
-        (EnumerationSpec(5, require_ground_coverage=True, max_family_size=8), 9),
-        (EnumerationSpec(4), 9),
+    @pytest.mark.parametrize("spec, width", [
+        (EnumerationSpec(5), 6),
+        (EnumerationSpec(5, require_ground_coverage=True, max_family_size=8), 5),
+        (EnumerationSpec(4), 5),
         (EnumerationSpec(4, max_family_size=1), 2),
     ])
-    def test_base(self, spec, base):
-        assert search._count_base(spec) == base
+    def test_base(self, spec, width):
+        assert search._count_width(spec) == width
 
     @pytest.mark.parametrize("specs", [
         *([*all_specs(n)] for n in (1, 2, 3, 4)),
         [EnumerationSpec(5, require_ground_coverage=True, max_family_size=8)],
     ], ids=["n1", "n2", "n3", "n4", "n5-cap8"])
     def test_digits_are_the_counts(self, specs):
-        # a digit that carried into the next would corrupt f_2 silently
+        # a count that reached its guard bit, or carried into the next field,
+        # would corrupt f_2 silently
         for spec in specs:
-            base = search._count_base(spec)
+            width = search._count_width(spec)
+            guard = search._lift(width, spec.n, -1)
+            assert guard == sum(1 << width * e + width - 1 for e in range(spec.n))
             for chosen, word, _, _ in search._walk_union_closed(spec):
-                digits = []
+                assert not word & guard, (spec, chosen)
+                fields = []
                 for _ in range(spec.n):
-                    word, digit = divmod(word, base)
-                    digits.append(digit)
+                    fields.append(word & (1 << width) - 1)
+                    word >>= width
                 assert word == 0, (spec, chosen)
-                assert digits == [sum(s >> e & 1 for s in chosen) for e in range(spec.n)], (spec, chosen)
+                assert fields == [sum(s >> e & 1 for s in chosen) for e in range(spec.n)], (spec, chosen)
+
+    @pytest.mark.parametrize("specs", [
+        *([s for s in all_specs(n) if s.require_ground_coverage] for n in (2, 3, 4)),
+        [EnumerationSpec(5, require_ground_coverage=True, max_family_size=8)],
+    ], ids=["n2", "n3", "n4", "n5-cap8"])
+    def test_lift_passes_over_exactly_the_second_counts_above_the_threshold(self, specs):
+        # the census passes over a node when two guard bits are set, which
+        # must mean c_2 > t for every threshold t a lift table can hold
+        for spec in specs:
+            width = search._count_width(spec)
+            guard = search._lift(width, spec.n, -1)
+            lifts = [(t, search._lift(width, spec.n, t)) for t in range(1 << width)]
+            for chosen, word, _, _ in search._walk_union_closed(spec):
+                c2 = sorted(sum(s >> e & 1 for s in chosen) for e in range(spec.n))[-2]
+                for t, lift in lifts:
+                    assert (((word + lift) & guard).bit_count() >= 2) == (c2 > t), (spec, word, t)
+
+    def test_lift_table_follows_the_reachable_sizes(self):
+        # a cap far above 2^n sizes the table by the families there are
+        spec = EnumerationSpec(4, require_ground_coverage=True)
+        start = time.perf_counter()
+        got = verify_nagel_k2(dataclasses.replace(spec, max_family_size=10**9))
+        assert time.perf_counter() - start < 0.1
+        assert got.to_json_dict() == verify_nagel_k2(spec).to_json_dict()
 
 
 class TestCoverTheorem:
@@ -365,6 +396,16 @@ class TestCoverFaults:
         hits = [v for v in got.violations if v.startswith(law)]
         assert hits
         assert all(re.fullmatch(re.escape(law) + r"SetFamily\(n=\d, \{.*\}\)", v) for v in hits)
+
+    def test_fault_reported_like_the_oracle_at_n4(self, monkeypatch):
+        # the exhaustive n = 4 layer, with its own memo, reports every family
+        # whose nested targets the faulty kernel answers short
+        kernel = short_on_nested_targets(setfam.minimal_transversals)
+        monkeypatch.setattr(setfam, "minimal_transversals", kernel)
+        monkeypatch.setattr(search, "minimal_transversals", kernel)
+        got = verify_cover_theorem(n_max=4, n5_samples=0)
+        assert got == setfamily_verify_cover_theorem(4, 0, 2024)
+        assert any(v.startswith("MC differs from MC of minimal elements for SetFamily(n=4, ") for v in got.violations)
 
 
 FLEX_FIXTURE = union_closure(family(5, [[2], [2, 4], [3], [1]]))
